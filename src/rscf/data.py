@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -17,6 +19,12 @@ class Triple(NamedTuple):
     head: int
     relation: int
     tail: int
+
+
+def triples_array(triples: list) -> np.ndarray:
+    """(n, 3) int64 array of (head, relation, tail) rows."""
+    flat = itertools.chain.from_iterable(triples)
+    return np.fromiter(flat, dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
 
 
 def load_triples(path, fmt: str = "tsv") -> list[tuple[str, str, str]]:
@@ -113,7 +121,7 @@ class Dataset:
             raise ValueError(f"unknown split {name!r}") from None
 
     def split_array(self, name: str) -> np.ndarray:
-        return np.asarray(self.split(name), dtype=np.int64).reshape(-1, 3)
+        return triples_array(self.split(name))
 
     def all_triples(self) -> list[Triple]:
         return self.train + self.valid + self.test
@@ -149,27 +157,73 @@ class Dataset:
         )
 
 
+class IdTable(Mapping):
+    """Read-only map (a, b) -> set of ids, stored as CSR arrays.
+
+    `key_codes` holds the distinct codes a * width + b in ascending order; the
+    ids of key_codes[i] are ids[ptr[i]:ptr[i + 1]], ascending and without
+    repeats. Built from equal-length arrays with a >= 0, 0 <= b < width and
+    0 <= ids < id_bound, sorted as one int64 code per (a, b, id).
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, ids: np.ndarray,
+                 width: int, id_bound: int):
+        self.width = width
+        codes = np.sort((a * width + b) * id_bound + ids)
+        codes = codes[np.diff(codes, prepend=-1) != 0]
+        key_of = codes // id_bound
+        self.ids = codes - key_of * id_bound
+        starts = np.flatnonzero(np.diff(key_of, prepend=-1))
+        self.key_codes = key_of[starts]
+        self.ptr = np.append(starts, codes.size)
+
+    def ids_of(self, a: int, b: int) -> np.ndarray:
+        """Ascending ids stored under (a, b); empty when there are none."""
+        i = self._slot(a, b)
+        if i < 0:
+            return self.ids[:0]
+        return self.ids[self.ptr[i]:self.ptr[i + 1]]
+
+    def _slot(self, a: int, b: int) -> int:
+        if a < 0 or not 0 <= b < self.width:
+            return -1
+        code = a * self.width + b
+        i = int(np.searchsorted(self.key_codes, code))
+        return i if i < self.key_codes.size and self.key_codes[i] == code else -1
+
+    def __getitem__(self, key) -> set[int]:
+        i = self._slot(*key)
+        if i < 0:
+            raise KeyError(key)
+        return set(self.ids[self.ptr[i]:self.ptr[i + 1]].tolist())
+
+    def __iter__(self):
+        return (divmod(code, self.width) for code in self.key_codes.tolist())
+
+    def __len__(self) -> int:
+        return int(self.key_codes.size)
+
+
 @dataclass
 class FilterIndex:
     """True-triple lookup over train+valid+test for filtered ranking."""
 
-    tail_index: dict[tuple[int, int], set[int]]
-    head_index: dict[tuple[int, int], set[int]]
+    tail_index: IdTable  # (head, relation) -> tails
+    head_index: IdTable  # (relation, tail) -> heads
 
     def true_tails(self, head: int, relation: int) -> set[int]:
-        return self.tail_index.get((head, relation), set())
+        return set(self.tail_index.ids_of(head, relation).tolist())
 
     def true_heads(self, relation: int, tail: int) -> set[int]:
-        return self.head_index.get((relation, tail), set())
+        return set(self.head_index.ids_of(relation, tail).tolist())
 
 
 def build_filter_index(dataset: Dataset) -> FilterIndex:
-    tails: dict[tuple[int, int], set[int]] = {}
-    heads: dict[tuple[int, int], set[int]] = {}
-    for h, r, t in dataset.all_triples():
-        tails.setdefault((h, r), set()).add(t)
-        heads.setdefault((r, t), set()).add(h)
-    return FilterIndex(tails, heads)
+    arr = triples_array(dataset.all_triples())
+    h, r, t = arr.T
+    num_e = int(max(h.max(), t.max())) + 1 if arr.size else 1
+    num_r = int(r.max()) + 1 if arr.size else 1
+    return FilterIndex(IdTable(h, r, t, num_r, num_e), IdTable(r, t, h, num_e, num_e))
 
 
 @dataclass

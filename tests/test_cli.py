@@ -6,6 +6,7 @@ import pytest
 from rscf.cli import main
 from rscf.data import Dataset
 from rscf.synthetic import write_dataset
+from rscf.trainer import load_checkpoint, save_checkpoint
 
 CONFIG_TEMPLATE = """
 data.train = {d}/train.txt
@@ -96,6 +97,17 @@ class TestEvaluateCommand:
         payload = json.loads((dest / "eval.json").read_text())
         assert 0.0 < payload["mrr"] <= 1.0
         assert (dest / "eval_per_relation.csv").exists()
+
+    def test_non_finite_scores_exit_code(self, run_dir, tmp_path):
+        out, cfg = run_dir
+        ckpt = load_checkpoint(out / "checkpoint.rscfckp")
+        ckpt.store.tables["entity"][:] = np.nan
+        bad = tmp_path / "nan.rscfckp"
+        save_checkpoint(bad, ckpt)
+        code = main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad),
+                     "--split", "test", "--out", str(tmp_path / "eval")])
+        assert code == 3
+        assert not (tmp_path / "eval" / "eval.json").exists()
 
     def test_group_by_frequency_yields_buckets(self, run_dir, tmp_path):
         out, cfg = run_dir

@@ -86,6 +86,18 @@ class TestFilterIndex:
         assert index.true_tails(0, 0) == {1, 2}
         assert index.true_heads(0, 1) == {0}
 
+    def test_id_slices_are_sorted_and_deduplicated(self):
+        ds = Dataset(train=[Triple(0, 0, 2), Triple(0, 0, 1), Triple(0, 0, 2)],
+                     valid=[Triple(0, 0, 1)], test=[Triple(0, 0, 2), Triple(3, 0, 2)],
+                     vocabulary=build_vocabulary([("a", "r", "b")]))
+        index = build_filter_index(ds)
+        assert index.tail_index.ids_of(0, 0).tolist() == [1, 2]
+        assert index.head_index.ids_of(0, 2).tolist() == [0, 3]
+        assert index.tail_index.ids_of(0, 1).size == 0
+        assert index.tail_index.ids_of(-1, 0).size == 0
+        assert dict(index.tail_index) == {(0, 0): {1, 2}, (3, 0): {2}}
+        assert len(index.head_index) == 2 and (0, 1) in index.head_index
+
     def test_empty_dataset(self):
         ds = Dataset([], [], [], build_vocabulary([]))
         index = build_filter_index(ds)

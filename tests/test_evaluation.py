@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from rscf import evaluation
 from rscf.data import Dataset, build_filter_index, load_relation_groups
-from rscf.errors import EmptySplit, GoldOutOfRange
+from rscf.errors import EmptySplit, GoldOutOfRange, NumericalError
 from rscf.evaluation import (
     CandidateScorer,
+    collect_ranks,
     evaluate_grouped,
     evaluate_split,
     filtered_rank,
@@ -13,7 +17,26 @@ from rscf.models import ModelSpec, score
 from rscf.objectives import LossConfig, build_store
 from rscf.tensor import Rng
 from rscf.trainer import Checkpoint, TrainConfig
-from rscf.transforms import FilterSpec, rscf_entity_transform
+from rscf.transforms import (
+    FILTER_KINDS,
+    FilterSpec,
+    rscf_entity_transform,
+    rscf_relation_transform,
+)
+
+
+def _loop_rank(gold, scores, known_true):
+    """Reference mid-rank: mask the known-true ids one by one, then count."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n = scores.shape[0]
+    keep = np.ones(n, dtype=bool)
+    for e in known_true:
+        if e != gold and 0 <= e < n:
+            keep[e] = False
+    kept = scores[keep]
+    better = int(np.sum(kept > scores[gold]))
+    tied = int(np.sum(kept == scores[gold])) - 1
+    return 1.0 + better + 0.5 * tied
 
 
 class TestFilteredRank:
@@ -43,6 +66,25 @@ class TestFilteredRank:
             raw = filtered_rank(gold, scores, set())
             filt = filtered_rank(gold, scores, known)
             assert filt <= raw
+
+    def test_matches_loop_reference_for_any_id_container(self):
+        gen = np.random.default_rng(1)
+        for _ in range(300):
+            n = int(gen.integers(1, 15))
+            # a few distinct values, so ties are common
+            scores = gen.integers(0, 4, size=n).astype(float)
+            if gen.random() < 0.3:
+                scores[gen.integers(n)] = np.nan
+            gold = int(gen.integers(n))
+            # repeats, the gold id and ids outside [0, n) are all ignored
+            known = [int(x) for x in gen.integers(-2, n + 2, size=int(gen.integers(0, 8)))]
+            expected = _loop_rank(gold, scores, known)
+            for container in (known, set(known), np.asarray(known, dtype=np.int64),
+                              iter(known)):
+                assert filtered_rank(gold, scores, container) == expected
+
+    def test_nan_gold_keeps_its_direct_result(self):
+        assert filtered_rank(1, np.full(5, np.nan), {1}) == 0.5
 
 
 def _fake_checkpoint(store, model, filt, vocab):
@@ -139,6 +181,22 @@ class TestEvaluateSplit:
             t_f = rscf_entity_transform(store["entity"][e], rel, store["a1"])
             assert abs(scores[e] - score(model, h_f, rel, t_f)) < 1e-12
 
+    def test_dbm_scorer_applies_rt_factors_on_both_sides(self):
+        model = ModelSpec("transe", 4)
+        filt = FilterSpec("none", apply_to="head_and_tail", rt_enabled=True)
+        store = build_store(model, filt, 6, 2, Rng(6), init_scale=0.4)
+        scorer = CandidateScorer(store, model, filt)
+        ent, rel = store["entity"], store["relation"][1]
+        for fixed in (2, 4):  # the second query reuses the scorer's candidate tables
+            tails, heads = scorer.tail_scores(fixed, 1), scorer.head_scores(fixed, 1)
+            for e in range(6):
+                r_t = rscf_relation_transform(rel, ent[fixed], ent[e], store["a2"],
+                                              store["a3"])
+                assert abs(tails[e] - score(model, ent[fixed], r_t, ent[e])) < 1e-12
+                r_h = rscf_relation_transform(rel, ent[e], ent[fixed], store["a2"],
+                                              store["a3"])
+                assert abs(heads[e] - score(model, ent[e], r_h, ent[fixed])) < 1e-12
+
     def test_entity_permutation_invariance(self):
         gen = np.random.default_rng(32)
         ds = _random_dataset(gen, 6, 2, 15)
@@ -229,3 +287,85 @@ class TestReportInvariants:
             assert report.hits[1] <= report.hits[3] <= report.hits[10]
             assert report.mrr >= report.hits[1]
             assert 0.0 < report.mrr <= 1.0
+
+
+def _grid_dataset(gen, num_entities=9, num_relations=3):
+    """Random KG whose test split repeats train triples and itself."""
+    raw = [(f"e{i}", f"r{i % num_relations}", f"e{(i + 1) % num_entities}")
+           for i in range(num_entities)]
+    raw += [(f"e{gen.integers(num_entities)}", f"r{gen.integers(num_relations)}",
+             f"e{gen.integers(num_entities)}") for _ in range(30)]
+    valid = raw[-6:]
+    test = raw[-12:-6] + raw[:3] + raw[-12:-9]  # duplicates across and within splits
+    return Dataset.from_raw(raw[:-6], valid, test)
+
+
+def _reference_ranks(ckpt, ds, split, directions):
+    index = build_filter_index(ds)
+    scorer = CandidateScorer(ckpt.store, ckpt.model, ckpt.filter)
+    out = []
+    for h, r, t in ds.split(split):
+        if directions in ("tail", "both"):
+            out.append((h, r, t, "tail",
+                        _loop_rank(t, scorer.tail_scores(h, r), index.true_tails(h, r))))
+        if directions in ("head", "both"):
+            out.append((h, r, t, "head",
+                        _loop_rank(h, scorer.head_scores(t, r), index.true_heads(r, t))))
+    return out
+
+
+class TestCollectRanksGrid:
+    @pytest.mark.parametrize("kind", ["transe", "rotate", "cp", "complex", "rescal"])
+    def test_blocked_ranks_equal_per_query_reference(self, kind, monkeypatch):
+        gen = np.random.default_rng(71)
+        ds = _grid_dataset(gen)
+        num_e, num_r = ds.vocabulary.num_entities, ds.vocabulary.num_relations
+        model = ModelSpec(kind, 4, gamma=1.0)
+        checked = 0
+        mid_ranks = 0
+        for filter_kind, rt in itertools.product(FILTER_KINDS, (False, True)):
+            filt = FilterSpec(filter_kind, rt_enabled=rt,
+                              apply_to="head_only" if model.is_tdm else "head_and_tail")
+            rng = Rng(checked)
+            store = build_store(model, filt, num_e, num_r, rng, init_scale=0.4)
+            for name, table in store.tables.items():
+                table += rng.derive(f"jitter:{name}").generator().normal(0.0, 0.05,
+                                                                         table.shape)
+            # duplicated entity rows force tied candidates, so mid-ranks are exercised
+            ent = store.tables["entity"]
+            ent[1] = ent[0]
+            ent[4] = ent[3] = ent[2]
+            ckpt = _fake_checkpoint(store, model, filt, ds.vocabulary)
+            # three triples per block, so the test split spans several blocks
+            monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 3 * num_e * ent.itemsize)
+            for directions in ("tail", "head", "both"):
+                got = [(r.head, r.relation, r.tail, r.direction, r.rank)
+                       for r in collect_ranks(ckpt, ds, "test", directions)]
+                assert got == _reference_ranks(ckpt, ds, "test", directions), \
+                    (filter_kind, rt, directions)
+                checked += 1
+                mid_ranks += sum(1 for *_, rank in got if rank % 1)
+        assert checked == len(FILTER_KINDS) * 2 * 3
+        assert mid_ranks > 0
+
+
+class TestNonFiniteScores:
+    def _checkpoint(self, kind):
+        ds = _random_dataset(np.random.default_rng(61), 7, 2, 20)
+        model = ModelSpec(kind, 4)
+        filt = FilterSpec("rscf", apply_to="head_only" if model.is_tdm else "head_and_tail")
+        store = build_store(model, filt, 7, 2, Rng(7), init_scale=0.3)
+        return ds, _fake_checkpoint(store, model, filt, ds.vocabulary)
+
+    @pytest.mark.parametrize("kind", ["complex", "transe"])
+    def test_all_nan_entity_table_raises(self, kind):
+        ds, ckpt = self._checkpoint(kind)
+        ckpt.store.tables["entity"][:] = np.nan
+        with pytest.raises(NumericalError):
+            evaluate_split(ckpt, ds, "test")
+
+    def test_one_non_finite_candidate_raises(self):
+        ds, ckpt = self._checkpoint("cp")
+        ckpt.store.tables["entity"][5] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            evaluate_split(ckpt, ds, "test", directions="tail")
