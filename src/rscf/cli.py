@@ -310,7 +310,6 @@ def build_parser() -> _Parser:
         p.add_argument("--deterministic", action="store_true",
                        help="suppress timestamps for byte-identical reruns")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--workers", type=int, default=1)
         if config:
             p.add_argument("--config", required=True, help="run config file")
         if checkpoint:
@@ -364,6 +363,8 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, default=32)
     p.add_argument("--p", type=int, choices=(1, 2), default=2)
     p.add_argument("--thresholds", default="1,1.01,1.02")
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads computing the table's columns")
     p.set_defaults(fn=cmd_simulate_consistency)
 
     p = sub.add_parser("check-gradients",

@@ -24,8 +24,15 @@ from .errors import (
 )
 from .tensor import ParameterStore, Rng, init_embeddings
 
-# default search grid for the relation-prediction weight
-RP_WEIGHT_GRID = (1.0, 0.5, 0.1, 0.05, 0.01, 0.0)
+# Byte budget for one (b, K, d) candidate array of the distance objective, and
+# for one (b, R, d) array of the distance models' relation-prediction term: a
+# batch is processed in triple slices that fit it, so peak memory does not grow
+# with the batch size.
+OBJECTIVE_BLOCK_BYTES = 1 << 24
+
+# Elements per np.add.at call in scatter_rows (1024 rows at d = 64); bounds
+# its flat int64 index array to 512 KiB.
+SCATTER_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -44,6 +51,24 @@ class LossConfig:
             raise ValueError("loss weights must be nonnegative")
         if self.negatives < 1:
             raise ValueError("need at least one negative sample")
+
+
+def scatter_rows(out: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
+    """out[rows[i]] += vals[i] for every i in order, as np.add.at(out, rows, vals)
+    does and with the same result bit for bit, through 1-D flat indices, which
+    the ufunc handles several times faster. out is a C-contiguous (n, d) array;
+    vals holds one length-d row per entry of rows, in any shape."""
+    if not out.flags.c_contiguous:
+        raise ValueError("scatter_rows needs a C-contiguous output array")
+    d = out.shape[1]
+    flat = out.reshape(-1)
+    vals = vals.reshape(rows.shape[0], d)
+    cols = np.arange(d, dtype=np.intp)
+    step = max(1, SCATTER_CHUNK_ELEMENTS // d)
+    for start in range(0, rows.shape[0], step):
+        chunk = rows[start:start + step].astype(np.intp)
+        np.add.at(flat, (chunk[:, None] * d + cols).reshape(-1),
+                  vals[start:start + step].reshape(-1))
 
 
 class GradientBuffer:
@@ -65,7 +90,7 @@ class GradientBuffer:
         buf = self._ensure(name)
         rows = np.asarray(rows).reshape(-1)
         grads = np.asarray(grads).reshape(rows.shape[0], buf.shape[1])
-        np.add.at(buf, rows, grads)
+        scatter_rows(buf, rows, grads)
         self._touched[name][rows] = True
 
     def add_full(self, name: str, arr) -> None:
@@ -369,9 +394,25 @@ def _tdm_objective(batch, store, model, eff, loss, buf) -> float:
     return value
 
 
+def _triple_slices(b: int, bytes_per_triple: int) -> list[slice]:
+    """Consecutive slices of a batch of b triples, each holding as many triples
+    as fit OBJECTIVE_BLOCK_BYTES (at least one)."""
+    step = max(1, OBJECTIVE_BLOCK_BYTES // bytes_per_triple)
+    return [slice(s, min(s + step, b)) for s in range(0, b, step)]
+
+
 def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
+    """Self-adversarial loss of both directions of a distance model.
+
+    A candidate's rt factor depends only on its entity, so each direction
+    computes it once per distinct candidate id of the batch, sums the candidate
+    cotangents per distinct id, and makes one rt VJP and one entity scatter.
+    The (b, K, d) candidate work runs in triple slices under
+    OBJECTIVE_BLOCK_BYTES; the per-id tables span the whole batch.
+    """
     kind = model.kind
     p = model.distance_p
+    rt = eff.rt_enabled
     ent = store["entity"]
     rel_table = store["relation"]
     margin = _margin(model, loss)
@@ -388,86 +429,90 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
 
     value = 0.0
     d_rel = np.zeros_like(rel)
-    d_mult_total = None
-    d_bias_total = None
+    d_op = d_op_bias = None
+    if op is not None:
+        d_op = np.zeros_like(op.factor_vectors())
+        if op.bias is not None:
+            d_op_bias = np.zeros_like(op.bias)
 
-    def _accumulate_factor(d_mult, d_bias):
-        nonlocal d_mult_total, d_bias_total
-        if d_mult is None:
-            return
-        d_mult_total = d_mult if d_mult_total is None else d_mult_total + d_mult
+    def _accumulate_op(sl, d_mult, d_bias):
+        d_op[sl] += d_mult
         if d_bias is not None:
-            d_bias_total = d_bias if d_bias_total is None else d_bias_total + d_bias
+            d_op_bias[sl] += d_bias
 
-    for direction in ("tail", "head"):
-        if direction == "tail":
-            fixed_ids = batch[:, 0]
-            cand_ids = np.concatenate([batch[:, 2][:, None], neg_tails], axis=1)
-            fixed_is_head = True
-            fixed_side_on = apply_head
-            cand_side_on = apply_tail
+    for fixed_is_head in (True, False):
+        if fixed_is_head:
+            fixed_ids, gold_ids, negs = batch[:, 0], batch[:, 2], neg_tails
+            fixed_side_on, cand_side_on = apply_head, apply_tail
         else:
-            fixed_ids = batch[:, 2]
-            cand_ids = np.concatenate([batch[:, 0][:, None], neg_heads], axis=1)
-            fixed_is_head = False
-            fixed_side_on = apply_tail
-            cand_side_on = apply_head
+            fixed_ids, gold_ids, negs = batch[:, 2], batch[:, 0], neg_heads
+            fixed_side_on, cand_side_on = apply_tail, apply_head
+        cand_ids = np.concatenate([gold_ids[:, None], negs], axis=1)
+        uniq, inv = np.unique(cand_ids, return_inverse=True)
+        inv = inv.reshape(cand_ids.shape)
 
         fixed = ent[fixed_ids]
-        cand = ent[cand_ids]
         fixed_f = T.et_apply(op, fixed) if fixed_side_on else fixed
-        cand_f = T.et_apply(op, cand) if cand_side_on else cand
-
-        if eff.rt_enabled:
+        d_fixed_f = np.zeros_like(fixed)
+        d_cand_u = np.zeros((uniq.size, model.dim), dtype=ent.dtype)
+        if rt:
             fixed_rt = T.rt_factor(store, "a2" if fixed_is_head else "a3",
                                    fixed, eff.p, eff.zero_change_epsilon)
             cand_rt = T.rt_factor(store, "a3" if fixed_is_head else "a2",
-                                  cand, eff.p, eff.zero_change_epsilon)
-            rel_t = fixed_rt.factor[:, None, :] * cand_rt.factor * rel[:, None, :]
-        else:
-            fixed_rt = cand_rt = None
-            rel_t = np.broadcast_to(rel[:, None, :], cand.shape[:2] + (rel.shape[1],))
+                                  ent[uniq], eff.p, eff.zero_change_epsilon)
+            fixed_rel = fixed_rt.factor * rel
+            d_fixed_factor = np.zeros_like(fixed_rel)
+            d_cand_factor_u = np.zeros_like(cand_rt.factor)
 
-        if fixed_is_head:
-            sc, sc_cache = M.dbm_scores(kind, fixed_f[:, None, :], rel_t, cand_f, p)
-        else:
-            sc, sc_cache = M.dbm_scores(kind, cand_f, rel_t, fixed_f[:, None, :], p)
-        part, d_sc = self_adversarial(sc, margin, loss.adv_temperature)
-        value += part
+        for sl in _triple_slices(b, cand_ids.shape[1] * model.dim * ent.itemsize):
+            op_sl = op.rows(sl) if cand_side_on else None
+            cand = ent[cand_ids[sl]]
+            cand_f = T.et_apply(op_sl, cand) if cand_side_on else cand
+            if rt:
+                cand_factor = cand_rt.factor[inv[sl]]
+                rel_t = fixed_rel[sl, None, :] * cand_factor
+            else:
+                rel_t = np.broadcast_to(rel[sl, None, :], cand.shape[:2] + (rel.shape[1],))
 
-        d_a, d_r3, d_b = M.dbm_scores_vjp(kind, sc_cache, d_sc, p)
-        if fixed_is_head:
-            d_fixed_f, d_cand_f = d_a.sum(axis=1), d_b
-        else:
-            d_fixed_f, d_cand_f = d_b.sum(axis=1), d_a
+            if fixed_is_head:
+                sc, sc_cache = M.dbm_scores(kind, fixed_f[sl, None, :], rel_t, cand_f, p)
+            else:
+                sc, sc_cache = M.dbm_scores(kind, cand_f, rel_t, fixed_f[sl, None, :], p)
+            part, d_sc = self_adversarial(sc, margin, loss.adv_temperature)
+            value += part
 
-        if fixed_rt is not None:
-            d_rel += (d_r3 * fixed_rt.factor[:, None, :] * cand_rt.factor).sum(axis=1)
-            d_fixed_factor = (d_r3 * cand_rt.factor * rel[:, None, :]).sum(axis=1)
-            d_cand_factor = d_r3 * fixed_rt.factor[:, None, :] * rel[:, None, :]
-            d_fixed_rt = T.rt_factor_vjp(fixed_rt, d_fixed_factor, buf, eff.p)
-            d_cand_rt = T.rt_factor_vjp(cand_rt, d_cand_factor, buf, eff.p)
-        else:
-            d_rel += d_r3.sum(axis=1)
-            d_fixed_rt = 0.0
-            d_cand_rt = 0.0
+            d_a, d_r3, d_b = M.dbm_scores_vjp(kind, sc_cache, d_sc, p)
+            d_fixed_fk, d_cand_f = (d_a, d_b) if fixed_is_head else (d_b, d_a)
+            d_fixed_f[sl] = d_fixed_fk.sum(axis=1)
+            inv_sl = inv[sl].reshape(-1)
+            if rt:
+                d_fixed_rel = np.einsum("bkd,bkd->bd", d_r3, cand_factor)
+                d_rel[sl] += d_fixed_rel * fixed_rt.factor[sl]
+                d_fixed_factor[sl] = d_fixed_rel * rel[sl]
+                scatter_rows(d_cand_factor_u, inv_sl, d_r3 * fixed_rel[sl, None, :])
+            else:
+                d_rel[sl] += d_r3.sum(axis=1)
+
+            if cand_side_on:
+                d_cand, d_mult, d_bias = T.et_apply_vjp(op_sl, cand, d_cand_f)
+                _accumulate_op(sl, d_mult, d_bias)
+            else:
+                d_cand = d_cand_f
+            scatter_rows(d_cand_u, inv_sl, d_cand)
 
         if fixed_side_on:
             d_fixed, d_mult, d_bias = T.et_apply_vjp(op, fixed, d_fixed_f)
-            _accumulate_factor(d_mult, d_bias)
+            _accumulate_op(slice(None), d_mult, d_bias)
         else:
             d_fixed = d_fixed_f
-        if cand_side_on:
-            d_cand, d_mult, d_bias = T.et_apply_vjp(op, cand, d_cand_f)
-            _accumulate_factor(d_mult, d_bias)
-        else:
-            d_cand = d_cand_f
+        if rt:
+            d_fixed = d_fixed + T.rt_factor_vjp(fixed_rt, d_fixed_factor, buf, eff.p)
+            d_cand_u += T.rt_factor_vjp(cand_rt, d_cand_factor_u, buf, eff.p)
+        buf.add_rows("entity", fixed_ids, d_fixed)
+        buf.add_rows("entity", uniq, d_cand_u)
 
-        buf.add_rows("entity", fixed_ids, d_fixed + d_fixed_rt)
-        buf.add_rows("entity", cand_ids, (d_cand + d_cand_rt).reshape(-1, model.dim))
-
-    if op is not None and d_mult_total is not None:
-        d_rel_et = T.et_param_vjp(eff, op, d_mult_total, d_bias_total, buf)
+    if op is not None:
+        d_rel_et = T.et_param_vjp(eff, op, d_op, d_op_bias, buf)
         if d_rel_et is not None:
             d_rel += d_rel_et
     buf.add_rows("relation", r_ids, d_rel)
@@ -476,20 +521,28 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
 
 def _rp_objective(batch, store, model, loss, buf) -> float:
     """Relation prediction, once per triple, on base embeddings over the base
-    relation rows."""
+    relation rows. Distance models build (b, R, d) arrays, so they run in
+    triple slices under OBJECTIVE_BLOCK_BYTES."""
     lam = loss.rp_weight
     ent = store["entity"]
     num_rel = store.meta["num_relations"]
     base_rows = store["relation"][:num_rel]
-    h = ent[batch[:, 0]]
-    t = ent[batch[:, 2]]
-    scores, cache = M.relation_scores(model, h, t, base_rows)
-    value, d_scores = cross_entropy(scores, batch[:, 1])
-    d_scores *= lam
-    d_h, d_t, d_table = M.relation_scores_vjp(model, h, t, base_rows, cache, d_scores)
-    buf.add_rows("entity", batch[:, 0], d_h)
-    buf.add_rows("entity", batch[:, 2], d_t)
-    buf.add_rows("relation", np.arange(num_rel), d_table)
+    if model.is_dbm:
+        slices = _triple_slices(batch.shape[0], num_rel * model.dim * ent.itemsize)
+    else:
+        slices = [slice(None)]
+    value = 0.0
+    for sl in slices:
+        h = ent[batch[sl, 0]]
+        t = ent[batch[sl, 2]]
+        scores, cache = M.relation_scores(model, h, t, base_rows)
+        part, d_scores = cross_entropy(scores, batch[sl, 1])
+        value += part
+        d_scores *= lam
+        d_h, d_t, d_table = M.relation_scores_vjp(model, h, t, base_rows, cache, d_scores)
+        buf.add_rows("entity", batch[sl, 0], d_h)
+        buf.add_rows("entity", batch[sl, 2], d_t)
+        buf.add_rows("relation", np.arange(num_rel), d_table)
     return lam * value
 
 

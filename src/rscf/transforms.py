@@ -276,6 +276,13 @@ class EtOp:
             return self.blocks
         raise ValueError("identity filter has no factor vector")
 
+    def rows(self, sl: slice) -> "EtOp":
+        """The operator of a slice of its queries, for et_apply/et_apply_vjp
+        (parameter VJPs use the full operator and its cache)."""
+        def take(arr):
+            return None if arr is None else arr[sl]
+        return EtOp(self.kind, take(self.mult), take(self.bias), take(self.blocks))
+
 
 def _linear2_add_one(alpha: np.ndarray, mode: str) -> np.ndarray:
     blocks = alpha.copy()

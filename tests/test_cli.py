@@ -61,6 +61,11 @@ class TestTrainCommand:
     def test_usage_error_exit_code(self):
         assert main(["train", "--out", "/tmp/x"]) == 1
 
+    def test_workers_flag_rejected(self, run_dir, tmp_path):
+        _, cfg = run_dir
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path),
+                     "--workers", "2"]) == 1
+
     def test_unknown_config_key_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("model.kin = cp\n", encoding="utf-8")

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from rscf import models as M
+from rscf import objectives
+from rscf import transforms as T
 from rscf.errors import NonFiniteGradient, TargetOutOfRange, UnsupportedModel
 from rscf.gradcheck import check_combo
 from rscf.models import ModelSpec
@@ -275,3 +278,202 @@ class TestGradCheckSpot:
     def test_sfbr_variants_complex(self):
         for fk in ("sfbr_diag", "sfbr_n", "sfbr_linear2", "rscf_linear2"):
             assert check_combo("complex", fk, False, 0.1, 0.05) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the distance objective over distinct candidates
+
+
+def _per_row_dbm_objective(batch, store, model, eff, loss, negatives, buf):
+    """Reference distance objective: every (b, k) candidate row gets its own
+    rt factor, rt VJP and scatter, with no slicing."""
+    kind, p = model.kind, model.distance_p
+    ent, rel_table = store["entity"], store["relation"]
+    margin = model.gamma if loss.margin is None else loss.margin
+    b = batch.shape[0]
+    neg_tails = np.asarray(negatives[0]).reshape(b, -1)
+    neg_heads = np.asarray(negatives[1]).reshape(b, -1)
+    r_ids = batch[:, 1]
+    rel = rel_table[r_ids]
+    op = T.et_build(eff, store, rel, r_ids, model.dim)
+    apply_head = op is not None
+    apply_tail = op is not None and eff.apply_to == "head_and_tail"
+    value = 0.0
+    d_rel = np.zeros_like(rel)
+    d_mults, d_biases = [], []
+    for fixed_is_head in (True, False):
+        if fixed_is_head:
+            fixed_ids = batch[:, 0]
+            cand_ids = np.concatenate([batch[:, 2:3], neg_tails], axis=1)
+            fixed_on, cand_on = apply_head, apply_tail
+        else:
+            fixed_ids = batch[:, 2]
+            cand_ids = np.concatenate([batch[:, 0:1], neg_heads], axis=1)
+            fixed_on, cand_on = apply_tail, apply_head
+        fixed, cand = ent[fixed_ids], ent[cand_ids]
+        fixed_f = T.et_apply(op, fixed) if fixed_on else fixed
+        cand_f = T.et_apply(op, cand) if cand_on else cand
+        if eff.rt_enabled:
+            eps = eff.zero_change_epsilon
+            fixed_rt = T.rt_factor(store, "a2" if fixed_is_head else "a3", fixed, eff.p, eps)
+            cand_rt = T.rt_factor(store, "a3" if fixed_is_head else "a2", cand, eff.p, eps)
+            rel_t = fixed_rt.factor[:, None, :] * cand_rt.factor * rel[:, None, :]
+        else:
+            rel_t = np.broadcast_to(rel[:, None, :], cand.shape[:2] + (rel.shape[1],))
+        if fixed_is_head:
+            sc, cache = M.dbm_scores(kind, fixed_f[:, None, :], rel_t, cand_f, p)
+        else:
+            sc, cache = M.dbm_scores(kind, cand_f, rel_t, fixed_f[:, None, :], p)
+        part, d_sc = self_adversarial(sc, margin, loss.adv_temperature)
+        value += part
+        d_a, d_r3, d_b = M.dbm_scores_vjp(kind, cache, d_sc, p)
+        d_fixed_f, d_cand_f = (d_a.sum(axis=1), d_b) if fixed_is_head else (d_b.sum(axis=1), d_a)
+        d_fixed_rt = d_cand_rt = 0.0
+        if eff.rt_enabled:
+            d_rel += (d_r3 * fixed_rt.factor[:, None, :] * cand_rt.factor).sum(axis=1)
+            d_fixed_factor = (d_r3 * cand_rt.factor * rel[:, None, :]).sum(axis=1)
+            d_cand_factor = d_r3 * fixed_rt.factor[:, None, :] * rel[:, None, :]
+            d_fixed_rt = T.rt_factor_vjp(fixed_rt, d_fixed_factor, buf, eff.p)
+            d_cand_rt = T.rt_factor_vjp(cand_rt, d_cand_factor, buf, eff.p)
+        else:
+            d_rel += d_r3.sum(axis=1)
+        d_fixed, d_cand = d_fixed_f, d_cand_f
+        if fixed_on:
+            d_fixed, d_mult, d_bias = T.et_apply_vjp(op, fixed, d_fixed_f)
+            d_mults.append(d_mult)
+            d_biases.append(d_bias)
+        if cand_on:
+            d_cand, d_mult, d_bias = T.et_apply_vjp(op, cand, d_cand_f)
+            d_mults.append(d_mult)
+            d_biases.append(d_bias)
+        for i in range(b):
+            buf.add_rows("entity", [fixed_ids[i]], (d_fixed + d_fixed_rt)[i])
+        for i, j in np.ndindex(*cand_ids.shape):
+            buf.add_rows("entity", [cand_ids[i, j]], (d_cand + d_cand_rt)[i, j])
+    if op is not None:
+        d_bias_total = None if d_biases[0] is None else sum(d_biases)
+        d_rel_et = T.et_param_vjp(eff, op, sum(d_mults), d_bias_total, buf)
+        if d_rel_et is not None:
+            d_rel += d_rel_et
+    buf.add_rows("relation", r_ids, d_rel)
+    return value
+
+
+def _per_row_objective(batch, store, model, filt, loss, negs):
+    """Reference total objective of a distance model: the per-row distance
+    objective plus the per-triple relation-prediction oracle rp_term."""
+    buf = GradientBuffer(store)
+    value = _per_row_dbm_objective(batch, store, model, filt, loss, negs, buf)
+    num_rel = store.meta["num_relations"]
+    for h, r, t in batch:
+        part, (d_h, d_t, d_table) = rp_term(model, store["entity"][h], store["entity"][t],
+                                            store["relation"][:num_rel], int(r))
+        value += loss.rp_weight * part
+        buf.add_rows("entity", [h], loss.rp_weight * d_h)
+        buf.add_rows("entity", [t], loss.rp_weight * d_t)
+        buf.add_rows("relation", np.arange(num_rel), loss.rp_weight * d_table)
+    return value, buf
+
+
+def _duplicate_heavy_setup(kind, filter_kind, rt, p, triples=6, negatives=4,
+                           num_relations=3, seed=21, apply_to="head_and_tail"):
+    """Every id of the batch and of its negatives comes from a 5-id range, so
+    positives recur among the negatives and across rows."""
+    model = ModelSpec(kind, 4, distance_p=p, gamma=2.0)
+    filt = FilterSpec(filter_kind, p=p, rt_enabled=rt, apply_to=apply_to)
+    loss = LossConfig(task="self_adversarial", rp_weight=0.1, negatives=negatives)
+    rng = Rng(seed)
+    store = build_store(model, filt, 7, num_relations, rng, "gaussian", 0.4)
+    gen = rng.derive("batch").generator()
+    batch = np.stack([gen.integers(0, 5, triples), gen.integers(0, num_relations, triples),
+                      gen.integers(0, 5, triples)], axis=1)
+    negs = sample_negatives(batch, 5, negatives, rng.derive("negs"))
+    return model, filt, loss, store, batch, negs
+
+
+def _assert_objectives_close(got, want, rel=1e-12):
+    (v_got, buf_got), (v_want, buf_want) = got, want
+    assert abs(v_got - v_want) <= rel * abs(v_want)
+    g_got, g_want = buf_got.dense_grads(True), buf_want.dense_grads(True)
+    assert g_got.keys() == g_want.keys()
+    for name, want_grad in g_want.items():
+        err = np.max(np.abs(g_got[name] - want_grad))
+        assert err <= rel * np.max(np.abs(want_grad)), name
+
+
+class TestDistinctCandidateObjective:
+    @pytest.mark.parametrize("kind", ["transe", "rotate"])
+    @pytest.mark.parametrize("filter_kind", ["none", "sfbr_diag", "sfbr_linear2",
+                                             "sfbr_n", "rscf", "rscf_linear2"])
+    @pytest.mark.parametrize("rt", [False, True])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("apply_to", ["head_and_tail", "head_only"])
+    def test_matches_per_row_reference(self, kind, filter_kind, rt, p, apply_to, monkeypatch):
+        model, filt, loss, store, batch, negs = _duplicate_heavy_setup(
+            kind, filter_kind, rt, p, apply_to=apply_to)
+        want = _per_row_objective(batch, store, model, filt, loss, negs)
+
+        # candidate rows scatter in several chunks
+        monkeypatch.setattr(objectives, "SCATTER_CHUNK_ELEMENTS", 4 * model.dim)
+
+        rt_rows = []
+        raw_rt_factor = T.rt_factor
+
+        def counting_rt_factor(store_, which, x, p_, eps):
+            rt_rows.append(x.shape[0])
+            return raw_rt_factor(store_, which, x, p_, eps)
+
+        monkeypatch.setattr(T, "rt_factor", counting_rt_factor)
+        got = total_objective(batch, store, model, filt, loss, negatives=negs)
+        _assert_objectives_close(got, want)
+        if rt:
+            b = batch.shape[0]
+            distinct_tails = np.unique(np.concatenate([batch[:, 2:3], negs[0]], axis=1)).size
+            distinct_heads = np.unique(np.concatenate([batch[:, 0:1], negs[1]], axis=1)).size
+            # one call per side and direction: the B fixed rows, then the distinct candidates
+            assert rt_rows == [b, distinct_tails, b, distinct_heads]
+            assert distinct_tails < b * (loss.negatives + 1)
+        else:
+            assert rt_rows == []
+
+    @pytest.mark.parametrize("kind,filter_kind,rt", [
+        ("transe", "rscf", True), ("rotate", "rscf_linear2", True),
+        ("transe", "sfbr_diag", False), ("rotate", "sfbr_n", True),
+    ])
+    def test_triple_slices_match_one_slice(self, kind, filter_kind, rt, monkeypatch):
+        # K = negatives + 1 = R, so both the candidate and the relation-prediction
+        # arrays split into slices of 3 triples
+        model, filt, loss, store, batch, negs = _duplicate_heavy_setup(
+            kind, filter_kind, rt, 2, triples=7, negatives=3, num_relations=4)
+        whole = total_objective(batch, store, model, filt, loss, negatives=negs)
+        per_triple = 4 * model.dim * store["entity"].itemsize
+        monkeypatch.setattr(objectives, "OBJECTIVE_BLOCK_BYTES", 3 * per_triple)
+        assert [s.stop - s.start for s in objectives._triple_slices(7, per_triple)] == [3, 3, 1]
+        sliced = total_objective(batch, store, model, filt, loss, negatives=negs)
+        _assert_objectives_close(sliced, whole)
+
+
+class TestAddRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_rows", [0, 7, 1000])
+    def test_bit_identical_to_add_at(self, dtype, n_rows, monkeypatch):
+        # chunks of 8 rows: 1000 rows take 125 np.add.at calls
+        monkeypatch.setattr(objectives, "SCATTER_CHUNK_ELEMENTS", 8 * 5)
+        gen = np.random.default_rng(n_rows)
+        store = ParameterStore(dtype)
+        store.create("w", np.zeros((6, 5)))
+        rows = gen.integers(0, 6, n_rows)  # repeats every row many times
+        grads = gen.normal(size=(n_rows, 5)).astype(dtype)
+        buf = GradientBuffer(store)
+        buf.add_rows("w", rows, grads)
+        want = np.zeros((6, 5), dtype)
+        np.add.at(want, rows, grads)
+        assert buf.grad("w").tobytes() == want.tobytes()
+        assert np.array_equal(buf.touched("w"), np.isin(np.arange(6), rows))
+
+    def test_wrong_gradient_shape_raises(self):
+        store = ParameterStore()
+        store.create("w", np.zeros((4, 3)))
+        buf = GradientBuffer(store)
+        with pytest.raises(ValueError):
+            buf.add_rows("w", [0, 1], np.ones((2, 2)))
