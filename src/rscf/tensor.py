@@ -108,14 +108,23 @@ class ParameterStore:
         self.trainable: dict[str, bool] = {}
         self.meta: dict = {}
 
-    def create(self, name: str, data: np.ndarray, trainable: bool = True) -> None:
+    def create(self, name: str, data: np.ndarray, trainable: bool = True,
+               acc: np.ndarray | None = None) -> None:
+        """Add a table; its accumulator is `acc` (same shape) or zeros."""
         if name in self.tables:
             raise ValueError(f"table {name!r} already exists")
         arr = np.ascontiguousarray(np.asarray(data, dtype=self.dtype))
         if arr.ndim != 2:
             raise ShapeMismatch(f"table {name!r} must be 2-D, got shape {arr.shape}")
+        if acc is None:
+            acc = np.zeros_like(arr)
+        else:
+            acc = np.ascontiguousarray(np.asarray(acc, dtype=self.dtype))
+            if acc.shape != arr.shape:
+                raise ShapeMismatch(f"accumulator of {name!r} has shape {acc.shape}, "
+                                    f"table {arr.shape}")
         self.tables[name] = arr
-        self.acc[name] = np.zeros_like(arr)
+        self.acc[name] = acc
         self.trainable[name] = trainable
 
     def __contains__(self, name: str) -> bool:
@@ -130,8 +139,7 @@ class ParameterStore:
     def clone(self) -> "ParameterStore":
         out = ParameterStore(self.dtype)
         for name, arr in self.tables.items():
-            out.create(name, arr.copy(), self.trainable[name])
-            out.acc[name] = self.acc[name].copy()
+            out.create(name, arr.copy(), self.trainable[name], self.acc[name].copy())
         out.meta = dict(self.meta)
         return out
 

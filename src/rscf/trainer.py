@@ -8,9 +8,12 @@ uninterrupted one.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -31,8 +34,8 @@ from .objectives import (
 from .tensor import ParameterStore, Rng, fnv1a
 from .transforms import FilterSpec
 
-CHECKPOINT_MAGIC = b"RSCFCKP1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_MAGIC = b"RSCFCKP2"
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -295,39 +298,51 @@ def train(dataset: Dataset, config: TrainConfig,
 # ---------------------------------------------------------------------------
 # checkpoint serialization
 #
-# layout: 8-byte magic, 8-byte little-endian metadata length, UTF-8 JSON
-# metadata (version, config, vocab, epoch, rng, table manifest), raw
-# little-endian arrays in manifest order, 8-byte FNV-1a checksum of all
-# preceding bytes.
+# layout (v2): 8-byte magic, 8-byte little-endian metadata length, UTF-8 JSON
+# metadata (version, config, vocab, epoch, rng, table manifest with a blake2b
+# digest per table), 8-byte FNV-1a checksum of those header bytes, then the
+# raw little-endian arrays in manifest order (parameters, then `acc:`
+# accumulators). v1 files (read only) hold the same metadata without digests,
+# the arrays right after it and an FNV-1a checksum of the whole file at the end.
+
+_V1_MAGIC = b"RSCFCKP1"
+_DTYPES = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
 
 
 def _dtype_tag(dtype) -> str:
     return {"float64": "<f8", "float32": "<f4"}[np.dtype(dtype).name]
 
 
-def save_checkpoint(path, checkpoint: Checkpoint) -> None:
-    store = checkpoint.store
-    manifest = []
-    blobs = []
+def _byte_view(arr: np.ndarray) -> memoryview:
+    """Flat byte view of a C-contiguous array, without a copy."""
+    return memoryview(arr.reshape(-1).view(np.uint8))
 
-    def _push(name: str, arr: np.ndarray, trainable: bool):
+
+def save_checkpoint(path, checkpoint: Checkpoint) -> None:
+    """Write format v2 to `<path>.tmp` in the same directory, then rename it
+    over `path`, so a failed or killed save leaves the previous file intact.
+    Nothing is fsynced: this does not protect against power loss."""
+    store = checkpoint.store
+    entries = [(name, store.tables[name], store.trainable[name])
+               for name in sorted(store.tables)]
+    entries += [("acc:" + name, store.acc[name], False) for name in sorted(store.acc)]
+    manifest = []
+    views = []
+    for name, arr, trainable in entries:
         tag = _dtype_tag(arr.dtype)
+        view = _byte_view(np.ascontiguousarray(arr, dtype=_DTYPES[tag]))
         manifest.append({
             "name": name,
             "rows": int(arr.shape[0]),
             "cols": int(arr.shape[1]),
             "dtype": tag,
             "trainable": trainable,
+            "blake2b": hashlib.blake2b(view).hexdigest(),
         })
-        blobs.append(np.ascontiguousarray(arr, dtype=np.dtype(tag)).tobytes())
-
-    for name in sorted(store.tables):
-        _push(name, store.tables[name], store.trainable[name])
-    for name in sorted(store.acc):
-        _push("acc:" + name, store.acc[name], False)
+        views.append(view)
 
     meta = {
-        "version": checkpoint.version,
+        "version": CHECKPOINT_VERSION,
         "config": checkpoint.config.to_dict(),
         "vocab": checkpoint.vocabulary.to_dict(),
         "epoch": checkpoint.epoch,
@@ -336,35 +351,80 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
         "tables": manifest,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    payload = b"".join([CHECKPOINT_MAGIC, struct.pack("<Q", len(meta_bytes)),
-                        meta_bytes, *blobs])
-    checksum = fnv1a(payload)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(struct.pack("<Q", checksum))
+    header = b"".join([CHECKPOINT_MAGIC, struct.pack("<Q", len(meta_bytes)), meta_bytes])
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(struct.pack("<Q", fnv1a(header)))
+            for view in views:
+                fh.write(view)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _table_nbytes(entry: dict) -> int:
+    rows, cols = entry["rows"], entry["cols"]
+    if not (type(rows) is int and type(cols) is int and rows >= 0 and cols >= 0
+            and entry["dtype"] in _DTYPES):
+        raise ChecksumMismatch(f"malformed manifest entry {entry.get('name')!r}")
+    return rows * cols * _DTYPES[entry["dtype"]].itemsize
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a v2 (or v1) checkpoint; every checksum and digest is verified.
+
+    v2 sizes are checked against the file size before anything is allocated,
+    and each table is read straight into its own array."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(CHECKPOINT_MAGIC) + 16:
-        raise ChecksumMismatch("file too short to be a checkpoint")
-    if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise VersionMismatch("bad magic; not a checkpoint file")
+        size = os.fstat(fh.fileno()).st_size
+        if size < len(CHECKPOINT_MAGIC) + 16:
+            raise ChecksumMismatch("file too short to be a checkpoint")
+        prefix = fh.read(len(CHECKPOINT_MAGIC) + 8)
+        magic = prefix[:len(CHECKPOINT_MAGIC)]
+        if magic == _V1_MAGIC:
+            return _load_v1(prefix + fh.read())
+        if magic != CHECKPOINT_MAGIC:
+            raise VersionMismatch("bad magic; not a checkpoint file")
+        (meta_len,) = struct.unpack_from("<Q", prefix, len(CHECKPOINT_MAGIC))
+        if meta_len > size - len(prefix) - 8:
+            raise ChecksumMismatch("metadata length points past the end of the file")
+        header = prefix + fh.read(meta_len)
+        (stored,) = struct.unpack("<Q", fh.read(8))
+        if fnv1a(header) != stored:
+            raise ChecksumMismatch("header checksum mismatch (corrupt or truncated file)")
+        meta = json.loads(header[len(prefix):].decode("utf-8"))
+        if meta.get("version") != CHECKPOINT_VERSION:
+            raise VersionMismatch(f"unsupported checkpoint version {meta.get('version')}")
+        if sum(_table_nbytes(e) for e in meta["tables"]) != size - len(header) - 8:
+            raise ChecksumMismatch("table sizes do not match the file size "
+                                   "(truncated or trailing bytes)")
+        arrays: dict[str, np.ndarray] = {}
+        for entry in meta["tables"]:
+            arr = np.empty((entry["rows"], entry["cols"]), dtype=_DTYPES[entry["dtype"]])
+            view = _byte_view(arr)
+            if fh.readinto(view) != view.nbytes:
+                raise ChecksumMismatch("array data truncated")
+            if hashlib.blake2b(view).hexdigest() != entry["blake2b"]:
+                raise ChecksumMismatch(f"table {entry['name']!r} digest mismatch")
+            arrays[entry["name"]] = arr
+    return _checkpoint_from(meta, arrays)
+
+
+def _load_v1(raw: bytes) -> Checkpoint:
     payload, trailer = raw[:-8], raw[-8:]
     if fnv1a(payload) != struct.unpack("<Q", trailer)[0]:
         raise ChecksumMismatch("checksum mismatch (corrupt or truncated file)")
-    offset = len(CHECKPOINT_MAGIC)
+    offset = len(_V1_MAGIC)
     (meta_len,) = struct.unpack_from("<Q", payload, offset)
     offset += 8
     meta = json.loads(payload[offset : offset + meta_len].decode("utf-8"))
     offset += meta_len
-    if meta.get("version") != CHECKPOINT_VERSION:
+    if meta.get("version") != 1:
         raise VersionMismatch(f"unsupported checkpoint version {meta.get('version')}")
-    config = TrainConfig.from_dict(meta["config"])
-    vocab = Vocabulary.from_dict(meta["vocab"])
-    store = ParameterStore(config.dtype)
-    store.meta = dict(meta["store_meta"])
     arrays: dict[str, np.ndarray] = {}
     for entry in meta["tables"]:
         dtype = np.dtype(entry["dtype"])
@@ -377,14 +437,17 @@ def load_checkpoint(path) -> Checkpoint:
         offset += nbytes
     if offset != len(payload):
         raise ChecksumMismatch("trailing bytes after arrays")
+    return _checkpoint_from(meta, arrays)
+
+
+def _checkpoint_from(meta: dict, arrays: dict[str, np.ndarray]) -> Checkpoint:
+    config = TrainConfig.from_dict(meta["config"])
+    store = ParameterStore(config.dtype)
+    store.meta = dict(meta["store_meta"])
     for entry in meta["tables"]:
         name = entry["name"]
-        if name.startswith("acc:"):
-            continue
-        store.create(name, arrays[name], entry["trainable"])
-    for entry in meta["tables"]:
-        name = entry["name"]
-        if name.startswith("acc:"):
-            base = name[4:]
-            store.acc[base] = np.ascontiguousarray(arrays[name], dtype=store.dtype)
-    return Checkpoint(meta["version"], config, vocab, store, meta["epoch"])
+        if not name.startswith("acc:"):
+            store.create(name, arrays[name], entry["trainable"],
+                         acc=arrays.get("acc:" + name))
+    return Checkpoint(meta["version"], config, Vocabulary.from_dict(meta["vocab"]),
+                      store, meta["epoch"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rscf.errors import InvalidScheme, NonFiniteLoss
+from rscf.errors import InvalidScheme, NonFiniteLoss, ShapeMismatch
 from rscf.tensor import (
     EmbeddingTable,
     ParameterStore,
@@ -82,6 +82,20 @@ def _quadratic_store():
     store = ParameterStore()
     store.create("x", np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -1.5]]))
     return store
+
+
+class TestParameterStore:
+    def test_create_adopts_a_given_accumulator(self):
+        store = ParameterStore(np.float32)
+        acc = np.full((2, 3), 0.5, dtype=np.float32)
+        store.create("x", np.ones((2, 3)), acc=acc)
+        assert store.acc["x"] is acc
+        store.create("y", np.ones((2, 3)))
+        assert store.acc["y"].dtype == np.float32 and not store.acc["y"].any()
+        clone = store.clone()
+        assert np.array_equal(clone.acc["x"], acc) and clone.acc["x"] is not acc
+        with pytest.raises(ShapeMismatch):
+            store.create("z", np.ones((2, 3)), acc=np.ones((3, 2)))
 
 
 class TestFiniteDifferenceCheck:
