@@ -154,6 +154,9 @@ def _cluster_vectors_from_checkpoint(checkpoint: Checkpoint, groups, target: str
     store, model, filt = checkpoint.store, checkpoint.model, checkpoint.filter
     if filt.kind == "none":
         raise DataError("checkpoint has no entity transformation to analyze")
+    num_entities = store["entity"].shape[0]
+    if target == "ee" and not 0 <= entity_id < num_entities:
+        raise DataError(f"entity id {entity_id} outside [0, {num_entities})")
     resolved, unknown = groups.resolve(checkpoint.vocabulary)
     clusters: dict[str, list[np.ndarray]] = {}
     for rel_id, group in sorted(resolved.items()):
@@ -206,10 +209,14 @@ def cmd_analyze_clusters(args) -> int:
 
 
 def cmd_analyze_scales(args) -> int:
+    if args.sample is not None and args.sample < 1:
+        raise UsageError(f"--sample must be at least 1, got {args.sample}")
     cfg = RunConfig.from_file(args.config)
+    sample_size = args.sample or cfg["analysis.sample"]
+    if sample_size < 1:
+        raise ConfigError(f"analysis.sample must be at least 1, got {sample_size}")
     checkpoint = load_checkpoint(args.checkpoint)
     dataset = _load_dataset(cfg)
-    sample_size = args.sample or cfg["analysis.sample"]
     arr = dataset.split_array("train")
     take = min(sample_size, arr.shape[0])
     idx = Rng(checkpoint.config.seed).derive("telemetry").generator().choice(

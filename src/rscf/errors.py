@@ -35,10 +35,6 @@ class TooFewRelations(DataError):
         super().__init__(f"need at least {want} relations to bucket, have {have}")
 
 
-class UnknownGroupFile(DataError):
-    pass
-
-
 class UnknownRelation(DataError):
     pass
 

@@ -63,25 +63,6 @@ class CandidateScorer:
         self.filt = filt
         self._cand_rt: dict[str, np.ndarray] = {}
 
-    def _tdm_queries(self, lhs_ids: np.ndarray, rel_rows: np.ndarray) -> np.ndarray:
-        """(Q, d) query vectors q with score(candidate e) = q . e."""
-        store, model, filt = self.store, self.model, self.filt
-        ent = store["entity"]
-        rel = store["relation"][rel_rows]
-        lhs = ent[lhs_ids]
-        op = T.et_build(filt, store, rel, rel_rows, model.dim)
-        lhs_f = T.et_apply(op, lhs)
-        if filt.rt_enabled:
-            rel_t = T.rt_factor(store, "a2", lhs, filt.p, filt.zero_change_epsilon).factor * rel
-        else:
-            rel_t = rel
-        q, _ = M.tdm_query(model.kind, lhs_f, rel_t)
-        return q
-
-    def _tdm_query_scores(self, lhs_id: int, rel_row: int) -> np.ndarray:
-        q = self._tdm_queries(np.asarray([lhs_id]), np.asarray([rel_row]))
-        return self.store["entity"] @ q[0]
-
     def _candidate_rt(self, which: str) -> np.ndarray:
         """(1, N, d_r) rt factor of every candidate entity, built on first use."""
         if which not in self._cand_rt:
@@ -94,40 +75,31 @@ class CandidateScorer:
     def _dbm_scores(self, fixed_id: int, rel_id: int, fixed_is_head: bool) -> np.ndarray:
         store, model, filt = self.store, self.model, self.filt
         ent = store["entity"]
-        rel = store["relation"][np.asarray([rel_id])]
-        op = T.et_build(filt, store, rel, np.asarray([rel_id]), model.dim)
-        head_on = op is not None
-        tail_on = op is not None and filt.apply_to == "head_and_tail"
+        rel_rows = np.asarray([rel_id])
+        rel = store["relation"][rel_rows]
+        op = T.et_build(filt, store, rel, rel_rows, model.dim)
+        fixed_on, cand_on, fixed_which, cand_which = T.dbm_direction(filt, fixed_is_head)
         fixed = ent[np.asarray([fixed_id])]
         cand = ent[None, :, :]
-        fixed_side_on = head_on if fixed_is_head else tail_on
-        cand_side_on = tail_on if fixed_is_head else head_on
-        fixed_f = T.et_apply(op, fixed) if fixed_side_on else fixed
-        cand_f = T.et_apply(op, cand) if cand_side_on else cand
+        fixed_f = T.et_apply(op, fixed) if fixed_on else fixed
+        cand_f = T.et_apply(op, cand) if cand_on else cand
+        fixed_rel, cand_factor = rel, None
         if filt.rt_enabled:
-            eps = filt.zero_change_epsilon
-            f_fix = T.rt_factor(store, "a2" if fixed_is_head else "a3", fixed, filt.p, eps)
-            f_cand = self._candidate_rt("a3" if fixed_is_head else "a2")
-            rel_t = f_fix.factor[:, None, :] * f_cand * rel[:, None, :]
-        else:
-            rel_t = np.broadcast_to(rel[:, None, :], (1, ent.shape[0], rel.shape[1]))
-        if fixed_is_head:
-            sc, _ = M.dbm_scores(model.kind, fixed_f[:, None, :], rel_t, cand_f,
-                                 model.distance_p)
-        else:
-            sc, _ = M.dbm_scores(model.kind, cand_f, rel_t, fixed_f[:, None, :],
-                                 model.distance_p)
+            fixed_rel = T.rt_factor(store, fixed_which, fixed, filt.p,
+                                    filt.zero_change_epsilon).factor * rel
+            cand_factor = self._candidate_rt(cand_which)
+        sc, _ = T.dbm_direction_scores(model, fixed_is_head, fixed_f, fixed_rel,
+                                       cand_f, cand_factor)
         return sc[0]
 
     def tail_scores(self, head_id: int, rel_id: int) -> np.ndarray:
         if self.model.is_tdm:
-            return self._tdm_query_scores(head_id, rel_id)
+            return self.score_block("tail", np.asarray([head_id]), np.asarray([rel_id]))[0]
         return self._dbm_scores(head_id, rel_id, fixed_is_head=True)
 
     def head_scores(self, tail_id: int, rel_id: int) -> np.ndarray:
         if self.model.is_tdm:
-            num_rel = self.store.meta["num_relations"]
-            return self._tdm_query_scores(tail_id, rel_id + num_rel)
+            return self.score_block("head", np.asarray([tail_id]), np.asarray([rel_id]))[0]
         return self._dbm_scores(tail_id, rel_id, fixed_is_head=False)
 
     def score_block(self, direction: str, fixed_ids: np.ndarray,
@@ -138,7 +110,8 @@ class CandidateScorer:
         if self.model.is_tdm:
             if direction == "head":
                 rel_ids = rel_ids + self.store.meta["num_relations"]
-            return self._tdm_queries(fixed_ids, rel_ids) @ self.store["entity"].T
+            q, _ = T.tdm_forward(self.filt, self.store, self.model, fixed_ids, rel_ids)
+            return q @ self.store["entity"].T
         one = self.tail_scores if direction == "tail" else self.head_scores
         return np.stack([one(f, r) for f, r in zip(fixed_ids.tolist(), rel_ids.tolist())])
 

@@ -334,36 +334,22 @@ def _margin(model: M.ModelSpec, loss: LossConfig) -> float:
 def _tdm_objective(batch, store, model, eff, loss, buf) -> float:
     kind = model.kind
     ent = store["entity"]
-    rel_table = store["relation"]
     num_rel = store.meta["num_relations"]
 
     lhs_ids = np.concatenate([batch[:, 0], batch[:, 2]])
     rel_rows = np.concatenate([batch[:, 1], batch[:, 1] + num_rel])
     tgt_ids = np.concatenate([batch[:, 2], batch[:, 0]])
 
-    lhs = ent[lhs_ids]
-    rel = rel_table[rel_rows]
-    op = T.et_build(eff, store, rel, rel_rows, model.dim)
-    lhs_f = T.et_apply(op, lhs)
-
-    if eff.rt_enabled:
-        head_factor = T.rt_factor(store, "a2", lhs, eff.p, eff.zero_change_epsilon)
-        rel_t = head_factor.factor * rel
-    else:
-        head_factor = None
-        rel_t = rel
-
-    q, q_cache = M.tdm_query(kind, lhs_f, rel_t)
+    q, tape = T.tdm_forward(eff, store, model, lhs_ids, rel_rows)
     scores = q @ ent.T
     value, d_scores = cross_entropy(scores, tgt_ids)
 
     d_q = d_scores @ ent
     buf.add_full("entity", d_scores.T @ q)
-    d_lhs_f, d_rel_t = M.tdm_query_vjp(kind, lhs_f, rel_t, q_cache, d_q)
-    d_rel = np.zeros_like(rel)
-
+    d_lhs_f, d_rel = None, np.zeros_like(tape.rel)
     if loss.dura_weight > 0:
         w = loss.dura_weight
+        lhs_f, rel = tape.lhs_f, tape.rel
         tgt = ent[tgt_ids]
         qd, qd_cache = M.tdm_query(kind, lhs_f, rel)
         qt, qt_cache = M.tdm_query_t(kind, tgt, rel)
@@ -371,25 +357,12 @@ def _tdm_objective(batch, store, model, eff, loss, buf) -> float:
                            + np.sum(tgt * tgt) + np.sum(qt * qt))
         d_h1, d_r1 = M.tdm_query_vjp(kind, lhs_f, rel, qd_cache, 2.0 * w * qd)
         d_t2, d_r2 = M.tdm_query_t_vjp(kind, tgt, rel, qt_cache, 2.0 * w * qt)
-        d_lhs_f += d_h1 + 2.0 * w * lhs_f
+        d_lhs_f = d_h1 + 2.0 * w * lhs_f
         d_rel += d_r1 + d_r2
         buf.add_rows("entity", tgt_ids, d_t2 + 2.0 * w * tgt)
 
-    if head_factor is not None:
-        d_rel += d_rel_t * head_factor.factor
-        d_factor = d_rel_t * rel
-        d_lhs_rt = T.rt_factor_vjp(head_factor, d_factor, buf, eff.p)
-    else:
-        d_rel += d_rel_t
-        d_lhs_rt = 0.0
-
-    d_lhs, d_mult, d_bias = T.et_apply_vjp(op, lhs, d_lhs_f)
-    if op is not None:
-        d_rel_et = T.et_param_vjp(eff, op, d_mult, d_bias, buf)
-        if d_rel_et is not None:
-            d_rel += d_rel_et
-
-    buf.add_rows("entity", lhs_ids, d_lhs + d_lhs_rt)
+    d_lhs, d_rel = T.tdm_backward(eff, model, tape, d_q, d_lhs_f, d_rel, buf)
+    buf.add_rows("entity", lhs_ids, d_lhs)
     buf.add_rows("relation", rel_rows, d_rel)
     return value
 
@@ -410,11 +383,8 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
     The (b, K, d) candidate work runs in triple slices under
     OBJECTIVE_BLOCK_BYTES; the per-id tables span the whole batch.
     """
-    kind = model.kind
-    p = model.distance_p
     rt = eff.rt_enabled
     ent = store["entity"]
-    rel_table = store["relation"]
     margin = _margin(model, loss)
     neg_tails, neg_heads = negatives
     b = batch.shape[0]
@@ -422,10 +392,8 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
     neg_heads = np.asarray(neg_heads, dtype=np.int64).reshape(b, -1)
 
     r_ids = batch[:, 1]
-    rel = rel_table[r_ids]
+    rel = store["relation"][r_ids]
     op = T.et_build(eff, store, rel, r_ids, model.dim)
-    apply_head = op is not None
-    apply_tail = op is not None and eff.apply_to == "head_and_tail"
 
     value = 0.0
     d_rel = np.zeros_like(rel)
@@ -440,13 +408,11 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
         if d_bias is not None:
             d_op_bias[sl] += d_bias
 
-    for fixed_is_head in (True, False):
-        if fixed_is_head:
-            fixed_ids, gold_ids, negs = batch[:, 0], batch[:, 2], neg_tails
-            fixed_side_on, cand_side_on = apply_head, apply_tail
-        else:
-            fixed_ids, gold_ids, negs = batch[:, 2], batch[:, 0], neg_heads
-            fixed_side_on, cand_side_on = apply_tail, apply_head
+    directions = ((True, batch[:, 0], batch[:, 2], neg_tails),
+                  (False, batch[:, 2], batch[:, 0], neg_heads))
+    for fixed_is_head, fixed_ids, gold_ids, negs in directions:
+        fixed_side_on, cand_side_on, fixed_which, cand_which = T.dbm_direction(
+            eff, fixed_is_head)
         cand_ids = np.concatenate([gold_ids[:, None], negs], axis=1)
         uniq, inv = np.unique(cand_ids, return_inverse=True)
         inv = inv.reshape(cand_ids.shape)
@@ -455,11 +421,10 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
         fixed_f = T.et_apply(op, fixed) if fixed_side_on else fixed
         d_fixed_f = np.zeros_like(fixed)
         d_cand_u = np.zeros((uniq.size, model.dim), dtype=ent.dtype)
+        fixed_rel, cand_factor = rel, None
         if rt:
-            fixed_rt = T.rt_factor(store, "a2" if fixed_is_head else "a3",
-                                   fixed, eff.p, eff.zero_change_epsilon)
-            cand_rt = T.rt_factor(store, "a3" if fixed_is_head else "a2",
-                                  ent[uniq], eff.p, eff.zero_change_epsilon)
+            fixed_rt = T.rt_factor(store, fixed_which, fixed, eff.p, eff.zero_change_epsilon)
+            cand_rt = T.rt_factor(store, cand_which, ent[uniq], eff.p, eff.zero_change_epsilon)
             fixed_rel = fixed_rt.factor * rel
             d_fixed_factor = np.zeros_like(fixed_rel)
             d_cand_factor_u = np.zeros_like(cand_rt.factor)
@@ -470,18 +435,13 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
             cand_f = T.et_apply(op_sl, cand) if cand_side_on else cand
             if rt:
                 cand_factor = cand_rt.factor[inv[sl]]
-                rel_t = fixed_rel[sl, None, :] * cand_factor
-            else:
-                rel_t = np.broadcast_to(rel[sl, None, :], cand.shape[:2] + (rel.shape[1],))
-
-            if fixed_is_head:
-                sc, sc_cache = M.dbm_scores(kind, fixed_f[sl, None, :], rel_t, cand_f, p)
-            else:
-                sc, sc_cache = M.dbm_scores(kind, cand_f, rel_t, fixed_f[sl, None, :], p)
+            sc, sc_cache = T.dbm_direction_scores(model, fixed_is_head, fixed_f[sl],
+                                                  fixed_rel[sl], cand_f, cand_factor)
             part, d_sc = self_adversarial(sc, margin, loss.adv_temperature)
             value += part
 
-            d_a, d_r3, d_b = M.dbm_scores_vjp(kind, sc_cache, d_sc, p)
+            d_a, d_r3, d_b = M.dbm_scores_vjp(model.kind, sc_cache, d_sc,
+                                               model.distance_p)
             d_fixed_fk, d_cand_f = (d_a, d_b) if fixed_is_head else (d_b, d_a)
             d_fixed_f[sl] = d_fixed_fk.sum(axis=1)
             inv_sl = inv[sl].reshape(-1)

@@ -61,22 +61,6 @@ class EmbeddingTable:
             raise ValueError("embedding table contains non-finite entries")
 
 
-@dataclass
-class AffineMatrix:
-    dim_in: int
-    dim_out: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data)
-        if self.data.shape != (self.dim_in, self.dim_out):
-            raise ShapeMismatch(
-                f"affine data shape {self.data.shape} != ({self.dim_in}, {self.dim_out})"
-            )
-        if not np.isfinite(self.data).all():
-            raise ValueError("affine matrix contains non-finite entries")
-
-
 def init_embeddings(rows: int, dim: int, scheme: str, rng: Rng,
                     init_scale: float = 1.0, dtype=np.float64) -> EmbeddingTable:
     """Seeded initialization. gaussian: N(0, init_scale^2). uniform: U(-b, b) with

@@ -15,6 +15,8 @@ Relation transformation (rt_enabled):
 
 All batched kernels pair a forward returning a cache with a backward (VJP)
 consuming cotangents; gradients are validated by the finite-difference checker.
+The scoring pipeline at the end (filter -> rt -> score) is the one composition
+of these kernels that training and evaluation both call.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import models as M
 from .errors import OddDimension, ShapeMismatch, UnknownRelation
 
 FILTER_KINDS = ("none", "sfbr_diag", "sfbr_linear2", "sfbr_n", "rscf", "rscf_linear2")
-RSCF_KINDS = ("rscf", "rscf_linear2")
-SFBR_KINDS = ("sfbr_diag", "sfbr_linear2", "sfbr_n")
 LINEAR2_KINDS = ("sfbr_linear2", "rscf_linear2")
 
 DEFAULT_ZERO_EPS = 1e-12
@@ -73,22 +74,6 @@ class FilterSpec:
 
 
 INERT_FILTER = FilterSpec()
-
-
-@dataclass
-class RscfParams:
-    a1: np.ndarray
-    a2: np.ndarray | None = None
-    a3: np.ndarray | None = None
-
-
-def rscf_params(store) -> RscfParams:
-    """Collect the shared affine matrices from a parameter store."""
-    return RscfParams(
-        a1=store["a1"],
-        a2=store["a2"] if "a2" in store else None,
-        a3=store["a3"] if "a3" in store else None,
-    )
 
 
 @dataclass
@@ -438,3 +423,96 @@ def rt_factor_vjp(rt: RtFactor, d_factor: np.ndarray, buf, p: int) -> np.ndarray
     flat_dc = dc.reshape(-1, dc.shape[-1])
     buf.add_full(cache["which"], flat_x.T @ flat_dc)
     return dc @ a.T
+
+
+# ---------------------------------------------------------------------------
+# the scoring pipeline: filter -> rt -> score, shared by training and evaluation
+
+
+@dataclass
+class TdmTape:
+    """What tdm_backward needs from tdm_forward."""
+
+    lhs: np.ndarray
+    rel: np.ndarray
+    lhs_f: np.ndarray
+    rel_t: np.ndarray
+    op: EtOp | None
+    head_factor: RtFactor | None
+    q_cache: object
+
+
+def tdm_forward(spec: FilterSpec, store, model, lhs_ids: np.ndarray,
+                rel_rows: np.ndarray):
+    """Tensor-model query vectors q (Q, d), score(candidate e) = q . e: the
+    entity filter acts on the lhs entity, the head rt factor on the relation
+    row. Returns (q, tape)."""
+    lhs = store["entity"][lhs_ids]
+    rel = store["relation"][rel_rows]
+    op = et_build(spec, store, rel, rel_rows, model.dim)
+    lhs_f = et_apply(op, lhs)
+    head_factor = None
+    rel_t = rel
+    if spec.rt_enabled:
+        head_factor = rt_factor(store, "a2", lhs, spec.p, spec.zero_change_epsilon)
+        rel_t = head_factor.factor * rel
+    q, q_cache = M.tdm_query(model.kind, lhs_f, rel_t)
+    return q, TdmTape(lhs, rel, lhs_f, rel_t, op, head_factor, q_cache)
+
+
+def tdm_backward(spec: FilterSpec, model, tape: TdmTape, d_q: np.ndarray,
+                 d_lhs_f, d_rel: np.ndarray, buf):
+    """VJP of tdm_forward. d_lhs_f is a further cotangent of the filtered lhs
+    (or None); d_rel, the cotangent of the base relation rows so far, is
+    accumulated in place. Accumulates the filter and rt parameter gradients
+    into buf; returns (d_lhs, d_rel) for the caller to scatter."""
+    d_lhs_fq, d_rel_t = M.tdm_query_vjp(model.kind, tape.lhs_f, tape.rel_t,
+                                        tape.q_cache, d_q)
+    if d_lhs_f is not None:
+        d_lhs_fq += d_lhs_f
+    d_lhs_rt = 0.0
+    if tape.head_factor is not None:
+        d_rel += d_rel_t * tape.head_factor.factor
+        d_lhs_rt = rt_factor_vjp(tape.head_factor, d_rel_t * tape.rel, buf, spec.p)
+    else:
+        d_rel += d_rel_t
+    d_lhs, d_mult, d_bias = et_apply_vjp(tape.op, tape.lhs, d_lhs_fq)
+    if tape.op is not None:
+        d_rel_et = et_param_vjp(spec, tape.op, d_mult, d_bias, buf)
+        if d_rel_et is not None:
+            d_rel += d_rel_et
+    return d_lhs + d_lhs_rt, d_rel
+
+
+def dbm_direction(spec: FilterSpec, fixed_is_head: bool):
+    """One direction of a distance-model query: (fixed side filtered?,
+    candidate side filtered?, fixed side's rt matrix, candidate side's rt
+    matrix). The head side is filtered by any filter and conditions the
+    relation through A2; the tail side is filtered only under head_and_tail
+    and conditions it through A3."""
+    head_on = spec.kind != "none"
+    tail_on = head_on and spec.apply_to == "head_and_tail"
+    if fixed_is_head:
+        return head_on, tail_on, "a2", "a3"
+    return tail_on, head_on, "a3", "a2"
+
+
+def dbm_direction_scores(model, fixed_is_head: bool, fixed_f: np.ndarray,
+                         fixed_rel: np.ndarray, cand_f: np.ndarray, cand_factor):
+    """Distance scores (Q, K) of Q fixed entities against K candidates each.
+
+    fixed_f (Q, d) and cand_f (Q, K, d) are the (possibly filtered) entities;
+    fixed_rel (Q, d_r) is the relation times the fixed side's rt factor (the
+    bare relation without rt); cand_factor (Q, K, d_r) holds the candidates' rt
+    factors, or None without rt. Returns models.dbm_scores' (scores, cache),
+    with the head in its first argument slot.
+    """
+    if cand_factor is None:
+        rel_t = np.broadcast_to(fixed_rel[:, None, :],
+                                cand_f.shape[:2] + fixed_rel.shape[-1:])
+    else:
+        rel_t = fixed_rel[:, None, :] * cand_factor
+    fixed_f = fixed_f[:, None, :]
+    if fixed_is_head:
+        return M.dbm_scores(model.kind, fixed_f, rel_t, cand_f, model.distance_p)
+    return M.dbm_scores(model.kind, cand_f, rel_t, fixed_f, model.distance_p)

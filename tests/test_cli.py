@@ -190,6 +190,46 @@ class TestAnalysisCommands:
         payload = json.loads((dest / "clusters.json").read_text())
         assert payload["sizes"] == [6, 5]
 
+    @pytest.mark.parametrize("entity", ["-1", "12"])
+    def test_analyze_clusters_entity_out_of_range(self, run_dir, tmp_path, entity, capsys):
+        out, _ = run_dir
+        groups = tmp_path / "groups.tsv"
+        groups.write_text("".join(f"g{j % 2}\tr{j}\n" for j in range(11)),
+                          encoding="utf-8")
+        dest = tmp_path / "cl_bad"
+        code = main(["analyze-clusters", "--checkpoint",
+                     str(out / "checkpoint.rscfckp"), "--group-file", str(groups),
+                     "--target", "ee", "--entity", entity, "--out", str(dest),
+                     "--deterministic"])
+        assert code == 2  # 12 entities: ids 0..11
+        assert "outside [0, 12)" in capsys.readouterr().err
+        assert not (dest / "clusters.json").exists()
+
+    def test_analyze_scales_rejects_sample_below_one(self, run_dir, tmp_path, capsys):
+        out, cfg = run_dir
+        dest = tmp_path / "scales_bad"
+        code = main(["analyze-scales", "--config", str(cfg), "--checkpoint",
+                     str(out / "checkpoint.rscfckp"), "--sample", "-3",
+                     "--out", str(dest), "--deterministic"])
+        assert code == 1
+        assert "--sample" in capsys.readouterr().err
+        assert not (dest / "scales.json").exists()
+
+    @pytest.mark.parametrize("sample", ["0", "-3"])
+    def test_analyze_scales_rejects_config_sample_below_one(self, run_dir, tmp_path,
+                                                           sample, capsys):
+        out, cfg = run_dir
+        bad_cfg = tmp_path / "bad.cfg"
+        bad_cfg.write_text(cfg.read_text() + f"analysis.sample = {sample}\n",
+                           encoding="utf-8")
+        dest = tmp_path / "scales_cfg"
+        code = main(["analyze-scales", "--config", str(bad_cfg), "--checkpoint",
+                     str(out / "checkpoint.rscfckp"), "--out", str(dest),
+                     "--deterministic"])
+        assert code == 1
+        assert "analysis.sample" in capsys.readouterr().err
+        assert not (dest / "scales.json").exists()
+
     def test_export_scores(self, run_dir, tmp_path):
         out, _ = run_dir
         queries = tmp_path / "q.tsv"

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rscf import evaluation
+from rscf import evaluation, objectives
 from rscf.data import Dataset, build_filter_index, load_relation_groups
 from rscf.errors import EmptySplit, GoldOutOfRange, NumericalError
 from rscf.evaluation import (
@@ -14,7 +14,7 @@ from rscf.evaluation import (
     filtered_rank,
 )
 from rscf.models import ModelSpec, score
-from rscf.objectives import LossConfig, build_store
+from rscf.objectives import LossConfig, build_store, sample_negatives, total_objective
 from rscf.tensor import Rng
 from rscf.trainer import Checkpoint, TrainConfig
 from rscf.transforms import (
@@ -347,6 +347,68 @@ class TestCollectRanksGrid:
                 mid_ranks += sum(1 for *_, rank in got if rank % 1)
         assert checked == len(FILTER_KINDS) * 2 * 3
         assert mid_ranks > 0
+
+
+def _row_close(got, want, rel=1e-12):
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestTrainingScoresEqualScorer:
+    """Training and evaluation compose filter -> rt -> score through the same
+    functions, so the scores the objective hands its loss equal the scorer's
+    at the same (fixed, candidate) pairs."""
+
+    @pytest.mark.parametrize("kind", ["transe", "rotate", "cp", "complex", "rescal"])
+    @pytest.mark.parametrize("filter_kind", FILTER_KINDS)
+    @pytest.mark.parametrize("rt", [False, True])
+    def test_objective_scores_equal_scorer_scores(self, kind, filter_kind, rt, monkeypatch):
+        model = ModelSpec(kind, 4, gamma=2.0)
+        num_e, num_r, b = 7, 3, 5
+        rng = Rng(41)
+        gen = rng.derive("batch").generator()
+        batch = np.stack([gen.integers(0, num_e, b), gen.integers(0, num_r, b),
+                          gen.integers(0, num_e, b)], axis=1)
+        loss_name = "cross_entropy" if model.is_tdm else "self_adversarial"
+        raw_loss = getattr(objectives, loss_name)
+        captured = []
+
+        def capturing_loss(scores, *args):
+            captured.append(scores.copy())
+            return raw_loss(scores, *args)
+
+        monkeypatch.setattr(objectives, loss_name, capturing_loss)
+        apply_tos = ("head_only",) if model.is_tdm else ("head_and_tail", "head_only")
+        compared = 0
+        for apply_to in apply_tos:
+            filt = FilterSpec(filter_kind, rt_enabled=rt, apply_to=apply_to)
+            store = build_store(model, filt, num_e, num_r, rng, init_scale=0.4)
+            for name, table in store.tables.items():
+                table += rng.derive(f"jitter:{name}").generator().normal(0.0, 0.05,
+                                                                         table.shape)
+            scorer = CandidateScorer(store, model, filt)
+            captured.clear()
+            if model.is_tdm:
+                total_objective(batch, store, model, filt,
+                                LossConfig("cross_entropy", dura_weight=0.1))
+                (scores,) = captured
+                # rows B..2B answer the head queries through the reciprocal relations
+                for i, (h, r, t) in enumerate(batch.tolist()):
+                    assert _row_close(scores[i], scorer.tail_scores(h, r))
+                    assert _row_close(scores[b + i], scorer.head_scores(t, r))
+                    compared += 2
+            else:
+                loss = LossConfig("self_adversarial", negatives=4)
+                negs = sample_negatives(batch, num_e, loss.negatives, rng.derive("negs"))
+                total_objective(batch, store, model, filt, loss, negatives=negs)
+                tail_sc, head_sc = captured  # one triple slice per direction
+                for i, (h, r, t) in enumerate(batch.tolist()):
+                    # columns are [gold, negatives...]
+                    tails = np.concatenate([[t], negs[0][i]])
+                    heads = np.concatenate([[h], negs[1][i]])
+                    assert _row_close(tail_sc[i], scorer.tail_scores(h, r)[tails])
+                    assert _row_close(head_sc[i], scorer.head_scores(t, r)[heads])
+                    compared += 2
+        assert compared == 2 * b * len(apply_tos)
 
 
 class TestNonFiniteScores:

@@ -67,16 +67,6 @@ class TestInitEmbeddings:
         with pytest.raises(ValueError):
             EmbeddingTable(1, 2, np.array([[np.nan, 1.0]]))
 
-    def test_affine_matrix_invariants(self):
-        from rscf.tensor import AffineMatrix
-
-        m = AffineMatrix(2, 3, np.zeros((2, 3)))
-        assert m.data.shape == (2, 3)
-        with pytest.raises(Exception):
-            AffineMatrix(3, 2, np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            AffineMatrix(1, 1, np.array([[np.inf]]))
-
 
 def _quadratic_store():
     store = ParameterStore()

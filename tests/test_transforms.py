@@ -250,20 +250,6 @@ class TestBatchedAgainstReference:
                 assert np.allclose(batched[q, k], ref, atol=1e-12)
 
 
-class TestRscfParamsAccessor:
-    def test_collects_present_matrices(self):
-        from rscf.transforms import rscf_params
-
-        store = ParameterStore()
-        store.create("a1", np.ones((3, 3)))
-        params = rscf_params(store)
-        assert params.a2 is None and params.a3 is None
-        store.create("a2", np.ones((3, 3)))
-        store.create("a3", np.ones((3, 3)))
-        params = rscf_params(store)
-        assert params.a2 is not None and params.a3 is not None
-
-
 class TestNormalizeRowsVjp:
     @pytest.mark.parametrize("p", [1, 2])
     def test_matches_finite_differences(self, p):
