@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import models as M
 from . import transforms as T
-from .errors import DegenerateCentroid, NoFilter, SingleCluster
+from .errors import DataError, DegenerateCentroid, NoFilter, SingleCluster
 from .evaluation import CandidateScorer
 from .tensor import Rng
 
@@ -29,13 +29,7 @@ class ClusterReport:
     sizes: list[int]
 
     def to_dict(self) -> dict:
-        return {
-            "intra_per_cluster": self.intra_per_cluster,
-            "intra_mean": self.intra_mean,
-            "inter_per_cluster": self.inter_per_cluster,
-            "inter_mean": self.inter_mean,
-            "sizes": self.sizes,
-        }
+        return asdict(self)
 
 
 def _as_clusters(clusters) -> list[np.ndarray]:
@@ -89,6 +83,29 @@ def inter_cluster_distance(clusters):
     return per, mean
 
 
+def cluster_vectors(checkpoint, groups, target: str, entity_id: int):
+    """Group the ET factor vectors (target "et") or entity_id's transformed
+    embeddings (target "ee") by relation group; returns (clusters, unknown)."""
+    store, model, filt = checkpoint.store, checkpoint.model, checkpoint.filter
+    if filt.kind == "none":
+        raise DataError("checkpoint has no entity transformation to analyze")
+    num_entities = store["entity"].shape[0]
+    if target == "ee" and not 0 <= entity_id < num_entities:
+        raise DataError(f"entity id {entity_id} outside [0, {num_entities})")
+    resolved, unknown = groups.resolve(checkpoint.vocabulary)
+    rel_rows = np.asarray(sorted(resolved), dtype=np.int64)
+    op = T.et_build(filt, store, store["relation"][rel_rows], rel_rows, model.dim)
+    if target == "et":
+        vectors = op.factor_vectors()
+    else:
+        # the one entity row broadcasts against every relation's operator
+        vectors = T.et_apply(op, store["entity"][[entity_id]])
+    clusters: dict[str, list[np.ndarray]] = {}
+    for rel_id, vec in zip(rel_rows.tolist(), vectors):
+        clusters.setdefault(resolved[rel_id], []).append(vec)
+    return clusters, unknown
+
+
 def cluster_report(clusters, literal_n: bool = False) -> ClusterReport:
     cs = _as_clusters(clusters)
     intra_per, intra_mean = intra_cluster_distance(cs, literal_n)
@@ -108,23 +125,24 @@ class ScaleRecord:
     embedding_scale: float
 
 
-def _ones_norm(length: int, p: int) -> float:
-    return float(np.sqrt(length)) if p == 2 else float(length)
-
-
 def _reference_norm(filt: T.FilterSpec, dim: int) -> float:
     """Norm of the zero-change factor vector, so the inert filter reads 1.0."""
-    if filt.kind in T.LINEAR2_KINDS:
-        if filt.kind == "rscf_linear2" and filt.linear2_add_one == "full":
-            return _ones_norm(2 * dim, filt.p)
-        # identity blocks: ones on w1/w4, zeros on w2/w3
-        return _ones_norm(dim, filt.p)
-    return _ones_norm(dim, filt.p)
+    if filt.kind == "rscf_linear2" and filt.linear2_add_one == "full":
+        return M.p_norm(np.ones(2 * dim), filt.p)
+    # elementwise filters, and linear2 identity blocks (ones on w1/w4 only)
+    return M.p_norm(np.ones(dim), filt.p)
 
 
 def embedding_scale(store, model: M.ModelSpec, p: int, head_ids) -> float:
     heads = store["entity"][np.asarray(head_ids, dtype=np.int64)]
-    return float(np.mean(T.p_norm(heads, p)))
+    return float(np.mean(M.p_norm(heads, p)))
+
+
+def telemetry_sample(train_arr: np.ndarray, seed: int, size: int) -> np.ndarray:
+    """The min(size, n) train triples that scale traces run on."""
+    n = train_arr.shape[0]
+    idx = Rng(seed).derive("telemetry").generator().choice(n, size=min(size, n), replace=False)
+    return train_arr[idx]
 
 
 def scale_trace(store, model: M.ModelSpec, filt: T.FilterSpec,
@@ -143,7 +161,7 @@ def scale_trace(store, model: M.ModelSpec, filt: T.FilterSpec,
         op = T.et_build(filt, store, rel, rel_rows, model.dim)
         factors = op.factor_vectors()
         transformation = float(
-            np.mean(T.p_norm(factors, filt.p)) / _reference_norm(filt, model.dim))
+            np.mean(M.p_norm(factors, filt.p)) / _reference_norm(filt, model.dim))
         emb_vectors = T.et_apply(op, heads)
     rt = None
     if filt.rt_enabled:
@@ -152,10 +170,10 @@ def scale_trace(store, model: M.ModelSpec, filt: T.FilterSpec,
         if model.is_dbm:
             tails = store["entity"][triples[:, 2]]
             combined = combined * T.rt_factor(store, "a3", tails, filt.p, eps).factor
-        rt = float(np.mean(T.p_norm(combined, filt.p))
-                   / _ones_norm(model.relation_dim, filt.p))
+        rt = float(np.mean(M.p_norm(combined, filt.p))
+                   / M.p_norm(np.ones(model.relation_dim), filt.p))
     return ScaleRecord(transformation, rt,
-                       float(np.mean(T.p_norm(emb_vectors, filt.p))))
+                       float(np.mean(M.p_norm(emb_vectors, filt.p))))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .data import Dataset, load_relation_groups
 from .errors import DataError, DivergedLoss, NumericalError, RscfError
 from .gradcheck import run_grid
 from .tensor import Rng
-from .trainer import Checkpoint, load_checkpoint, save_checkpoint, train
+from .trainer import load_checkpoint, save_checkpoint, train
 
 
 class UsageError(Exception):
@@ -35,6 +35,13 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _write_json(path: Path, payload: dict, deterministic: bool) -> None:
@@ -145,33 +152,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _cluster_vectors_from_checkpoint(checkpoint: Checkpoint, groups, target: str,
-                                     entity_id: int):
-    """Group ET factor vectors (or transformed embeddings of one entity) by
-    relation group."""
-    from . import transforms as T
-
-    store, model, filt = checkpoint.store, checkpoint.model, checkpoint.filter
-    if filt.kind == "none":
-        raise DataError("checkpoint has no entity transformation to analyze")
-    num_entities = store["entity"].shape[0]
-    if target == "ee" and not 0 <= entity_id < num_entities:
-        raise DataError(f"entity id {entity_id} outside [0, {num_entities})")
-    resolved, unknown = groups.resolve(checkpoint.vocabulary)
-    clusters: dict[str, list[np.ndarray]] = {}
-    for rel_id, group in sorted(resolved.items()):
-        rel_rows = np.asarray([rel_id])
-        rel = store["relation"][rel_rows]
-        op = T.et_build(filt, store, rel, rel_rows, model.dim)
-        if target == "et":
-            vec = op.factor_vectors()[0]
-        else:
-            ent = store["entity"][np.asarray([entity_id])]
-            vec = T.et_apply(op, ent)[0]
-        clusters.setdefault(group, []).append(vec)
-    return clusters, unknown
-
-
 def _cluster_vectors_from_csv(path):
     clusters: dict[str, list[np.ndarray]] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -193,7 +173,7 @@ def cmd_analyze_clusters(args) -> int:
             raise UsageError("need either --vectors or --checkpoint with --group-file")
         checkpoint = load_checkpoint(args.checkpoint)
         groups = load_relation_groups(args.group_file)
-        clusters, unknown = _cluster_vectors_from_checkpoint(
+        clusters, unknown = analysis.cluster_vectors(
             checkpoint, groups, args.target, args.entity)
     names = sorted(clusters)
     report = analysis.cluster_report([clusters[n] for n in names],
@@ -209,26 +189,22 @@ def cmd_analyze_clusters(args) -> int:
 
 
 def cmd_analyze_scales(args) -> int:
-    if args.sample is not None and args.sample < 1:
-        raise UsageError(f"--sample must be at least 1, got {args.sample}")
     cfg = RunConfig.from_file(args.config)
     sample_size = args.sample or cfg["analysis.sample"]
     if sample_size < 1:
         raise ConfigError(f"analysis.sample must be at least 1, got {sample_size}")
     checkpoint = load_checkpoint(args.checkpoint)
     dataset = _load_dataset(cfg)
-    arr = dataset.split_array("train")
-    take = min(sample_size, arr.shape[0])
-    idx = Rng(checkpoint.config.seed).derive("telemetry").generator().choice(
-        arr.shape[0], size=take, replace=False)
+    triples = analysis.telemetry_sample(dataset.split_array("train"),
+                                        checkpoint.config.seed, sample_size)
     record = analysis.scale_trace(checkpoint.store, checkpoint.model,
-                                  checkpoint.filter, arr[idx])
+                                  checkpoint.filter, triples)
     out = _out_dir(args)
     _write_json(out / "scales.json", {
         "transformation_scale": record.transformation_scale,
         "rt_scale": record.rt_scale,
         "embedding_scale": record.embedding_scale,
-        "sampled_triples": int(take),
+        "sampled_triples": int(triples.shape[0]),
     }, args.deterministic)
     print(f"transformation_scale={record.transformation_scale} "
           f"embedding_scale={record.embedding_scale:.6f}")
@@ -267,10 +243,13 @@ def load_pairs(path) -> list[tuple[str, str]]:
 
 
 def cmd_simulate_consistency(args) -> int:
-    cfg = analysis.ConsistencySimConfig(
-        dim=args.dim, samples=args.samples, p=args.p, seed=args.seed or 0,
-        thresholds=tuple(float(t) for t in args.thresholds.split(",")),
-        workers=args.workers)
+    try:
+        cfg = analysis.ConsistencySimConfig(
+            dim=args.dim, samples=args.samples, p=args.p, seed=args.seed or 0,
+            thresholds=tuple(float(t) for t in args.thresholds.split(",")),
+            workers=args.workers)
+    except ValueError as err:
+        raise UsageError(f"--thresholds: {err}") from None
     report = analysis.monte_carlo_consistency(cfg)
     out = _out_dir(args)
     _write_json(out / "consistency.json", report.to_dict(), args.deterministic)
@@ -281,10 +260,13 @@ def cmd_simulate_consistency(args) -> int:
 
 
 def cmd_check_gradients(args) -> int:
+    if args.dim < 2 or args.dim % 2:
+        raise UsageError(f"--dim must be a positive even number, got {args.dim}")
     results = run_grid(seed=args.seed if args.seed is not None else 3,
                        dim=args.dim, triples=args.triples,
                        coords_per_table=args.coords)
-    worst = max(r.max_rel_error for r in results)
+    # np.max, unlike max(), propagates a NaN instead of skipping it
+    worst = float(np.max([r.max_rel_error for r in results]))
     out = _out_dir(args)
     _write_json(out / "gradient_check.json", {
         "combos": [vars(r) for r in results],
@@ -353,7 +335,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze-scales",
                        help="transformation / embedding scale of a checkpoint")
     common(p, config=True, checkpoint=True)
-    p.add_argument("--sample", type=int, default=None)
+    p.add_argument("--sample", type=positive_int, default=None)
     p.set_defaults(fn=cmd_analyze_scales)
 
     p = sub.add_parser("export-scores",
@@ -366,8 +348,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate-consistency",
                        help="Monte Carlo ordering-preservation rates")
     common(p)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--dim", type=int, default=32)
+    p.add_argument("--samples", type=positive_int, default=10_000)
+    p.add_argument("--dim", type=positive_int, default=32)
     p.add_argument("--p", type=int, choices=(1, 2), default=2)
     p.add_argument("--thresholds", default="1,1.01,1.02")
     p.add_argument("--workers", type=int, default=1,
@@ -378,8 +360,8 @@ def build_parser() -> _Parser:
                        help="finite-difference check over the full combo grid")
     common(p)
     p.add_argument("--dim", type=int, default=6)
-    p.add_argument("--triples", type=int, default=5)
-    p.add_argument("--coords", type=int, default=64,
+    p.add_argument("--triples", type=positive_int, default=5)
+    p.add_argument("--coords", type=positive_int, default=64,
                    help="coordinates checked per table")
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(fn=cmd_check_gradients)
@@ -387,7 +369,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check-dura-sign",
                        help="sign test of the regularizer's shrinking gradient")
     common(p)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=positive_int, default=1000)
     p.set_defaults(fn=cmd_check_dura_sign)
 
     return parser

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
-
 DBM_KINDS = ("transe", "rotate")
 TDM_KINDS = ("cp", "complex", "rescal")
 MODEL_KINDS = DBM_KINDS + TDM_KINDS
@@ -57,84 +55,12 @@ def _halves(v: np.ndarray):
     return v[..., :half], v[..., half:]
 
 
-def _vec_pnorm(v: np.ndarray, p: int) -> np.ndarray:
+def p_norm(v: np.ndarray, p: int) -> np.ndarray:
     if p == 2:
         return np.sqrt(np.sum(v * v, axis=-1))
-    return np.sum(np.abs(v), axis=-1)
-
-
-def score(model: ModelSpec, h_vec, r_vec, t_vec) -> float:
-    """Single-triple score; inputs are whatever embeddings the caller scores
-    (post-transformation when filters are active)."""
-    h = np.asarray(h_vec, dtype=np.float64)
-    r = np.asarray(r_vec, dtype=np.float64)
-    t = np.asarray(t_vec, dtype=np.float64)
-    if h.shape[-1] != model.dim or t.shape[-1] != model.dim:
-        raise ShapeMismatch(f"entity dim {h.shape[-1]}/{t.shape[-1]} != {model.dim}")
-    if r.shape[-1] != model.relation_dim:
-        raise ShapeMismatch(f"relation dim {r.shape[-1]} != {model.relation_dim}")
-    kind = model.kind
-    if kind == "transe":
-        return -float(_vec_pnorm(h + r - t, model.distance_p))
-    if kind == "rotate":
-        hr = _complex_rotate(h, r)
-        return -float(_vec_pnorm(hr - t, model.distance_p))
-    if kind == "cp":
-        return float(np.sum(h * r * t))
-    if kind == "complex":
-        h1, h2 = _halves(h)
-        r1, r2 = _halves(r)
-        t1, t2 = _halves(t)
-        return float(np.sum((h1 * r1 - h2 * r2) * t1 + (h1 * r2 + h2 * r1) * t2))
-    if kind == "rescal":
-        m = r.reshape(model.dim, model.dim)
-        return float(h @ m @ t)
-    raise ValueError(kind)
-
-
-def score_all_tails(model: ModelSpec, h_vec, r_vec, entity_table,
-                    tails=None, relations=None) -> np.ndarray:
-    """Scores of (h, r, e) for every candidate row e.
-
-    tails: optional pre-transformed candidate matrix (defaults to the raw
-    entity table — the identity transformation). relations: optional
-    per-candidate relation matrix for entity-conditioned relation transforms.
-    """
-    h = np.asarray(h_vec, dtype=np.float64)
-    cand = np.asarray(entity_table if tails is None else tails, dtype=np.float64)
-    if cand.ndim != 2 or cand.shape[1] != model.dim:
-        raise ShapeMismatch(f"candidate table shape {cand.shape} != (*, {model.dim})")
-    if h.shape != (model.dim,):
-        raise ShapeMismatch(f"head shape {h.shape} != ({model.dim},)")
-    if relations is None:
-        rel = np.asarray(r_vec, dtype=np.float64)
-        if rel.shape != (model.relation_dim,):
-            raise ShapeMismatch(f"relation shape {rel.shape} != ({model.relation_dim},)")
-        rel = np.broadcast_to(rel, (cand.shape[0], model.relation_dim))
-    else:
-        rel = np.asarray(relations, dtype=np.float64)
-        if rel.shape != (cand.shape[0], model.relation_dim):
-            raise ShapeMismatch(f"relation matrix shape {rel.shape}")
-    kind = model.kind
-    if kind in DBM_KINDS:
-        pred = _dbm_predict(kind, np.broadcast_to(h, cand.shape), rel)
-        return -_vec_pnorm(pred - cand, model.distance_p)
-    if relations is None:
-        q, _ = tdm_query(kind, h[None, :], np.ascontiguousarray(rel[:1]))
-        return cand @ q[0]
-    qs, _ = tdm_query(kind, np.broadcast_to(h, cand.shape), rel)
-    return np.sum(qs * cand, axis=-1)
-
-
-def score_all_relations(model: ModelSpec, h_vec, t_vec, relation_table) -> np.ndarray:
-    """Scores of (h, r_j, t) over every relation row, on base embeddings."""
-    h = np.asarray(h_vec, dtype=np.float64)
-    t = np.asarray(t_vec, dtype=np.float64)
-    rel = np.asarray(relation_table, dtype=np.float64)
-    if rel.ndim != 2 or rel.shape[1] != model.relation_dim:
-        raise ShapeMismatch(f"relation table shape {rel.shape} != (*, {model.relation_dim})")
-    scores, _ = relation_scores(model, h[None, :], t[None, :], rel)
-    return scores[0]
+    if p == 1:
+        return np.sum(np.abs(v), axis=-1)
+    raise ValueError("p must be 1 or 2")
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +157,7 @@ def dbm_scores(kind: str, h, rel, t, p: int):
     (scores, cache)."""
     pred = _dbm_predict(kind, h, rel)
     diff = pred - t
-    if p == 2:
-        norms = np.sqrt(np.sum(diff * diff, axis=-1))
-    else:
-        norms = np.sum(np.abs(diff), axis=-1)
+    norms = p_norm(diff, p)
     return -norms, {"pred": pred, "diff": diff, "norms": norms, "h": h, "rel": rel}
 
 

@@ -184,58 +184,6 @@ def self_adversarial(scores: np.ndarray, margin: float, temperature: float):
     return value, d
 
 
-def task_loss(scores: np.ndarray, target: int, kind: str,
-              margin: float = 9.0, adv_temperature: float = 1.0):
-    """Single-query task loss over a score batch. For self_adversarial the
-    target indexes the positive score; the rest are negatives."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if not 0 <= target < scores.shape[-1]:
-        raise TargetOutOfRange(f"target {target} outside [0, {scores.shape[-1]})")
-    if kind == "cross_entropy":
-        value, d = cross_entropy(scores[None, :], [target])
-        return value, d[0]
-    if kind == "self_adversarial":
-        order = np.concatenate([[target], np.delete(np.arange(scores.shape[-1]), target)])
-        value, d_ord = self_adversarial(scores[order][None, :], margin, adv_temperature)
-        d = np.empty_like(scores)
-        d[order] = d_ord[0]
-        return value, d
-    raise ValueError(f"unknown task loss {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# duality regularizer and relation prediction
-
-
-def dura_penalty(h_hat, rel, t, kind: str):
-    """Per-triple penalty  ||h R||^2 + ||h||^2 + ||t||^2 + ||t R^T||^2  with h
-    the (possibly filtered) head. Accepts single vectors or batches; returns
-    (value, (d_h_hat, d_rel, d_t))."""
-    if kind not in M.TDM_KINDS:
-        raise UnsupportedModel(f"duality regularizer needs a tensor model, got {kind!r}")
-    h_hat = np.atleast_2d(np.asarray(h_hat, dtype=np.float64))
-    rel = np.atleast_2d(np.asarray(rel, dtype=np.float64))
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-    q, qc = M.tdm_query(kind, h_hat, rel)
-    qt, qtc = M.tdm_query_t(kind, t, rel)
-    value = float(np.sum(q * q) + np.sum(h_hat * h_hat) + np.sum(t * t) + np.sum(qt * qt))
-    d_h1, d_r1 = M.tdm_query_vjp(kind, h_hat, rel, qc, 2.0 * q)
-    d_t2, d_r2 = M.tdm_query_t_vjp(kind, t, rel, qtc, 2.0 * qt)
-    return value, (d_h1 + 2.0 * h_hat, d_r1 + d_r2, d_t2 + 2.0 * t)
-
-
-def rp_term(model: M.ModelSpec, h_vec, t_vec, relation_table, true_relation: int):
-    """Cross-entropy of the true relation under softmax over candidate
-    relations, on base embeddings. Returns (value, (d_h, d_t, d_table))."""
-    h = np.atleast_2d(np.asarray(h_vec, dtype=np.float64))
-    t = np.atleast_2d(np.asarray(t_vec, dtype=np.float64))
-    table = np.asarray(relation_table, dtype=np.float64)
-    scores, cache = M.relation_scores(model, h, t, table)
-    value, d_scores = cross_entropy(scores, [true_relation])
-    d_h, d_t, d_table = M.relation_scores_vjp(model, h, t, table, cache, d_scores)
-    return value, (d_h[0], d_t[0], d_table)
-
-
 # ---------------------------------------------------------------------------
 # parameter-store construction
 
@@ -311,8 +259,6 @@ def total_objective(batch, store: ParameterStore, model: M.ModelSpec,
     if model.is_tdm:
         if loss.task != "cross_entropy":
             raise ValueError("tensor models train with cross_entropy")
-        if loss.dura_weight > 0 and model.kind not in M.TDM_KINDS:
-            raise UnsupportedModel(model.kind)
         value = _tdm_objective(batch, store, model, eff, loss, buf)
     else:
         if loss.task != "self_adversarial":

@@ -143,8 +143,8 @@ def finite_difference_check(loss_fn, store: ParameterStore, analytic: dict,
     loss_fn is a zero-argument closure over `store`; tables are perturbed in
     place and restored. Per table, a random subsample of coordinates is checked
     (all of them under full=True). Relative error per coordinate is
-    |fd - an| / max(1, |fd|, |an|); the max over all checked coordinates is
-    returned.
+    |fd - an| / max(1, |fd|, |an|), and infinite where an is NaN or infinite;
+    the max over all checked coordinates is returned.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -173,7 +173,8 @@ def finite_difference_check(loss_fn, store: ParameterStore, analytic: dict,
             if not (np.isfinite(up) and np.isfinite(down)):
                 raise NonFiniteLoss(f"loss non-finite while perturbing {name}[{i}]")
             fd = (up - down) / (2.0 * eps)
-            err = abs(fd - gflat[i]) / max(1.0, abs(fd), abs(gflat[i]))
+            an = gflat[i]
+            err = abs(fd - an) / max(1.0, abs(fd), abs(an)) if np.isfinite(an) else np.inf
             worst = max(worst, err)
         report.per_table[name] = worst
         report.max_rel_error = max(report.max_rel_error, worst)

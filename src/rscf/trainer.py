@@ -15,7 +15,7 @@ import io
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -86,43 +86,7 @@ class TrainConfig:
         return np.float64 if self.precision == "f64" else np.float32
 
     def to_dict(self) -> dict:
-        return {
-            "model": {
-                "kind": self.model.kind,
-                "dim": self.model.dim,
-                "distance_p": self.model.distance_p,
-                "gamma": self.model.gamma,
-            },
-            "filter": {
-                "kind": self.filter.kind,
-                "p": self.filter.p,
-                "apply_to": self.filter.apply_to,
-                "rt_enabled": self.filter.rt_enabled,
-                "zero_change_epsilon": self.filter.zero_change_epsilon,
-                "linear2_add_one": self.filter.linear2_add_one,
-            },
-            "loss": {
-                "task": self.loss.task,
-                "rp_weight": self.loss.rp_weight,
-                "dura_weight": self.loss.dura_weight,
-                "negatives": self.loss.negatives,
-                "adv_temperature": self.loss.adv_temperature,
-                "margin": self.loss.margin,
-            },
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "plugin_epoch": self.plugin_epoch,
-            "optimizer": self.optimizer,
-            "validate": self.validate,
-            "validate_every": self.validate_every,
-            "scale_telemetry": self.scale_telemetry,
-            "telemetry_sample": self.telemetry_sample,
-            "init_scheme": self.init_scheme,
-            "init_scale": self.init_scale,
-            "precision": self.precision,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -229,13 +193,6 @@ def train_epoch(state: TrainState) -> EpochRecord:
     return record
 
 
-def _telemetry_sample(cfg: TrainConfig, train_arr: np.ndarray) -> np.ndarray:
-    n = train_arr.shape[0]
-    size = min(cfg.telemetry_sample, n)
-    idx = Rng(cfg.seed).derive("telemetry").generator().choice(n, size=size, replace=False)
-    return train_arr[idx]
-
-
 def train(dataset: Dataset, config: TrainConfig,
           initial: Checkpoint | None = None) -> tuple[Checkpoint, TrainReport]:
     """Run epochs [start, config.epochs); start is 0 or the checkpoint's epoch.
@@ -261,7 +218,7 @@ def train(dataset: Dataset, config: TrainConfig,
         start = 0
     train_arr = dataset.split_array("train")
     state = TrainState(store, dataset, config, start, train_arr)
-    sample = _telemetry_sample(config, train_arr) if train_arr.size else train_arr
+    sample = analysis.telemetry_sample(train_arr, config.seed, config.telemetry_sample)
     report = TrainReport()
     for _ in range(start, config.epochs):
         try:

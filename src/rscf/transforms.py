@@ -26,25 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models as M
-from .errors import OddDimension, ShapeMismatch, UnknownRelation
+from .errors import ShapeMismatch
 
 FILTER_KINDS = ("none", "sfbr_diag", "sfbr_linear2", "sfbr_n", "rscf", "rscf_linear2")
-LINEAR2_KINDS = ("sfbr_linear2", "rscf_linear2")
 
 DEFAULT_ZERO_EPS = 1e-12
-
-
-class _ZeroChange:
-    """Marker for a degenerate (near-zero) change vector; callers treat the
-    change as the zero vector, leaving the embedding untouched."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "ZeroChange"
-
-
-ZERO_CHANGE = _ZeroChange()
 
 
 @dataclass
@@ -76,32 +62,8 @@ class FilterSpec:
 INERT_FILTER = FilterSpec()
 
 
-@dataclass
-class SfbrParams:
-    variant: str  # "diag", "linear2", "n"
-    weights: np.ndarray  # (num_relations, dim) or (num_relations, 2*dim) for linear2
-    bias: np.ndarray | None = None
-
-
 # ---------------------------------------------------------------------------
 # normalization
-
-
-def p_norm(v: np.ndarray, p: int) -> np.ndarray:
-    if p == 2:
-        return np.sqrt(np.sum(v * v, axis=-1))
-    if p == 1:
-        return np.sum(np.abs(v), axis=-1)
-    raise ValueError("p must be 1 or 2")
-
-
-def p_normalize(v: np.ndarray, p: int = 2, eps: float = DEFAULT_ZERO_EPS):
-    """v / ||v||_p, or the ZERO_CHANGE marker when ||v||_p < eps."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(p_norm(v, p))
-    if norm < eps:
-        return ZERO_CHANGE
-    return v / norm
 
 
 def normalize_rows(x: np.ndarray, p: int, eps: float):
@@ -110,7 +72,7 @@ def normalize_rows(x: np.ndarray, p: int, eps: float):
     Returns (unit, norms, live): unit rows have ||.||_p = 1 where live, and are
     exactly zero where the input norm fell below eps.
     """
-    norms = p_norm(x, p)
+    norms = M.p_norm(x, p)
     live = norms >= eps
     safe = np.where(live, norms, 1.0)
     unit = np.where(live[..., None], x / safe[..., None], 0.0)
@@ -125,114 +87,6 @@ def normalize_rows_vjp(x, unit, safe_norms, live, d_unit, p):
     else:
         dx = (d_unit - np.sign(x) * inner) / safe_norms[..., None]
     return np.where(live[..., None], dx, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# reference (single-vector) transform operations
-
-
-def rscf_entity_transform(e, r, a1, p: int = 2, eps: float = DEFAULT_ZERO_EPS):
-    """e_r = (N_p(r A1) + 1) * e; identity when the change degenerates."""
-    e = np.asarray(e, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    a1 = np.asarray(a1, dtype=np.float64)
-    if a1.shape[0] != r.shape[-1] or a1.shape[1] != e.shape[-1]:
-        raise ShapeMismatch(f"A1 {a1.shape} incompatible with r {r.shape}, e {e.shape}")
-    change = p_normalize(r @ a1, p, eps)
-    if change is ZERO_CHANGE:
-        return e.copy()
-    return (change + 1.0) * e
-
-
-def rscf_relation_transform(r, h, t, a2, a3=None, p: int = 2,
-                            eps: float = DEFAULT_ZERO_EPS, head_only: bool = False):
-    """r_ht = (N_p(h A2) + 1) * (N_p(t A3) + 1) * r; tensor models drop the tail factor."""
-    r = np.asarray(r, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if a2.shape[0] != h.shape[-1] or a2.shape[1] != r.shape[-1]:
-        raise ShapeMismatch(f"A2 {np.shape(a2)} incompatible with h {h.shape}, r {r.shape}")
-    fh = p_normalize(h @ a2, p, eps)
-    out = r.copy() if fh is ZERO_CHANGE else (fh + 1.0) * r
-    if head_only:
-        return out
-    if a3 is None or t is None:
-        raise ShapeMismatch("tail factor requires t and A3")
-    t = np.asarray(t, dtype=np.float64)
-    if a3.shape[0] != t.shape[-1] or a3.shape[1] != r.shape[-1]:
-        raise ShapeMismatch(f"A3 {np.shape(a3)} incompatible with t {t.shape}, r {r.shape}")
-    ft = p_normalize(t @ a3, p, eps)
-    return out if ft is ZERO_CHANGE else (ft + 1.0) * out
-
-
-def linear2_blocks(change_vector: np.ndarray):
-    """Split a length-2n block vector into (w1, w2, w3, w4), each length n/2."""
-    v = np.asarray(change_vector, dtype=np.float64)
-    if v.shape[-1] % 4 != 0:
-        raise OddDimension(f"block vector length {v.shape[-1]} not divisible by 4")
-    return np.split(v, 4, axis=-1)
-
-
-class Linear2Operator:
-    """Block-diagonal operator  [diag(w1) diag(w2); diag(w3) diag(w4)]."""
-
-    def __init__(self, w1, w2, w3, w4):
-        self.w1, self.w2, self.w3, self.w4 = w1, w2, w3, w4
-        self.half = w1.shape[-1]
-
-    def apply(self, e: np.ndarray) -> np.ndarray:
-        e = np.asarray(e, dtype=np.float64)
-        if e.shape[-1] != 2 * self.half:
-            raise ShapeMismatch(f"operator built for dim {2 * self.half}, got {e.shape[-1]}")
-        e1, e2 = e[..., : self.half], e[..., self.half :]
-        return np.concatenate(
-            [self.w1 * e1 + self.w2 * e2, self.w3 * e1 + self.w4 * e2], axis=-1
-        )
-
-    def as_matrix(self) -> np.ndarray:
-        n = 2 * self.half
-        m = np.zeros((n, n))
-        idx = np.arange(self.half)
-        m[idx, idx] = self.w1
-        m[idx, idx + self.half] = self.w2
-        m[idx + self.half, idx] = self.w3
-        m[idx + self.half, idx + self.half] = self.w4
-        return m
-
-
-def build_linear2_matrix(change_vector: np.ndarray) -> Linear2Operator:
-    """Block-diagonal operator from the final length-2n block vector."""
-    w1, w2, w3, w4 = linear2_blocks(change_vector)
-    return Linear2Operator(w1, w2, w3, w4)
-
-
-def sfbr_transform(e, relation_id: int, params: SfbrParams, p: int = 2,
-                   eps: float = DEFAULT_ZERO_EPS):
-    """Per-relation semantic filter: diag, linear2, or normalized (n) variant."""
-    e = np.asarray(e, dtype=np.float64)
-    if not 0 <= relation_id < params.weights.shape[0]:
-        raise UnknownRelation(f"relation id {relation_id} has no parameter block")
-    w = params.weights[relation_id]
-    if params.variant == "diag":
-        if w.shape[-1] != e.shape[-1]:
-            raise ShapeMismatch(f"weights dim {w.shape[-1]} != entity dim {e.shape[-1]}")
-        out = w * e
-        if params.bias is not None:
-            out = out + params.bias[relation_id]
-        return out
-    if params.variant == "n":
-        if w.shape[-1] != e.shape[-1]:
-            raise ShapeMismatch(f"weights dim {w.shape[-1]} != entity dim {e.shape[-1]}")
-        unit = p_normalize(w, p, eps)
-        if unit is ZERO_CHANGE:
-            return e.copy()
-        return (unit + 1.0) * e
-    if params.variant == "linear2":
-        if w.shape[-1] != 2 * e.shape[-1]:
-            raise ShapeMismatch(
-                f"linear2 weights length {w.shape[-1]} != 2 * entity dim {e.shape[-1]}"
-            )
-        return build_linear2_matrix(w).apply(e)
-    raise ValueError(f"unknown sfbr variant {params.variant!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,13 @@ from rscf.cli import main as cli_main
 from rscf.data import Dataset, build_filter_index
 from rscf.evaluation import CandidateScorer, collect_ranks, evaluate_split
 from rscf.gradcheck import run_grid
-from rscf.models import ModelSpec
-from rscf.objectives import LossConfig, build_store, dura_penalty, rp_term, total_objective
+from rscf.models import ModelSpec, p_norm
+from rscf.objectives import LossConfig, build_store, total_objective
+from rscf.reference import ZERO_CHANGE, dura_penalty, p_normalize, rp_term
 from rscf.synthetic import synthetic_kg, write_dataset
 from rscf.tensor import Rng
 from rscf.trainer import Checkpoint, TrainConfig, train
-from rscf.transforms import ZERO_CHANGE, FilterSpec, p_norm, p_normalize
+from rscf.transforms import FilterSpec
 from rscf import transforms as T
 
 

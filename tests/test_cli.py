@@ -251,6 +251,37 @@ class TestAnalysisCommands:
         assert payload["passed"] is True
         assert len(payload["combos"]) == 192
 
+    @pytest.mark.parametrize("args", [["--coords", "0"], ["--triples", "0"],
+                                      ["--dim", "0"], ["--dim", "-2"], ["--dim", "5"]])
+    def test_check_gradients_rejects_empty_or_odd_grid(self, tmp_path, args, capsys):
+        code = main(["check-gradients", *args, "--out", str(tmp_path / "gc")])
+        assert code == 1
+        assert args[0] in capsys.readouterr().err
+        assert not (tmp_path / "gc" / "gradient_check.json").exists()
+
+    def test_check_gradients_fails_on_nan_error(self, tmp_path, monkeypatch):
+        from rscf import cli
+        from rscf.gradcheck import ComboResult
+
+        errors = [1e-9, float("nan"), 1e-9]
+        monkeypatch.setattr(cli, "run_grid", lambda **kw: [
+            ComboResult("cp", "none", False, 0.0, 0.0, e) for e in errors])
+        assert main(["check-gradients", "--out", str(tmp_path)]) == 3
+        assert json.loads((tmp_path / "gradient_check.json").read_text())["passed"] is False
+
+    @pytest.mark.parametrize("args", [
+        ["simulate-consistency", "--samples", "0"],
+        ["simulate-consistency", "--dim", "-1"],
+        ["simulate-consistency", "--thresholds", "0.5"],
+        ["simulate-consistency", "--thresholds", "abc"],
+        ["check-dura-sign", "--trials", "0"],
+    ])
+    def test_bad_arguments_are_usage_errors(self, tmp_path, args, capsys):
+        assert main([*args, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and args[1] in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tiny_data, tmp_path):

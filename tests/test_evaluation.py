@@ -13,16 +13,12 @@ from rscf.evaluation import (
     evaluate_split,
     filtered_rank,
 )
-from rscf.models import ModelSpec, score
+from rscf.models import ModelSpec
 from rscf.objectives import LossConfig, build_store, sample_negatives, total_objective
+from rscf.reference import rscf_entity_transform, rscf_relation_transform, score
 from rscf.tensor import Rng
 from rscf.trainer import Checkpoint, TrainConfig
-from rscf.transforms import (
-    FILTER_KINDS,
-    FilterSpec,
-    rscf_entity_transform,
-    rscf_relation_transform,
-)
+from rscf.transforms import FILTER_KINDS, FilterSpec
 
 
 def _loop_rank(gold, scores, known_true):

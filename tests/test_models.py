@@ -8,15 +8,13 @@ from rscf.models import (
     dbm_scores_vjp,
     relation_scores,
     relation_scores_vjp,
-    score,
-    score_all_relations,
-    score_all_tails,
     tdm_query,
     tdm_query_t,
     tdm_query_t_vjp,
     tdm_query_vjp,
 )
 from rscf.objectives import softmax
+from rscf.reference import score, score_all_relations, score_all_tails
 
 
 class TestModelSpec:

@@ -12,14 +12,12 @@ from rscf.objectives import (
     LossConfig,
     build_store,
     cross_entropy,
-    dura_penalty,
     optimizer_step,
-    rp_term,
     sample_negatives,
     self_adversarial,
-    task_loss,
     total_objective,
 )
+from rscf.reference import dura_penalty, rp_term, task_loss
 from rscf.tensor import ParameterStore, Rng
 from rscf.transforms import FilterSpec
 

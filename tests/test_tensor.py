@@ -109,6 +109,18 @@ class TestFiniteDifferenceCheck:
         with pytest.raises(NonFiniteLoss):
             finite_difference_check(loss, store, {"x": np.zeros((2, 3))}, rng=Rng(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_analytic_coordinate_fails(self, bad):
+        store = ParameterStore()
+        store.create("x", np.array([[1.0, -2.0, 3.0]]))
+        loss = lambda: float(np.sum(store["x"] ** 2))
+        grad = 2.0 * store["x"]
+        assert finite_difference_check(loss, store, {"x": grad}).max_rel_error < 1e-9
+        grad[0, 1] = bad
+        report = finite_difference_check(loss, store, {"x": grad})
+        assert report.max_rel_error == np.inf
+        assert report.per_table["x"] == np.inf
+
     def test_subsampling_cap(self):
         store = ParameterStore()
         store.create("big", np.zeros((100, 10)))

@@ -5,21 +5,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rscf.errors import OddDimension, ShapeMismatch, UnknownRelation
-from rscf.tensor import ParameterStore
-from rscf.transforms import (
+from rscf.models import p_norm
+from rscf.reference import (
     ZERO_CHANGE,
-    FilterSpec,
     SfbrParams,
     build_linear2_matrix,
-    et_apply,
-    et_build,
-    normalize_rows,
-    normalize_rows_vjp,
-    p_norm,
     p_normalize,
     rscf_entity_transform,
     rscf_relation_transform,
     sfbr_transform,
+)
+from rscf.tensor import ParameterStore
+from rscf.transforms import (
+    FilterSpec,
+    et_apply,
+    et_build,
+    normalize_rows,
+    normalize_rows_vjp,
 )
 
 
