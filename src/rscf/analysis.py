@@ -203,6 +203,10 @@ def export_score_distribution(checkpoint, queries, path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Monte Carlo consistency simulation
 
+# Collinear triples put C at A + s (B - A), |s| drawn from (1, LINE_SCALE_MAX);
+# the random linear maps have N(0, 1/dim) entries.
+LINE_SCALE_MAX = 3.0
+
 
 @dataclass
 class ConsistencySimConfig:
@@ -211,11 +215,11 @@ class ConsistencySimConfig:
     thresholds: tuple = (1.0, 1.01, 1.02)
     p: int = 2
     seed: int = 0
-    matrix_sigma: float | None = None  # default 1/sqrt(dim)
-    line_scale_max: float = 3.0
     workers: int = 1
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if any(t < 1.0 for t in self.thresholds):
@@ -252,7 +256,7 @@ def _sample_condition(gen, cfg: ConsistencySimConfig, column):
     if column == "on_a_line":
         a = gen.normal(size=(s, n))
         b = gen.normal(size=(s, n))
-        scale = gen.uniform(1.0 + 1e-9, cfg.line_scale_max, size=(s, 1))
+        scale = gen.uniform(1.0 + 1e-9, LINE_SCALE_MAX, size=(s, 1))
         sign = np.where(gen.random(size=(s, 1)) < 0.5, -1.0, 1.0)
         c = a + sign * scale * (b - a)
         return a, b, c
@@ -278,7 +282,7 @@ def _sample_condition(gen, cfg: ConsistencySimConfig, column):
 
 def _sample_matrices(gen, cfg: ConsistencySimConfig) -> np.ndarray:
     n, s = cfg.dim, cfg.samples
-    sigma = cfg.matrix_sigma if cfg.matrix_sigma is not None else 1.0 / np.sqrt(n)
+    sigma = 1.0 / np.sqrt(n)
     mats = gen.normal(scale=sigma, size=(s, n, n))
     # full rank is almost sure; resample the measure-zero exceptions anyway
     for _ in range(8):

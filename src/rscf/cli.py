@@ -294,11 +294,12 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=False, checkpoint=False):
+    def common(p, config=False, checkpoint=False, seed=True):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--deterministic", action="store_true",
                        help="suppress timestamps for byte-identical reruns")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="seed override")
         if config:
             p.add_argument("--config", required=True, help="run config file")
         if checkpoint:
@@ -310,7 +311,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("evaluate", help="filtered-ranking metrics on a split")
-    common(p, config=True, checkpoint=True)
+    common(p, config=True, checkpoint=True, seed=False)
     p.add_argument("--split", choices=("train", "valid", "test"), default=None)
     p.add_argument("--directions", choices=("tail", "head", "both"), default=None)
     p.add_argument("--group-by", choices=("frequency", "groups", "relation"),
@@ -321,7 +322,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze-clusters",
                        help="intra/inter cluster distances of filter vectors")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--checkpoint")
     p.add_argument("--group-file")
     p.add_argument("--vectors", help="labeled vector CSV instead of a checkpoint")
@@ -334,13 +335,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze-scales",
                        help="transformation / embedding scale of a checkpoint")
-    common(p, config=True, checkpoint=True)
+    common(p, config=True, checkpoint=True, seed=False)
     p.add_argument("--sample", type=positive_int, default=None)
     p.set_defaults(fn=cmd_analyze_scales)
 
     p = sub.add_parser("export-scores",
                        help="candidate-score matrix for (head, relation) queries")
-    common(p, checkpoint=True)
+    common(p, checkpoint=True, seed=False)
     p.add_argument("--queries", required=True,
                    help="TSV file of head<TAB>relation names")
     p.set_defaults(fn=cmd_export_scores)

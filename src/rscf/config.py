@@ -32,6 +32,14 @@ def _parse_optional_float(raw: str):
     return None if raw.strip().lower() == "none" else float(raw)
 
 
+def _choice(*options: str):
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected one of {', '.join(options)}, got {raw!r}")
+        return raw
+    return parse
+
+
 # key -> (parser, default); required keys use the REQUIRED sentinel
 REQUIRED = object()
 
@@ -39,7 +47,7 @@ SCHEMA: dict[str, tuple] = {
     "data.train": (str, None),
     "data.valid": (str, None),
     "data.test": (str, None),
-    "data.format": (str, "tsv"),
+    "data.format": (_choice("tsv", "whitespace"), "tsv"),
     "model.kind": (str, REQUIRED),
     "model.dim": (int, REQUIRED),
     "model.distance_p": (int, 2),
@@ -69,8 +77,8 @@ SCHEMA: dict[str, tuple] = {
     "train.init_scheme": (str, "gaussian"),
     "train.init_scale": (float, 1e-3),
     "train.precision": (str, "f64"),
-    "eval.split": (str, "test"),
-    "eval.directions": (str, "both"),
+    "eval.split": (_choice("train", "valid", "test"), "test"),
+    "eval.directions": (_choice("tail", "head", "both"), "both"),
     "eval.buckets": (int, 10),
     "groups.file": (str, None),
     "analysis.sample": (int, 512),
@@ -172,22 +180,25 @@ class RunConfig:
         )
 
     def train_config(self) -> TrainConfig:
-        model = self.model_spec()
-        return TrainConfig(
-            model=model,
-            filter=self.filter_spec(model),
-            loss=self.loss_config(model),
-            epochs=self.require("train.epochs"),
-            lr=self["train.lr"],
-            batch_size=self["train.batch_size"],
-            seed=self["train.seed"],
-            plugin_epoch=self["train.plugin_epoch"],
-            optimizer=self["train.optimizer"],
-            validate=self["train.validate"],
-            validate_every=self["train.validate_every"],
-            scale_telemetry=self["train.scale_telemetry"],
-            telemetry_sample=self["train.telemetry_sample"],
-            init_scheme=self["train.init_scheme"],
-            init_scale=self["train.init_scale"],
-            precision=self["train.precision"],
-        )
+        try:
+            model = self.model_spec()
+            return TrainConfig(
+                model=model,
+                filter=self.filter_spec(model),
+                loss=self.loss_config(model),
+                epochs=self.require("train.epochs"),
+                lr=self["train.lr"],
+                batch_size=self["train.batch_size"],
+                seed=self["train.seed"],
+                plugin_epoch=self["train.plugin_epoch"],
+                optimizer=self["train.optimizer"],
+                validate=self["train.validate"],
+                validate_every=self["train.validate_every"],
+                scale_telemetry=self["train.scale_telemetry"],
+                telemetry_sample=self["train.telemetry_sample"],
+                init_scheme=self["train.init_scheme"],
+                init_scale=self["train.init_scale"],
+                precision=self["train.precision"],
+            )
+        except ValueError as err:
+            raise ConfigError(str(err)) from None

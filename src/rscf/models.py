@@ -64,74 +64,72 @@ def p_norm(v: np.ndarray, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tensor-decomposition kernels: score(h, r, t) = <query(h, r), t>
+# tensor-decomposition kernels: score(h, r, t) is one trilinear form, read as
+# q(h, r) . t, q'(t, r) . h or m(h, t) . r. The VJP of each contraction is the
+# other two, with the cotangent in place of the argument it replaces.
+
+
+def _rescal_matrix(x: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    n = x.shape[-1]
+    return rel.reshape(rel.shape[:-1] + (n, n))
+
+
+def _contract_t(kind: str, h: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """q(h, r) = h R, with score = q . t."""
+    if kind == "cp":
+        return h * r
+    if kind == "complex":
+        h1, h2 = _halves(h)
+        r1, r2 = _halves(r)
+        return np.concatenate([h1 * r1 - h2 * r2, h1 * r2 + h2 * r1], axis=-1)
+    if kind == "rescal":
+        return np.einsum("...i,...ij->...j", h, _rescal_matrix(h, r))
+    raise ValueError(f"not a tensor-decomposition kind: {kind}")
+
+
+def _contract_h(kind: str, t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """q'(t, r) = t R^T, with score = q' . h."""
+    if kind == "cp":
+        return t * r
+    if kind == "complex":
+        t1, t2 = _halves(t)
+        r1, r2 = _halves(r)
+        return np.concatenate([t1 * r1 + t2 * r2, t2 * r1 - t1 * r2], axis=-1)
+    if kind == "rescal":
+        return np.einsum("...j,...ij->...i", t, _rescal_matrix(t, r))
+    raise ValueError(f"not a tensor-decomposition kind: {kind}")
+
+
+def _contract_r(kind: str, h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """m(h, t), with score = m . r."""
+    if kind == "cp":
+        return h * t
+    if kind == "complex":
+        h1, h2 = _halves(h)
+        t1, t2 = _halves(t)
+        return np.concatenate([h1 * t1 + h2 * t2, h1 * t2 - h2 * t1], axis=-1)
+    if kind == "rescal":
+        return np.einsum("...i,...j->...ij", h, t).reshape(h.shape[:-1] + (-1,))
+    raise ValueError(f"not a tensor-decomposition kind: {kind}")
 
 
 def tdm_query(kind: str, lhs: np.ndarray, rel: np.ndarray):
     """Query vector q with score = q . t. Returns (q, cache)."""
-    if kind == "cp":
-        return lhs * rel, None
-    if kind == "complex":
-        l1, l2 = _halves(lhs)
-        r1, r2 = _halves(rel)
-        return np.concatenate([l1 * r1 - l2 * r2, l1 * r2 + l2 * r1], axis=-1), None
-    if kind == "rescal":
-        n = lhs.shape[-1]
-        m = rel.reshape(rel.shape[:-1] + (n, n))
-        return np.einsum("...i,...ij->...j", lhs, m), m
-    raise ValueError(f"not a tensor-decomposition kind: {kind}")
+    return _contract_t(kind, lhs, rel), None
 
 
 def tdm_query_vjp(kind: str, lhs, rel, cache, dq):
-    if kind == "cp":
-        return dq * rel, dq * lhs
-    if kind == "complex":
-        l1, l2 = _halves(lhs)
-        r1, r2 = _halves(rel)
-        d1, d2 = _halves(dq)
-        d_lhs = np.concatenate([d1 * r1 + d2 * r2, -d1 * r2 + d2 * r1], axis=-1)
-        d_rel = np.concatenate([d1 * l1 + d2 * l2, -d1 * l2 + d2 * l1], axis=-1)
-        return d_lhs, d_rel
-    if kind == "rescal":
-        m = cache
-        d_lhs = np.einsum("...j,...ij->...i", dq, m)
-        d_m = np.einsum("...i,...j->...ij", lhs, dq)
-        return d_lhs, d_m.reshape(rel.shape)
-    raise ValueError(kind)
+    return _contract_h(kind, dq, rel), _contract_r(kind, lhs, dq)
 
 
 def tdm_query_t(kind: str, rhs: np.ndarray, rel: np.ndarray):
     """Transposed query q' = rhs R^T (head-prediction dual used by the
     duality regularizer)."""
-    if kind == "cp":
-        return rhs * rel, None
-    if kind == "complex":
-        t1, t2 = _halves(rhs)
-        r1, r2 = _halves(rel)
-        return np.concatenate([t1 * r1 + t2 * r2, t2 * r1 - t1 * r2], axis=-1), None
-    if kind == "rescal":
-        n = rhs.shape[-1]
-        m = rel.reshape(rel.shape[:-1] + (n, n))
-        return np.einsum("...j,...ij->...i", rhs, m), m
-    raise ValueError(f"not a tensor-decomposition kind: {kind}")
+    return _contract_h(kind, rhs, rel), None
 
 
 def tdm_query_t_vjp(kind: str, rhs, rel, cache, dq):
-    if kind == "cp":
-        return dq * rel, dq * rhs
-    if kind == "complex":
-        t1, t2 = _halves(rhs)
-        r1, r2 = _halves(rel)
-        d1, d2 = _halves(dq)
-        d_rhs = np.concatenate([d1 * r1 - d2 * r2, d1 * r2 + d2 * r1], axis=-1)
-        d_rel = np.concatenate([d1 * t1 + d2 * t2, d1 * t2 - d2 * t1], axis=-1)
-        return d_rhs, d_rel
-    if kind == "rescal":
-        m = cache
-        d_rhs = np.einsum("...i,...ij->...j", dq, m)
-        d_m = np.einsum("...i,...j->...ij", dq, rhs)
-        return d_rhs, d_m.reshape(rel.shape)
-    raise ValueError(kind)
+    return _contract_t(kind, dq, rel), _contract_r(kind, dq, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +191,7 @@ def relation_scores(model: ModelSpec, h: np.ndarray, t: np.ndarray,
     """Scores (Q, R) of every candidate relation for fixed (h, t) pairs."""
     kind = model.kind
     if kind in TDM_KINDS:
-        m = _rp_mix(kind, h, t)
+        m = _contract_r(kind, h, t)
         return m @ relation_table.T, {"m": m}
     if kind in DBM_KINDS:
         return dbm_scores(kind, h[:, None, :], relation_table[None, :, :],
@@ -205,40 +203,8 @@ def relation_scores_vjp(model: ModelSpec, h, t, relation_table, cache, d_scores)
     """Returns (d_h, d_t, d_relation_table)."""
     kind = model.kind
     if kind in TDM_KINDS:
-        m = cache["m"]
         dm = d_scores @ relation_table
-        d_table = d_scores.T @ m
-        d_h, d_t = _rp_mix_vjp(kind, h, t, dm)
-        return d_h, d_t, d_table
+        return (_contract_h(kind, t, dm), _contract_t(kind, h, dm),
+                d_scores.T @ cache["m"])
     d_h3, d_rel3, d_t3 = dbm_scores_vjp(kind, cache, d_scores, model.distance_p)
     return d_h3.sum(axis=1), d_t3.sum(axis=1), d_rel3.sum(axis=0)
-
-
-def _rp_mix(kind: str, h: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """m(h, t) with score(r) = m . r for tensor kinds."""
-    if kind == "cp":
-        return h * t
-    if kind == "complex":
-        h1, h2 = _halves(h)
-        t1, t2 = _halves(t)
-        return np.concatenate([h1 * t1 + h2 * t2, h1 * t2 - h2 * t1], axis=-1)
-    if kind == "rescal":
-        return np.einsum("...i,...j->...ij", h, t).reshape(h.shape[0], -1)
-    raise ValueError(kind)
-
-
-def _rp_mix_vjp(kind: str, h, t, dm):
-    if kind == "cp":
-        return dm * t, dm * h
-    if kind == "complex":
-        h1, h2 = _halves(h)
-        t1, t2 = _halves(t)
-        d1, d2 = _halves(dm)
-        d_h = np.concatenate([d1 * t1 + d2 * t2, d1 * t2 - d2 * t1], axis=-1)
-        d_t = np.concatenate([d1 * h1 - d2 * h2, d1 * h2 + d2 * h1], axis=-1)
-        return d_h, d_t
-    if kind == "rescal":
-        n = h.shape[-1]
-        dmat = dm.reshape(h.shape[0], n, n)
-        return np.einsum("bij,bj->bi", dmat, t), np.einsum("bij,bi->bj", dmat, h)
-    raise ValueError(kind)

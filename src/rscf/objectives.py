@@ -100,9 +100,6 @@ class GradientBuffer:
         buf += arr
         self._touched[name][:] = True
 
-    def grad(self, name: str) -> np.ndarray:
-        return self._ensure(name)
-
     def touched(self, name: str) -> np.ndarray:
         self._ensure(name)
         return self._touched[name]
@@ -473,22 +470,12 @@ def optimizer_step(store: ParameterStore, buf: GradientBuffer,
             continue
         table = store.tables[name]
         acc = store.acc[name]
-        if mask.all():
-            g = grad
-            if not np.isfinite(g).all():
-                raise NonFiniteGradient(name)
-            if optimizer == "adagrad":
-                acc += g * g
-                table -= lr * g / (np.sqrt(acc) + adagrad_eps)
-            else:
-                table -= lr * g
+        rows = slice(None) if mask.all() else np.nonzero(mask)[0]
+        g = grad[rows]
+        if not np.isfinite(g).all():
+            raise NonFiniteGradient(name)
+        if optimizer == "adagrad":
+            acc[rows] += g * g
+            table[rows] -= lr * g / (np.sqrt(acc[rows]) + adagrad_eps)
         else:
-            rows = np.nonzero(mask)[0]
-            g = grad[rows]
-            if not np.isfinite(g).all():
-                raise NonFiniteGradient(name)
-            if optimizer == "adagrad":
-                acc[rows] += g * g
-                table[rows] -= lr * g / (np.sqrt(acc[rows]) + adagrad_eps)
-            else:
-                table[rows] -= lr * g
+            table[rows] -= lr * g

@@ -117,9 +117,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tables[name]
 
-    def names(self) -> list[str]:
-        return list(self.tables)
-
     def clone(self) -> "ParameterStore":
         out = ParameterStore(self.dtype)
         for name, arr in self.tables.items():

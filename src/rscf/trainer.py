@@ -70,6 +70,10 @@ class TrainConfig:
             raise ValueError("counts must be >= 1")
         if self.precision not in ("f64", "f32"):
             raise ValueError("precision must be f64 or f32")
+        if self.optimizer not in ("adagrad", "sgd"):
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.init_scheme not in ("gaussian", "uniform"):
+            raise ValueError(f"unknown init scheme {self.init_scheme!r}")
         if self.model.is_tdm:
             if self.loss.task != "cross_entropy":
                 raise ValueError("tensor models train with cross_entropy")

@@ -63,7 +63,7 @@ INERT_FILTER = FilterSpec()
 
 
 # ---------------------------------------------------------------------------
-# normalization
+# normalization, and the rooted change built on it
 
 
 def normalize_rows(x: np.ndarray, p: int, eps: float):
@@ -87,6 +87,27 @@ def normalize_rows_vjp(x, unit, safe_norms, live, d_unit, p):
     else:
         dx = (d_unit - np.sign(x) * inner) / safe_norms[..., None]
     return np.where(live[..., None], dx, 0.0)
+
+
+def _rooted_change(store, which: str, x: np.ndarray, p: int, eps: float):
+    """The unit change N_p(x A), A = store[which], that the RSCF filter (A1)
+    and the relation transformation (A2, A3) shift by one. Returns (unit, cache)."""
+    c = x @ store[which]
+    unit, norms, live = normalize_rows(c, p, eps)
+    return unit, {"which": which, "x": x, "c": c, "unit": unit,
+                  "norms": norms, "live": live}
+
+
+def _rooted_change_vjp(cache: dict, d_unit: np.ndarray, buf, p: int) -> np.ndarray:
+    """Returns d_x; accumulates the affine-matrix gradient into the buffer."""
+    dc = normalize_rows_vjp(cache["c"], cache["unit"], cache["norms"],
+                            cache["live"], d_unit, p)
+    x = cache["x"]
+    a = buf.store[cache["which"]]
+    flat_x = x.reshape(-1, x.shape[-1])
+    flat_dc = dc.reshape(-1, dc.shape[-1])
+    buf.add_full(cache["which"], flat_x.T @ flat_dc)
+    return dc @ a.T
 
 
 # ---------------------------------------------------------------------------
@@ -139,19 +160,13 @@ def et_build(spec: FilterSpec, store, rel: np.ndarray, rel_rows: np.ndarray,
     kind = spec.kind
     if kind == "none":
         return None
-    if kind == "rscf":
-        c = rel @ store["a1"]
-        unit, norms, live = normalize_rows(c, spec.p, spec.zero_change_epsilon)
-        return EtOp(kind, mult=unit + 1.0,
-                    cache={"c": c, "unit": unit, "norms": norms, "live": live, "rel": rel})
-    if kind == "rscf_linear2":
-        c = rel @ store["a1"]
-        if c.shape[-1] != 2 * entity_dim:
+    if kind in ("rscf", "rscf_linear2"):
+        unit, cache = _rooted_change(store, "a1", rel, spec.p, spec.zero_change_epsilon)
+        if kind == "rscf":
+            return EtOp(kind, mult=unit + 1.0, cache=cache)
+        if unit.shape[-1] != 2 * entity_dim:
             raise ShapeMismatch("rscf_linear2 requires A1 with 2*dim output columns")
-        unit, norms, live = normalize_rows(c, spec.p, spec.zero_change_epsilon)
-        blocks = _linear2_add_one(unit, spec.linear2_add_one)
-        return EtOp(kind, blocks=blocks,
-                    cache={"c": c, "unit": unit, "norms": norms, "live": live, "rel": rel})
+        return EtOp(kind, blocks=_linear2_add_one(unit, spec.linear2_add_one), cache=cache)
     if kind == "sfbr_diag":
         w = store["sfbr_w"][rel_rows]
         b = store["sfbr_b"][rel_rows]
@@ -223,27 +238,17 @@ def et_param_vjp(spec: FilterSpec, op: EtOp, d_factor: np.ndarray,
     kind = op.kind
     cache = op.cache
     if kind in ("rscf", "rscf_linear2"):
-        d_unit = d_factor  # +1 shift and block reshuffle are derivative-1 in alpha
-        dc = normalize_rows_vjp(cache["c"], cache["unit"], cache["norms"],
-                                cache["live"], d_unit, spec.p)
-        a1 = buf.store["a1"]
-        buf.add_full("a1", cache["rel"].T @ dc)
-        return dc @ a1.T
-    rows = cache["rows"]
-    if kind == "sfbr_diag":
-        buf.add_rows("sfbr_w", rows, d_factor)
-        if d_bias is not None:
-            buf.add_rows("sfbr_b", rows, d_bias)
-        return None
+        # the +1 shift and the block layout have derivative 1 in the unit change
+        return _rooted_change_vjp(cache, d_factor, buf, spec.p)
+    if kind not in ("sfbr_diag", "sfbr_n", "sfbr_linear2"):
+        raise ValueError(f"unknown filter kind {kind!r}")
     if kind == "sfbr_n":
-        dw = normalize_rows_vjp(cache["w"], cache["unit"], cache["norms"],
-                                cache["live"], d_factor, spec.p)
-        buf.add_rows("sfbr_w", rows, dw)
-        return None
-    if kind == "sfbr_linear2":
-        buf.add_rows("sfbr_w", rows, d_factor)
-        return None
-    raise ValueError(f"unknown filter kind {kind!r}")
+        d_factor = normalize_rows_vjp(cache["w"], cache["unit"], cache["norms"],
+                                      cache["live"], d_factor, spec.p)
+    buf.add_rows("sfbr_w", cache["rows"], d_factor)
+    if d_bias is not None:
+        buf.add_rows("sfbr_b", cache["rows"], d_bias)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -258,25 +263,13 @@ class RtFactor:
 
 def rt_factor(store, which: str, x: np.ndarray, p: int, eps: float) -> RtFactor:
     """(N_p(x A) + 1) for A in {a2, a3}; x is a batch of base entity embeddings."""
-    a = store[which]
-    c = x @ a
-    unit, norms, live = normalize_rows(c, p, eps)
-    return RtFactor(unit + 1.0,
-                    {"which": which, "x": x, "c": c, "unit": unit,
-                     "norms": norms, "live": live})
+    unit, cache = _rooted_change(store, which, x, p, eps)
+    return RtFactor(unit + 1.0, cache)
 
 
 def rt_factor_vjp(rt: RtFactor, d_factor: np.ndarray, buf, p: int) -> np.ndarray:
     """Returns d_x; accumulates the affine-matrix gradient into the buffer."""
-    cache = rt.cache
-    dc = normalize_rows_vjp(cache["c"], cache["unit"], cache["norms"],
-                            cache["live"], d_factor, p)
-    x = cache["x"]
-    a = buf.store[cache["which"]]
-    flat_x = x.reshape(-1, x.shape[-1])
-    flat_dc = dc.reshape(-1, dc.shape[-1])
-    buf.add_full(cache["which"], flat_x.T @ flat_dc)
-    return dc @ a.T
+    return _rooted_change_vjp(rt.cache, d_factor, buf, p)
 
 
 # ---------------------------------------------------------------------------

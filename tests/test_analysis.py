@@ -198,6 +198,12 @@ class TestMonteCarlo:
         table = report.table()
         assert len(table) == 3 and all(len(row) == 4 for row in table)
 
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_dim_below_one_rejected(self, dim):
+        # dim 0 makes every sampled distance ratio NaN, so sampling would never end
+        with pytest.raises(ValueError, match="dim"):
+            ConsistencySimConfig(dim=dim, samples=10)
+
 
 class TestDuraSignCheck:
     def test_positive_example(self):

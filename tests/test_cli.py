@@ -71,6 +71,32 @@ class TestTrainCommand:
         bad.write_text("model.kin = cp\n", encoding="utf-8")
         assert main(["train", "--config", str(bad), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("command,settings", [
+        ("train", {"model.kind": "foo"}),
+        ("train", {"train.lr": "-1"}),
+        ("train", {"model.kind": "transe", "loss.dura_weight": "0.1"}),
+        ("train", {"train.optimizer": "adam"}),
+        ("train", {"train.init_scheme": "xavier"}),
+        ("train", {"data.format": "csv"}),
+        ("evaluate", {"data.format": "csv"}),
+        ("evaluate", {"eval.split": "dev"}),
+        ("evaluate", {"eval.directions": "sideways"}),
+    ])
+    def test_bad_config_values_are_config_errors(self, tmp_path, command, settings,
+                                                 capsys):
+        # neither the data nor the checkpoint exists: reading one would exit 2
+        values = {"data.train": str(tmp_path / "missing.txt"), "model.kind": "cp",
+                  "model.dim": "4", "train.epochs": "1", **settings}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()),
+                       encoding="utf-8")
+        extra = (["--checkpoint", str(tmp_path / "missing.rscfckp")]
+                 if command == "evaluate" else [])
+        assert main([command, "--config", str(cfg), *extra,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o").exists()
+
     def test_missing_data_exit_code(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("data.train = /nonexistent/t.txt\nmodel.kind = cp\n"
@@ -268,6 +294,17 @@ class TestAnalysisCommands:
             ComboResult("cp", "none", False, 0.0, 0.0, e) for e in errors])
         assert main(["check-gradients", "--out", str(tmp_path)]) == 3
         assert json.loads((tmp_path / "gradient_check.json").read_text())["passed"] is False
+
+    @pytest.mark.parametrize("args", [
+        ["evaluate", "--config", "run.cfg", "--checkpoint", "c.rscfckp"],
+        ["analyze-clusters", "--vectors", "v.csv"],
+        ["analyze-scales", "--config", "run.cfg", "--checkpoint", "c.rscfckp"],
+        ["export-scores", "--checkpoint", "c.rscfckp", "--queries", "q.tsv"],
+    ])
+    def test_seed_flag_rejected_where_it_changes_nothing(self, tmp_path, args, capsys):
+        assert main([*args, "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("args", [
         ["simulate-consistency", "--samples", "0"],

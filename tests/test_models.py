@@ -84,6 +84,28 @@ class TestScoreAllTails:
         assert np.allclose(batched, loop, atol=1e-12)
 
 
+class TestTrilinearContractions:
+    """The three batched readings of the tensor score agree with the scalar
+    form: q(h, r) . t, q'(t, r) . h and m(h, t) . r all equal s(h, r, t)."""
+
+    @pytest.mark.parametrize("kind,dim", [("cp", 6), ("complex", 6), ("rescal", 4)])
+    def test_each_contraction_is_the_score(self, kind, dim):
+        gen = np.random.default_rng(23)
+        model = ModelSpec(kind, dim)
+        h = gen.normal(size=(5, dim))
+        t = gen.normal(size=(5, dim))
+        table = gen.normal(size=(4, model.relation_dim))
+        rel_scores = relation_scores(model, h, t, table)[0]
+        for j, r in enumerate(table):
+            rel = np.broadcast_to(r, (5, r.size))
+            want = np.array([score(model, h[i], r, t[i]) for i in range(5)])
+            got = (np.sum(tdm_query(kind, h, rel)[0] * t, axis=-1),
+                   np.sum(tdm_query_t(kind, t, rel)[0] * h, axis=-1),
+                   rel_scores[:, j])
+            for values in got:
+                np.testing.assert_allclose(values, want, rtol=1e-12, atol=0)
+
+
 class TestScoreAllRelations:
     def test_cp_dim1_values(self):
         scores = score_all_relations(ModelSpec("cp", 1), [1.0], [2.0],

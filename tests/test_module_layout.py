@@ -71,6 +71,17 @@ def _test_only(module: str, trees: dict[str, ast.Module]) -> set[str]:
     return set(defs) - live
 
 
+def _unread_methods(module: str, trees: dict[str, ast.Module]) -> set[str]:
+    """Methods (other than dunders) of `module`'s classes whose name no
+    package module except rscf.reference reads as an attribute."""
+    read = {node.attr for name, tree in trees.items() if name != "reference"
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return {f"{cls.name}.{fn.name}"
+            for cls in trees[module].body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not fn.name.startswith("__") and fn.name not in read}
+
+
 def test_no_package_module_imports_reference():
     offenders = [name for name, tree in _trees().items()
                  if name != "reference" and "rscf.reference" in _imported_modules(tree)]
@@ -80,3 +91,8 @@ def test_no_package_module_imports_reference():
 @pytest.mark.parametrize("module", HOT_PATH)
 def test_hot_path_module_has_no_test_only_names(module):
     assert _test_only(module, _trees()) == set()
+
+
+@pytest.mark.parametrize("module", HOT_PATH)
+def test_hot_path_module_has_no_unread_methods(module):
+    assert _unread_methods(module, _trees()) == set()

@@ -466,7 +466,7 @@ class TestAddRows:
         buf.add_rows("w", rows, grads)
         want = np.zeros((6, 5), dtype)
         np.add.at(want, rows, grads)
-        assert buf.grad("w").tobytes() == want.tobytes()
+        assert buf.dense_grads()["w"].tobytes() == want.tobytes()
         assert np.array_equal(buf.touched("w"), np.isin(np.arange(6), rows))
 
     def test_wrong_gradient_shape_raises(self):
