@@ -133,7 +133,7 @@ def _reference_norm(filt: T.FilterSpec, dim: int) -> float:
     return M.p_norm(np.ones(dim), filt.p)
 
 
-def embedding_scale(store, model: M.ModelSpec, p: int, head_ids) -> float:
+def embedding_scale(store, p: int, head_ids) -> float:
     heads = store["entity"][np.asarray(head_ids, dtype=np.int64)]
     return float(np.mean(M.p_norm(heads, p)))
 

@@ -24,10 +24,11 @@ from .errors import (
 )
 from .tensor import ParameterStore, Rng, init_embeddings
 
-# Byte budget for one (b, K, d) candidate array of the distance objective, and
-# for one (b, R, d) array of the distance models' relation-prediction term: a
-# batch is processed in triple slices that fit it, so peak memory does not grow
-# with the batch size.
+# Byte budget for one (b, K, d) candidate array of the distance objective, for
+# one (b, R, d) array of the distance models' relation-prediction term, and for
+# one (rows, N) all-entity score block of the tensor objective: a batch is
+# processed in slices that fit it, so peak memory does not grow with the batch
+# size.
 OBJECTIVE_BLOCK_BYTES = 1 << 24
 
 # Elements per np.add.at call in scatter_rows (1024 rows at d = 64); bounds
@@ -145,14 +146,20 @@ def cross_entropy(scores: np.ndarray, targets: np.ndarray):
     q, c = scores.shape
     if targets.shape != (q,):
         raise ShapeMismatch(f"targets shape {targets.shape} != ({q},)")
+    if q == 0:
+        return 0.0, np.empty_like(scores)
     if targets.min() < 0 or targets.max() >= c:
         raise TargetOutOfRange(f"target outside [0, {c})")
+    rows = np.arange(q)
+    picked = scores[rows, targets]
+    # one pass: the shifted scores become exp(s - m), then the softmax in place
     m = np.max(scores, axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.sum(np.exp(scores - m), axis=1))
-    picked = scores[np.arange(q), targets]
-    value = float(np.sum(lse - picked))
-    d = softmax(scores, axis=1)
-    d[np.arange(q), targets] -= 1.0
+    d = scores - m
+    np.exp(d, out=d)
+    total = d.sum(axis=1, keepdims=True)
+    value = float(np.sum(m[:, 0] + np.log(total[:, 0]) - picked))
+    d /= total
+    d[rows, targets] -= 1.0
     return value, d
 
 
@@ -275,6 +282,11 @@ def _margin(model: M.ModelSpec, loss: LossConfig) -> float:
 
 
 def _tdm_objective(batch, store, model, eff, loss, buf) -> float:
+    """1-vs-all cross-entropy over every entity for the B tail queries and the
+    B reciprocal head queries, plus DURA. The 2B query rows are scored in row
+    slices under OBJECTIVE_BLOCK_BYTES, so one (rows, N) score block is the
+    largest array whatever the batch size; each block adds its entity-gradient
+    term to the buffer as it goes."""
     kind = model.kind
     ent = store["entity"]
     num_rel = store.meta["num_relations"]
@@ -284,11 +296,15 @@ def _tdm_objective(batch, store, model, eff, loss, buf) -> float:
     tgt_ids = np.concatenate([batch[:, 2], batch[:, 0]])
 
     q, tape = T.tdm_forward(eff, store, model, lhs_ids, rel_rows)
-    scores = q @ ent.T
-    value, d_scores = cross_entropy(scores, tgt_ids)
+    value = 0.0
+    d_q = np.empty_like(q)
+    for sl in _triple_slices(q.shape[0], ent.shape[0] * ent.itemsize):
+        q_blk = q[sl]
+        part, d_scores = cross_entropy(q_blk @ ent.T, tgt_ids[sl])
+        value += part
+        np.matmul(d_scores, ent, out=d_q[sl])
+        buf.add_full("entity", d_scores.T @ q_blk)
 
-    d_q = d_scores @ ent
-    buf.add_full("entity", d_scores.T @ q)
     d_lhs_f, d_rel = None, np.zeros_like(tape.rel)
     if loss.dura_weight > 0:
         w = loss.dura_weight
@@ -310,10 +326,11 @@ def _tdm_objective(batch, store, model, eff, loss, buf) -> float:
     return value
 
 
-def _triple_slices(b: int, bytes_per_triple: int) -> list[slice]:
-    """Consecutive slices of a batch of b triples, each holding as many triples
-    as fit OBJECTIVE_BLOCK_BYTES (at least one)."""
-    step = max(1, OBJECTIVE_BLOCK_BYTES // bytes_per_triple)
+def _triple_slices(b: int, bytes_per_row: int) -> list[slice]:
+    """Consecutive slices of b rows (triples, or the tensor objective's query
+    rows), each holding as many rows as fit OBJECTIVE_BLOCK_BYTES (at least
+    one)."""
+    step = max(1, OBJECTIVE_BLOCK_BYTES // bytes_per_row)
     return [slice(s, min(s + step, b)) for s in range(0, b, step)]
 
 

@@ -237,7 +237,7 @@ def train(dataset: Dataset, config: TrainConfig,
                 if config.filter.rt_enabled:
                     record.rt_scale = 1.0
                 record.embedding_scale = analysis.embedding_scale(
-                    state.store, config.model, config.filter.p, sample[:, 0])
+                    state.store, config.filter.p, sample[:, 0])
             else:
                 trace = analysis.scale_trace(state.store, config.model,
                                              config.filter, sample)

@@ -146,7 +146,7 @@ class TestScaleTrace:
         ckpt, ds = _checkpoint("cp", "none")
         heads = ds.split_array("train")[:, 0]
         expected = np.mean(np.linalg.norm(ckpt.store["entity"][heads], axis=1))
-        assert abs(embedding_scale(ckpt.store, ckpt.model, 2, heads) - expected) < 1e-12
+        assert abs(embedding_scale(ckpt.store, 2, heads) - expected) < 1e-12
 
 
 class TestScoreDistributionExport:

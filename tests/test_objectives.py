@@ -451,6 +451,93 @@ class TestDistinctCandidateObjective:
         _assert_objectives_close(sliced, whole)
 
 
+# ---------------------------------------------------------------------------
+# the tensor objective: fused cross-entropy, scored in row blocks
+
+
+def _two_pass_cross_entropy(scores, targets):
+    """The cross-entropy as written before fusion: one max and exp for the
+    log-sum-exp, and another max and exp inside softmax for the gradient."""
+    scores = np.atleast_2d(scores)
+    targets = np.asarray(targets, dtype=np.int64)
+    q = scores.shape[0]
+    m = np.max(scores, axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.sum(np.exp(scores - m), axis=1))
+    picked = scores[np.arange(q), targets]
+    value = float(np.sum(lse - picked))
+    shifted = scores - np.max(scores, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    d = e / np.sum(e, axis=1, keepdims=True)
+    d[np.arange(q), targets] -= 1.0
+    return value, d
+
+
+class TestFusedCrossEntropy:
+    @staticmethod
+    def _cases(dtype):
+        gen = np.random.default_rng(17)
+        yield gen.normal(size=(300, 237)).astype(dtype), gen.integers(0, 237, 300)
+        yield (gen.normal(size=(7, 5)) * 30).astype(dtype), gen.integers(0, 5, 7)
+        ties = np.zeros((4, 6), dtype)
+        ties[1, [0, 3, 5]] = 2.5  # three-way tie at the maximum
+        ties[2] = 1.0
+        yield ties, np.array([0, 3, 5, 2])
+        huge = gen.choice([-1000.0, 1000.0], size=(5, 8)).astype(dtype)
+        huge[:, 0] = 1000.0
+        yield huge, np.array([0, 1, 7, 3, 0])
+        yield gen.normal(size=(6, 1)).astype(dtype), np.zeros(6, dtype=np.int64)
+        yield gen.normal(size=(1, 9)).astype(dtype), np.array([4])
+        yield np.array([[0.5]], dtype), np.array([0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_two_pass_formula(self, dtype):
+        for scores, targets in self._cases(dtype):
+            before = scores.copy()
+            value, grad = cross_entropy(scores, targets)
+            assert scores.tobytes() == before.tobytes()
+            want_value, want_grad = _two_pass_cross_entropy(scores, targets)
+            assert value == want_value
+            assert grad.dtype == want_grad.dtype
+            assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_rows(self, dtype):
+        value, grad = cross_entropy(np.zeros((0, 7), dtype), np.zeros(0, dtype=np.int64))
+        assert value == 0.0
+        assert grad.shape == (0, 7) and grad.dtype == dtype
+
+
+class TestTensorRowBlocks:
+    @pytest.mark.parametrize("kind", ["cp", "complex", "rescal"])
+    @pytest.mark.parametrize("filter_kind", ["none", "sfbr_diag", "sfbr_linear2",
+                                             "sfbr_n", "rscf", "rscf_linear2"])
+    @pytest.mark.parametrize("rt", [False, True])
+    @pytest.mark.parametrize("rp", [0.0, 0.1])
+    @pytest.mark.parametrize("dura", [0.0, 0.05])
+    def test_blocks_of_three_rows_match_one_block(self, kind, filter_kind, rt, rp, dura,
+                                                  monkeypatch):
+        model, filt, loss, store, batch, _ = _toy_setup(
+            kind, filter_kind, rt=rt, rp=rp, dura=dura, seed=11)
+        assert store["entity"].dtype == np.float64
+        whole = total_objective(batch, store, model, filt, loss)
+
+        ent = store["entity"]
+        monkeypatch.setattr(objectives, "OBJECTIVE_BLOCK_BYTES",
+                            3 * ent.shape[0] * ent.itemsize)
+        rows_seen = []
+        raw_cross_entropy = objectives.cross_entropy
+
+        def counting_cross_entropy(scores, targets):
+            rows_seen.append(scores.shape[0])
+            return raw_cross_entropy(scores, targets)
+
+        monkeypatch.setattr(objectives, "cross_entropy", counting_cross_entropy)
+        blocked = total_objective(batch, store, model, filt, loss)
+        _assert_objectives_close(blocked, whole)
+        b = batch.shape[0]  # 2b = 10 query rows
+        assert rows_seen == [3, 3, 3, 1] + ([b] if rp > 0 else [])
+
+
 class TestAddRows:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_rows", [0, 7, 1000])
