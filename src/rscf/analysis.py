@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -165,11 +167,10 @@ def scale_trace(store, model: M.ModelSpec, filt: T.FilterSpec,
         emb_vectors = T.et_apply(op, heads)
     rt = None
     if filt.rt_enabled:
-        eps = filt.zero_change_epsilon
-        combined = T.rt_factor(store, "a2", heads, filt.p, eps).factor
+        combined = T.rt_factor(store, "a2", heads, filt.p).factor
         if model.is_dbm:
             tails = store["entity"][triples[:, 2]]
-            combined = combined * T.rt_factor(store, "a3", tails, filt.p, eps).factor
+            combined = combined * T.rt_factor(store, "a3", tails, filt.p).factor
         rt = float(np.mean(M.p_norm(combined, filt.p))
                    / M.p_norm(np.ones(model.relation_dim), filt.p))
     return ScaleRecord(transformation, rt,
@@ -215,7 +216,6 @@ class ConsistencySimConfig:
     thresholds: tuple = (1.0, 1.01, 1.02)
     p: int = 2
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.dim < 1:
@@ -302,10 +302,9 @@ def _column_rates(gen, cfg: ConsistencySimConfig, column) -> dict[str, float]:
     cm = np.einsum("si,sij->sj", c, mats)
     trans_keep = np.linalg.norm(cm - am, axis=1) > np.linalg.norm(bm - am, axis=1)
 
-    eps = T.DEFAULT_ZERO_EPS
-    an, _, _ = T.normalize_rows(am, cfg.p, eps)
-    bn, _, _ = T.normalize_rows(bm, cfg.p, eps)
-    cn, _, _ = T.normalize_rows(cm, cfg.p, eps)
+    an, _, _ = T.normalize_rows(am, cfg.p)
+    bn, _, _ = T.normalize_rows(bm, cfg.p)
+    cn, _, _ = T.normalize_rows(cm, cfg.p)
     norm_gap = np.linalg.norm(cn - an, axis=1) - np.linalg.norm(bn - an, axis=1)
     norm_keep = norm_gap > 0
 
@@ -327,8 +326,9 @@ def monte_carlo_consistency(cfg: ConsistencySimConfig) -> ConsistencyReport:
 
     Columns: collinear triples, and ratio conditions ||AC||/||AB|| > t. The
     add-one row is measured against the post-normalization ordering, which it
-    preserves exactly (equal difference vectors), so it reads 1.0. Columns use
-    independent derived rng streams, so results do not depend on worker count.
+    preserves exactly (equal difference vectors), so it reads 1.0. Columns run
+    on a thread pool of up to one thread per CPU core; each draws from its own
+    derived rng stream, so the rates do not depend on the thread count.
     """
     columns = ["on_a_line"] + [f"ratio_gt_{t:g}" for t in cfg.thresholds]
     specs = ["on_a_line"] + [float(t) for t in cfg.thresholds]
@@ -337,13 +337,8 @@ def monte_carlo_consistency(cfg: ConsistencySimConfig) -> ConsistencyReport:
         gen = Rng(cfg.seed).derive(f"mc:{col_name}").generator()
         return _column_rates(gen, cfg, spec)
 
-    if cfg.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            cols = list(pool.map(_run, columns, specs))
-    else:
-        cols = [_run(name, spec) for name, spec in zip(columns, specs)]
+    with ThreadPoolExecutor(max_workers=min(len(columns), os.cpu_count() or 1)) as pool:
+        cols = list(pool.map(_run, columns, specs))
     rates: dict[str, dict[str, float]] = {row: {} for row in ROW_NAMES}
     for col_name, col in zip(columns, cols):
         for row in ROW_NAMES:

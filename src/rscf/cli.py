@@ -116,7 +116,8 @@ def cmd_evaluate(args) -> int:
     split = args.split or cfg["eval.split"]
     directions = args.directions or cfg["eval.directions"]
     out = _out_dir(args)
-    report = evaluation.evaluate_split(checkpoint, dataset, split, directions)
+    results = evaluation.collect_ranks(checkpoint, dataset, split, directions)
+    report = evaluation.aggregate(results, dataset.vocabulary)
     payload = report.to_dict()
     if args.group_by:
         if args.group_by == "frequency":
@@ -135,9 +136,8 @@ def cmd_evaluate(args) -> int:
             grouping = rel_id
         else:
             raise UsageError(f"unknown grouping {args.group_by!r}")
-        grouped = evaluation.evaluate_grouped(
-            checkpoint, dataset, grouping, split, directions,
-            num_buckets=cfg["eval.buckets"])
+        grouped = evaluation.aggregate_groups(results, dataset, grouping,
+                                              num_buckets=cfg["eval.buckets"])
         payload["groups"] = {name: rep.to_dict() for name, rep in grouped.items()}
         _write_csv(out / "eval_groups.csv",
                    ["group", "queries", "mrr", "hits1", "hits3", "hits10"],
@@ -246,8 +246,7 @@ def cmd_simulate_consistency(args) -> int:
     try:
         cfg = analysis.ConsistencySimConfig(
             dim=args.dim, samples=args.samples, p=args.p, seed=args.seed or 0,
-            thresholds=tuple(float(t) for t in args.thresholds.split(",")),
-            workers=args.workers)
+            thresholds=tuple(float(t) for t in args.thresholds.split(",")))
     except ValueError as err:
         raise UsageError(f"--thresholds: {err}") from None
     report = analysis.monte_carlo_consistency(cfg)
@@ -353,8 +352,6 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=positive_int, default=32)
     p.add_argument("--p", type=int, choices=(1, 2), default=2)
     p.add_argument("--thresholds", default="1,1.01,1.02")
-    p.add_argument("--workers", type=int, default=1,
-                   help="threads computing the table's columns")
     p.set_defaults(fn=cmd_simulate_consistency)
 
     p = sub.add_parser("check-gradients",

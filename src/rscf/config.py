@@ -1,8 +1,11 @@
 """Flat `section.key = value` run configuration.
 
 Grammar: UTF-8 text, one assignment per line, `#` starts a comment, blank
-lines ignored. Unknown keys are rejected. Defaults are listed in the schema
-below and documented in the README.
+lines ignored. Unknown keys are rejected. A `model.*`, `filter.*`, `loss.*` or
+`train.*` key sets the field of that name of ModelSpec, FilterSpec, LossConfig
+or TrainConfig (`filter.rt` sets `rt_enabled`), and a key the file leaves out
+takes the dataclass default. The other keys have their defaults in DEFAULTS.
+The README documents every key.
 """
 
 from __future__ import annotations
@@ -28,10 +31,6 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_optional_float(raw: str):
-    return None if raw.strip().lower() == "none" else float(raw)
-
-
 def _choice(*options: str):
     def parse(raw: str) -> str:
         if raw not in options:
@@ -40,49 +39,58 @@ def _choice(*options: str):
     return parse
 
 
-# key -> (parser, default); required keys use the REQUIRED sentinel
-REQUIRED = object()
-
-SCHEMA: dict[str, tuple] = {
-    "data.train": (str, None),
-    "data.valid": (str, None),
-    "data.test": (str, None),
-    "data.format": (_choice("tsv", "whitespace"), "tsv"),
-    "model.kind": (str, REQUIRED),
-    "model.dim": (int, REQUIRED),
-    "model.distance_p": (int, 2),
-    "model.gamma": (float, 9.0),
-    "filter.kind": (str, "none"),
-    "filter.p": (int, 2),
-    "filter.apply_to": (str, "auto"),
-    "filter.rt": (_parse_bool, False),
-    "filter.zero_change_epsilon": (float, 1e-12),
-    "filter.linear2_add_one": (str, "diag"),
-    "loss.task": (str, "auto"),
-    "loss.rp_weight": (float, 0.0),
-    "loss.dura_weight": (float, 0.0),
-    "loss.negatives": (int, 256),
-    "loss.adv_temperature": (float, 1.0),
-    "loss.margin": (_parse_optional_float, None),
-    "train.epochs": (int, REQUIRED),
-    "train.lr": (float, 0.1),
-    "train.batch_size": (int, 512),
-    "train.seed": (int, 0),
-    "train.plugin_epoch": (int, 0),
-    "train.optimizer": (str, "adagrad"),
-    "train.validate": (_parse_bool, False),
-    "train.validate_every": (int, 5),
-    "train.scale_telemetry": (_parse_bool, True),
-    "train.telemetry_sample": (int, 512),
-    "train.init_scheme": (str, "gaussian"),
-    "train.init_scale": (float, 1e-3),
-    "train.precision": (str, "f64"),
-    "eval.split": (_choice("train", "valid", "test"), "test"),
-    "eval.directions": (_choice("tail", "head", "both"), "both"),
-    "eval.buckets": (int, 10),
-    "groups.file": (str, None),
-    "analysis.sample": (int, 512),
+# key -> value parser
+SCHEMA = {
+    "data.train": str,
+    "data.valid": str,
+    "data.test": str,
+    "data.format": _choice("tsv", "whitespace"),
+    "model.kind": str,
+    "model.dim": int,
+    "model.distance_p": int,
+    "model.gamma": float,
+    "filter.kind": str,
+    "filter.p": int,
+    "filter.apply_to": str,
+    "filter.rt": _parse_bool,
+    "filter.linear2_add_one": str,
+    "loss.rp_weight": float,
+    "loss.dura_weight": float,
+    "loss.negatives": int,
+    "loss.adv_temperature": float,
+    "train.epochs": int,
+    "train.lr": float,
+    "train.batch_size": int,
+    "train.seed": int,
+    "train.plugin_epoch": int,
+    "train.optimizer": str,
+    "train.validate": _parse_bool,
+    "train.validate_every": int,
+    "train.scale_telemetry": _parse_bool,
+    "train.telemetry_sample": int,
+    "train.init_scheme": str,
+    "train.init_scale": float,
+    "train.precision": str,
+    "eval.split": _choice("train", "valid", "test"),
+    "eval.directions": _choice("tail", "head", "both"),
+    "eval.buckets": int,
+    "groups.file": str,
+    "analysis.sample": int,
 }
+
+# defaults of the keys no spec dataclass holds; any other key left out reads None
+DEFAULTS = {
+    "data.format": "tsv",
+    "eval.split": "test",
+    "eval.directions": "both",
+    "eval.buckets": 10,
+    "analysis.sample": 512,
+}
+
+REQUIRED = ("model.kind", "model.dim", "train.epochs")
+
+# the one key whose dataclass field has another name
+FIELD_NAMES = {"filter.rt": "rt_enabled"}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -106,99 +114,53 @@ def parse_config_text(text: str) -> dict[str, str]:
 class RunConfig:
     """Typed view over the flat key-value run description."""
 
-    values: dict
+    values: dict  # the parsed values of the keys the file sets
 
     @classmethod
-    def from_text(cls, text: str, overrides: dict | None = None) -> "RunConfig":
-        raw = parse_config_text(text)
+    def from_text(cls, text: str) -> "RunConfig":
         values: dict = {}
-        for key, (parser, default) in SCHEMA.items():
-            if key in raw:
-                try:
-                    values[key] = parser(raw[key])
-                except ConfigError:
-                    raise
-                except (TypeError, ValueError) as err:
-                    raise ConfigError(f"bad value for {key}: {err}") from None
-            else:
-                values[key] = default
-        if overrides:
-            for key, val in overrides.items():
-                if key not in SCHEMA:
-                    raise ConfigError(f"unknown override {key!r}")
-                values[key] = val
+        for key, raw in parse_config_text(text).items():
+            try:
+                values[key] = SCHEMA[key](raw)
+            except ConfigError:
+                raise
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"bad value for {key}: {err}") from None
         return cls(values)
 
     @classmethod
-    def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
+    def from_file(cls, path) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read(), overrides)
+            return cls.from_text(fh.read())
 
     def __getitem__(self, key: str):
-        return self.values[key]
+        if key not in SCHEMA:
+            raise KeyError(key)
+        return self.values.get(key, DEFAULTS.get(key))
 
     def require(self, key: str):
-        value = self.values[key]
-        if value is REQUIRED or value is None:
+        value = self[key]
+        if value is None:
             raise ConfigError(f"missing required setting {key}")
         return value
 
-    # -- assembled objects ---------------------------------------------------
-
-    def model_spec(self) -> ModelSpec:
-        return ModelSpec(
-            kind=self.require("model.kind"),
-            dim=self.require("model.dim"),
-            distance_p=self["model.distance_p"],
-            gamma=self["model.gamma"],
-        )
-
-    def filter_spec(self, model: ModelSpec) -> FilterSpec:
-        apply_to = self["filter.apply_to"]
-        if apply_to == "auto":
-            apply_to = "head_only" if model.is_tdm else "head_and_tail"
-        return FilterSpec(
-            kind=self["filter.kind"],
-            p=self["filter.p"],
-            apply_to=apply_to,
-            rt_enabled=self["filter.rt"],
-            zero_change_epsilon=self["filter.zero_change_epsilon"],
-            linear2_add_one=self["filter.linear2_add_one"],
-        )
-
-    def loss_config(self, model: ModelSpec) -> LossConfig:
-        task = self["loss.task"]
-        if task == "auto":
-            task = "cross_entropy" if model.is_tdm else "self_adversarial"
-        return LossConfig(
-            task=task,
-            rp_weight=self["loss.rp_weight"],
-            dura_weight=self["loss.dura_weight"],
-            negatives=self["loss.negatives"],
-            adv_temperature=self["loss.adv_temperature"],
-            margin=self["loss.margin"],
-        )
+    def _fields(self, section: str) -> dict:
+        """Keyword arguments for a section's dataclass: the section's keys that
+        the file sets, under their field names."""
+        prefix = section + "."
+        return {FIELD_NAMES.get(key, key[len(prefix):]): value
+                for key, value in self.values.items() if key.startswith(prefix)}
 
     def train_config(self) -> TrainConfig:
+        for key in REQUIRED:
+            self.require(key)
         try:
-            model = self.model_spec()
-            return TrainConfig(
-                model=model,
-                filter=self.filter_spec(model),
-                loss=self.loss_config(model),
-                epochs=self.require("train.epochs"),
-                lr=self["train.lr"],
-                batch_size=self["train.batch_size"],
-                seed=self["train.seed"],
-                plugin_epoch=self["train.plugin_epoch"],
-                optimizer=self["train.optimizer"],
-                validate=self["train.validate"],
-                validate_every=self["train.validate_every"],
-                scale_telemetry=self["train.scale_telemetry"],
-                telemetry_sample=self["train.telemetry_sample"],
-                init_scheme=self["train.init_scheme"],
-                init_scale=self["train.init_scale"],
-                precision=self["train.precision"],
-            )
+            model = ModelSpec(**self._fields("model"))
+            filt = self._fields("filter")
+            if filt.get("apply_to", "auto") == "auto":
+                filt["apply_to"] = "head_only" if model.is_tdm else "head_and_tail"
+            return TrainConfig(model=model, filter=FilterSpec(**filt),
+                               loss=LossConfig(**self._fields("loss")),
+                               **self._fields("train"))
         except ValueError as err:
             raise ConfigError(str(err)) from None

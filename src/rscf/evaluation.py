@@ -66,10 +66,9 @@ class CandidateScorer:
     def _candidate_rt(self, which: str) -> np.ndarray:
         """(1, N, d_r) rt factor of every candidate entity, built on first use."""
         if which not in self._cand_rt:
-            filt = self.filt
             cand = self.store["entity"][None, :, :]
-            self._cand_rt[which] = T.rt_factor(self.store, which, cand, filt.p,
-                                               filt.zero_change_epsilon).factor
+            self._cand_rt[which] = T.rt_factor(self.store, which, cand,
+                                               self.filt.p).factor
         return self._cand_rt[which]
 
     def _dbm_scores(self, fixed_id: int, rel_id: int, fixed_is_head: bool) -> np.ndarray:
@@ -85,8 +84,7 @@ class CandidateScorer:
         cand_f = T.et_apply(op, cand) if cand_on else cand
         fixed_rel, cand_factor = rel, None
         if filt.rt_enabled:
-            fixed_rel = T.rt_factor(store, fixed_which, fixed, filt.p,
-                                    filt.zero_change_epsilon).factor * rel
+            fixed_rel = T.rt_factor(store, fixed_which, fixed, filt.p).factor * rel
             cand_factor = self._candidate_rt(cand_which)
         sc, _ = T.dbm_direction_scores(model, fixed_is_head, fixed_f, fixed_rel,
                                        cand_f, cand_factor)
@@ -147,7 +145,7 @@ def _metrics(ranks: np.ndarray, hits_at) -> tuple[float, dict[int, float]]:
     return mrr, hits
 
 
-def _aggregate(results: list[RankResult], vocabulary, hits_at) -> EvalReport:
+def aggregate(results: list[RankResult], vocabulary, hits_at=DEFAULT_HITS) -> EvalReport:
     if not results:
         return EvalReport(0.0, {int(n): 0.0 for n in hits_at}, 0, [])
     ranks = np.asarray([r.rank for r in results], dtype=np.float64)
@@ -210,20 +208,26 @@ def collect_ranks(checkpoint, dataset: Dataset, split: str,
 def evaluate_split(checkpoint, dataset: Dataset, split: str,
                    directions: str = "both", hits_at=DEFAULT_HITS) -> EvalReport:
     results = collect_ranks(checkpoint, dataset, split, directions)
-    return _aggregate(results, dataset.vocabulary, hits_at)
+    return aggregate(results, dataset.vocabulary, hits_at)
 
 
 def evaluate_grouped(checkpoint, dataset: Dataset, grouping, split: str = "test",
                      directions: str = "both", hits_at=DEFAULT_HITS,
                      num_buckets: int = 10) -> dict[str, EvalReport]:
-    """Per-group metrics. grouping is one of:
+    results = collect_ranks(checkpoint, dataset, split, directions)
+    return aggregate_groups(results, dataset, grouping, hits_at, num_buckets)
+
+
+def aggregate_groups(results: list[RankResult], dataset: Dataset, grouping,
+                     hits_at=DEFAULT_HITS,
+                     num_buckets: int = 10) -> dict[str, EvalReport]:
+    """Per-group metrics of collected ranks. grouping is one of:
 
     - "frequency" or a RelationFrequencyBuckets: train-frequency buckets,
       reported as "bucket_0" (most frequent) .. "bucket_k-1";
     - a RelationGroups: named groups, ungrouped relations under "_other";
     - an int relation id: that relation only, under its name.
     """
-    results = collect_ranks(checkpoint, dataset, split, directions)
     vocab = dataset.vocabulary
     seed_names: list[str] = []
 
@@ -265,6 +269,6 @@ def evaluate_grouped(checkpoint, dataset: Dataset, grouping, split: str = "test"
         if name is not None:
             partition.setdefault(name, []).append(res)
     return {
-        name: _aggregate(members, vocab, hits_at)
+        name: aggregate(members, vocab, hits_at)
         for name, members in sorted(partition.items())
     }

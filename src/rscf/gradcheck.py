@@ -41,9 +41,8 @@ def check_combo(model_kind: str, filter_kind: str, rt: bool, rp_weight: float,
     model = ModelSpec(model_kind, dim, distance_p=2, gamma=2.0)
     filt = FilterSpec(filter_kind, p=2, rt_enabled=rt,
                       apply_to="head_only" if model.is_tdm else "head_and_tail")
-    loss = LossConfig(
-        task="cross_entropy" if model.is_tdm else "self_adversarial",
-        rp_weight=rp_weight, dura_weight=dura_weight, negatives=negatives)
+    loss = LossConfig(rp_weight=rp_weight, dura_weight=dura_weight,
+                      negatives=negatives)
     rng = Rng(seed)
     store = build_store(model, filt, num_entities, num_relations, rng,
                         "gaussian", 0.5)

@@ -7,6 +7,7 @@ VJPs so the training objective can assemble exact analytic gradients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ class ModelSpec:
     kind: str
     dim: int
     distance_p: int = 2
-    gamma: float = 9.0
+    gamma: float = 9.0  # margin of the distance models' self-adversarial loss
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -32,6 +33,8 @@ class ModelSpec:
             raise ValueError(f"{self.kind} requires an even dimension")
         if self.distance_p not in (1, 2):
             raise ValueError("distance_p must be 1 or 2")
+        if not math.isfinite(self.gamma):
+            raise ValueError("gamma must be finite")
 
     @property
     def is_tdm(self) -> bool:

@@ -10,6 +10,7 @@ differences by the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +39,18 @@ SCATTER_CHUNK_ELEMENTS = 1 << 16
 
 @dataclass
 class LossConfig:
-    task: str = "cross_entropy"  # or "self_adversarial"
+    """Tensor models train with the 1-vs-all cross-entropy, distance models
+    with the self-adversarial loss at margin model.gamma."""
+
     rp_weight: float = 0.0
     dura_weight: float = 0.0
     negatives: int = 256
     adv_temperature: float = 1.0
-    margin: float | None = None  # None: use the model gamma
 
     def __post_init__(self):
-        if self.task not in ("cross_entropy", "self_adversarial"):
-            raise ValueError(f"unknown task loss {self.task!r}")
+        if not all(map(math.isfinite, (self.rp_weight, self.dura_weight,
+                                       self.adv_temperature))):
+            raise ValueError("loss weights and adv_temperature must be finite")
         if self.rp_weight < 0 or self.dura_weight < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.negatives < 1:
@@ -261,12 +264,8 @@ def total_objective(batch, store: ParameterStore, model: M.ModelSpec,
         return 0.0, buf
     eff = filt if filter_active else T.INERT_FILTER
     if model.is_tdm:
-        if loss.task != "cross_entropy":
-            raise ValueError("tensor models train with cross_entropy")
         value = _tdm_objective(batch, store, model, eff, loss, buf)
     else:
-        if loss.task != "self_adversarial":
-            raise ValueError("distance models train with self_adversarial")
         if loss.dura_weight > 0:
             raise UnsupportedModel("duality regularizer is tensor-model only")
         if negatives is None:
@@ -275,10 +274,6 @@ def total_objective(batch, store: ParameterStore, model: M.ModelSpec,
     if loss.rp_weight > 0:
         value += _rp_objective(batch, store, model, loss, buf)
     return value, buf
-
-
-def _margin(model: M.ModelSpec, loss: LossConfig) -> float:
-    return model.gamma if loss.margin is None else loss.margin
 
 
 def _tdm_objective(batch, store, model, eff, loss, buf) -> float:
@@ -345,7 +340,6 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
     """
     rt = eff.rt_enabled
     ent = store["entity"]
-    margin = _margin(model, loss)
     neg_tails, neg_heads = negatives
     b = batch.shape[0]
     neg_tails = np.asarray(neg_tails, dtype=np.int64).reshape(b, -1)
@@ -383,8 +377,8 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
         d_cand_u = np.zeros((uniq.size, model.dim), dtype=ent.dtype)
         fixed_rel, cand_factor = rel, None
         if rt:
-            fixed_rt = T.rt_factor(store, fixed_which, fixed, eff.p, eff.zero_change_epsilon)
-            cand_rt = T.rt_factor(store, cand_which, ent[uniq], eff.p, eff.zero_change_epsilon)
+            fixed_rt = T.rt_factor(store, fixed_which, fixed, eff.p)
+            cand_rt = T.rt_factor(store, cand_which, ent[uniq], eff.p)
             fixed_rel = fixed_rt.factor * rel
             d_fixed_factor = np.zeros_like(fixed_rel)
             d_cand_factor_u = np.zeros_like(cand_rt.factor)
@@ -397,7 +391,7 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
                 cand_factor = cand_rt.factor[inv[sl]]
             sc, sc_cache = T.dbm_direction_scores(model, fixed_is_head, fixed_f[sl],
                                                   fixed_rel[sl], cand_f, cand_factor)
-            part, d_sc = self_adversarial(sc, margin, loss.adv_temperature)
+            part, d_sc = self_adversarial(sc, model.gamma, loss.adv_temperature)
             value += part
 
             d_a, d_r3, d_b = M.dbm_scores_vjp(model.kind, sc_cache, d_sc,

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field
@@ -32,7 +33,7 @@ from .objectives import (
     total_objective,
 )
 from .tensor import ParameterStore, Rng, fnv1a
-from .transforms import FilterSpec
+from .transforms import DEFAULT_ZERO_EPS, FilterSpec
 
 CHECKPOINT_MAGIC = b"RSCFCKP2"
 CHECKPOINT_VERSION = 2
@@ -64,8 +65,10 @@ class TrainConfig:
             raise ValueError("plugin_epoch must be >= 0")
         if self.plugin_epoch > self.epochs:
             raise ValueError("plugin_epoch must be <= epochs")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be positive and finite")
+        if not (math.isfinite(self.init_scale) and self.init_scale > 0):
+            raise ValueError("init_scale must be positive and finite")
         if self.batch_size < 1 or self.validate_every < 1 or self.telemetry_sample < 1:
             raise ValueError("counts must be >= 1")
         if self.precision not in ("f64", "f32"):
@@ -74,16 +77,10 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.init_scheme not in ("gaussian", "uniform"):
             raise ValueError(f"unknown init scheme {self.init_scheme!r}")
-        if self.model.is_tdm:
-            if self.loss.task != "cross_entropy":
-                raise ValueError("tensor models train with cross_entropy")
-            if self.filter.apply_to != "head_only":
-                raise ValueError("tensor models apply the filter to the head only")
-        else:
-            if self.loss.task != "self_adversarial":
-                raise ValueError("distance models train with self_adversarial")
-            if self.loss.dura_weight > 0:
-                raise ValueError("the duality regularizer is tensor-model only")
+        if self.model.is_tdm and self.filter.apply_to != "head_only":
+            raise ValueError("tensor models apply the filter to the head only")
+        if self.model.is_dbm and self.loss.dura_weight > 0:
+            raise ValueError("the duality regularizer is tensor-model only")
 
     @property
     def dtype(self):
@@ -94,10 +91,25 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """Inverse of to_dict. Older checkpoints also record settings that are
+        now fixed; each is dropped when it holds the value used now, and any
+        other value raises VersionMismatch, since that run cannot be redone."""
+        model = ModelSpec(**d["model"])
+        sections = {"filter": dict(d["filter"]), "loss": dict(d["loss"])}
+        retired = {
+            ("loss", "task"): "cross_entropy" if model.is_tdm else "self_adversarial",
+            ("loss", "margin"): None,
+            ("filter", "zero_change_epsilon"): DEFAULT_ZERO_EPS,
+        }
+        for (section, key), now in retired.items():
+            value = sections[section].pop(key, now)
+            if value != now:
+                raise VersionMismatch(f"checkpoint sets {section}.{key} = {value!r}, "
+                                      "which this version cannot reproduce")
         return cls(
-            model=ModelSpec(**d["model"]),
-            filter=FilterSpec(**d["filter"]),
-            loss=LossConfig(**d["loss"]),
+            model=model,
+            filter=FilterSpec(**sections["filter"]),
+            loss=LossConfig(**sections["loss"]),
             **{k: v for k, v in d.items() if k not in ("model", "filter", "loss")},
         )
 

@@ -30,6 +30,8 @@ from .errors import ShapeMismatch
 
 FILTER_KINDS = ("none", "sfbr_diag", "sfbr_linear2", "sfbr_n", "rscf", "rscf_linear2")
 
+# A change vector whose p-norm falls below this is degenerate: its unit change
+# is zero, so the filter or rt factor built on it is the identity.
 DEFAULT_ZERO_EPS = 1e-12
 
 
@@ -39,7 +41,6 @@ class FilterSpec:
     p: int = 2
     apply_to: str = "head_and_tail"  # or "head_only" (mandatory for tensor models)
     rt_enabled: bool = False
-    zero_change_epsilon: float = DEFAULT_ZERO_EPS
     linear2_add_one: str = "diag"  # "diag": ones on w1/w4 only; "full": on all blocks
 
     def __post_init__(self):
@@ -51,8 +52,6 @@ class FilterSpec:
             raise ValueError(f"unknown apply_to {self.apply_to!r}")
         if self.linear2_add_one not in ("diag", "full"):
             raise ValueError(f"unknown linear2_add_one {self.linear2_add_one!r}")
-        if self.zero_change_epsilon <= 0:
-            raise ValueError("zero_change_epsilon must be positive")
 
     @property
     def inert(self) -> bool:
@@ -66,14 +65,14 @@ INERT_FILTER = FilterSpec()
 # normalization, and the rooted change built on it
 
 
-def normalize_rows(x: np.ndarray, p: int, eps: float):
+def normalize_rows(x: np.ndarray, p: int):
     """Rowwise p-normalization with degenerate rows zeroed.
 
     Returns (unit, norms, live): unit rows have ||.||_p = 1 where live, and are
-    exactly zero where the input norm fell below eps.
+    exactly zero where the input norm fell below DEFAULT_ZERO_EPS.
     """
     norms = M.p_norm(x, p)
-    live = norms >= eps
+    live = norms >= DEFAULT_ZERO_EPS
     safe = np.where(live, norms, 1.0)
     unit = np.where(live[..., None], x / safe[..., None], 0.0)
     return unit, safe, live
@@ -89,11 +88,11 @@ def normalize_rows_vjp(x, unit, safe_norms, live, d_unit, p):
     return np.where(live[..., None], dx, 0.0)
 
 
-def _rooted_change(store, which: str, x: np.ndarray, p: int, eps: float):
+def _rooted_change(store, which: str, x: np.ndarray, p: int):
     """The unit change N_p(x A), A = store[which], that the RSCF filter (A1)
     and the relation transformation (A2, A3) shift by one. Returns (unit, cache)."""
     c = x @ store[which]
-    unit, norms, live = normalize_rows(c, p, eps)
+    unit, norms, live = normalize_rows(c, p)
     return unit, {"which": which, "x": x, "c": c, "unit": unit,
                   "norms": norms, "live": live}
 
@@ -161,7 +160,7 @@ def et_build(spec: FilterSpec, store, rel: np.ndarray, rel_rows: np.ndarray,
     if kind == "none":
         return None
     if kind in ("rscf", "rscf_linear2"):
-        unit, cache = _rooted_change(store, "a1", rel, spec.p, spec.zero_change_epsilon)
+        unit, cache = _rooted_change(store, "a1", rel, spec.p)
         if kind == "rscf":
             return EtOp(kind, mult=unit + 1.0, cache=cache)
         if unit.shape[-1] != 2 * entity_dim:
@@ -173,7 +172,7 @@ def et_build(spec: FilterSpec, store, rel: np.ndarray, rel_rows: np.ndarray,
         return EtOp(kind, mult=w, bias=b, cache={"rows": rel_rows})
     if kind == "sfbr_n":
         w = store["sfbr_w"][rel_rows]
-        unit, norms, live = normalize_rows(w, spec.p, spec.zero_change_epsilon)
+        unit, norms, live = normalize_rows(w, spec.p)
         return EtOp(kind, mult=unit + 1.0,
                     cache={"rows": rel_rows, "w": w, "unit": unit, "norms": norms, "live": live})
     if kind == "sfbr_linear2":
@@ -261,9 +260,9 @@ class RtFactor:
     cache: dict
 
 
-def rt_factor(store, which: str, x: np.ndarray, p: int, eps: float) -> RtFactor:
+def rt_factor(store, which: str, x: np.ndarray, p: int) -> RtFactor:
     """(N_p(x A) + 1) for A in {a2, a3}; x is a batch of base entity embeddings."""
-    unit, cache = _rooted_change(store, which, x, p, eps)
+    unit, cache = _rooted_change(store, which, x, p)
     return RtFactor(unit + 1.0, cache)
 
 
@@ -301,7 +300,7 @@ def tdm_forward(spec: FilterSpec, store, model, lhs_ids: np.ndarray,
     head_factor = None
     rel_t = rel
     if spec.rt_enabled:
-        head_factor = rt_factor(store, "a2", lhs, spec.p, spec.zero_change_epsilon)
+        head_factor = rt_factor(store, "a2", lhs, spec.p)
         rel_t = head_factor.factor * rel
     q, q_cache = M.tdm_query(model.kind, lhs_f, rel_t)
     return q, TdmTape(lhs, rel, lhs_f, rel_t, op, head_factor, q_cache)

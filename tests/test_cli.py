@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rscf import evaluation
 from rscf.cli import main
 from rscf.data import Dataset
 from rscf.synthetic import write_dataset
@@ -81,6 +82,16 @@ class TestTrainCommand:
         ("evaluate", {"data.format": "csv"}),
         ("evaluate", {"eval.split": "dev"}),
         ("evaluate", {"eval.directions": "sideways"}),
+        ("train", {"loss.rp_weight": "nan"}),
+        ("train", {"loss.dura_weight": "nan"}),
+        ("train", {"loss.adv_temperature": "inf"}),
+        ("train", {"model.gamma": "nan"}),
+        ("train", {"train.lr": "nan"}),
+        ("train", {"train.lr": "inf"}),
+        ("train", {"train.init_scale": "inf"}),
+        ("train", {"train.init_scale": "nan"}),
+        ("train", {"train.init_scale": "0"}),
+        ("train", {"train.init_scale": "-0.1"}),
     ])
     def test_bad_config_values_are_config_errors(self, tmp_path, command, settings,
                                                  capsys):
@@ -140,14 +151,23 @@ class TestEvaluateCommand:
         assert code == 3
         assert not (tmp_path / "eval" / "eval.json").exists()
 
-    def test_group_by_frequency_yields_buckets(self, run_dir, tmp_path):
+    def test_group_by_frequency_yields_buckets(self, run_dir, tmp_path, monkeypatch):
         out, cfg = run_dir
         dest = tmp_path / "evalg"
+        calls = []
+        real_collect_ranks = evaluation.collect_ranks
+
+        def counting_collect_ranks(*args, **kwargs):
+            calls.append(args[2])
+            return real_collect_ranks(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "collect_ranks", counting_collect_ranks)
         code = main(["evaluate", "--config", str(cfg), "--checkpoint",
                      str(out / "checkpoint.rscfckp"), "--split", "test",
                      "--group-by", "frequency", "--out", str(dest),
                      "--deterministic"])
         assert code == 0
+        assert calls == ["test"]  # the split is ranked once for both reports
         payload = json.loads((dest / "eval.json").read_text())
         assert len(payload["groups"]) == 10
         total = sum(g["query_count"] for g in payload["groups"].values())

@@ -85,8 +85,7 @@ class TestFilteredRank:
 
 def _fake_checkpoint(store, model, filt, vocab):
     cfg = TrainConfig(model=model, filter=filt,
-                      loss=LossConfig(task="cross_entropy" if model.is_tdm
-                                      else "self_adversarial"),
+                      loss=LossConfig(),
                       epochs=0)
     return Checkpoint(1, cfg, vocab, store, 0)
 
@@ -385,7 +384,7 @@ class TestTrainingScoresEqualScorer:
             captured.clear()
             if model.is_tdm:
                 total_objective(batch, store, model, filt,
-                                LossConfig("cross_entropy", dura_weight=0.1))
+                                LossConfig(dura_weight=0.1))
                 (scores,) = captured
                 # rows B..2B answer the head queries through the reciprocal relations
                 for i, (h, r, t) in enumerate(batch.tolist()):
@@ -393,7 +392,7 @@ class TestTrainingScoresEqualScorer:
                     assert _row_close(scores[b + i], scorer.head_scores(t, r))
                     compared += 2
             else:
-                loss = LossConfig("self_adversarial", negatives=4)
+                loss = LossConfig(negatives=4)
                 negs = sample_negatives(batch, num_e, loss.negatives, rng.derive("negs"))
                 total_objective(batch, store, model, filt, loss, negatives=negs)
                 tail_sc, head_sc = captured  # one triple slice per direction

@@ -132,8 +132,7 @@ def _toy_setup(kind="cp", filter_kind="none", rt=False, rp=0.0, dura=0.0,
     model = ModelSpec(kind, dim, gamma=2.0)
     filt = FilterSpec(filter_kind, rt_enabled=rt,
                       apply_to="head_only" if model.is_tdm else "head_and_tail")
-    loss = LossConfig(task="cross_entropy" if model.is_tdm else "self_adversarial",
-                      rp_weight=rp, dura_weight=dura, negatives=3)
+    loss = LossConfig(rp_weight=rp, dura_weight=dura, negatives=3)
     rng = Rng(seed)
     store = build_store(model, filt, 5, 2, rng, "gaussian", 0.4)
     gen = rng.derive("batch").generator()
@@ -147,7 +146,7 @@ class TestTotalObjective:
     def test_lambda_zero_equals_base(self):
         model, filt, loss, store, batch, negs = _toy_setup(rp=0.0, dura=0.0)
         base, _ = total_objective(batch, store, model, filt, loss, negatives=negs)
-        loss_off = LossConfig(task=loss.task, rp_weight=0.0, dura_weight=0.0,
+        loss_off = LossConfig(rp_weight=0.0, dura_weight=0.0,
                               negatives=loss.negatives)
         again, _ = total_objective(batch, store, model, filt, loss_off, negatives=negs)
         assert base == again
@@ -159,8 +158,8 @@ class TestTotalObjective:
         model, filt, _, store, batch, _ = _toy_setup(
             kind="complex", filter_kind="rscf", rt=True, dim=6, seed=9)
         lam, dw = 0.3, 0.07
-        loss_full = LossConfig(task="cross_entropy", rp_weight=lam, dura_weight=dw)
-        loss_base = LossConfig(task="cross_entropy")
+        loss_full = LossConfig(rp_weight=lam, dura_weight=dw)
+        loss_base = LossConfig()
         full, _ = total_objective(batch, store, model, filt, loss_full)
         base, _ = total_objective(batch, store, model, filt, loss_base)
         num_rel = store.meta["num_relations"]
@@ -203,7 +202,7 @@ class TestTotalObjective:
 
     def test_dura_rejected_for_dbm(self):
         model, filt, _, store, batch, negs = _toy_setup(kind="transe")
-        loss = LossConfig(task="self_adversarial", dura_weight=0.1, negatives=3)
+        loss = LossConfig(dura_weight=0.1, negatives=3)
         with pytest.raises(UnsupportedModel):
             total_objective(batch, store, model, filt, loss, negatives=negs)
 
@@ -287,7 +286,7 @@ def _per_row_dbm_objective(batch, store, model, eff, loss, negatives, buf):
     rt factor, rt VJP and scatter, with no slicing."""
     kind, p = model.kind, model.distance_p
     ent, rel_table = store["entity"], store["relation"]
-    margin = model.gamma if loss.margin is None else loss.margin
+    margin = model.gamma
     b = batch.shape[0]
     neg_tails = np.asarray(negatives[0]).reshape(b, -1)
     neg_heads = np.asarray(negatives[1]).reshape(b, -1)
@@ -312,9 +311,8 @@ def _per_row_dbm_objective(batch, store, model, eff, loss, negatives, buf):
         fixed_f = T.et_apply(op, fixed) if fixed_on else fixed
         cand_f = T.et_apply(op, cand) if cand_on else cand
         if eff.rt_enabled:
-            eps = eff.zero_change_epsilon
-            fixed_rt = T.rt_factor(store, "a2" if fixed_is_head else "a3", fixed, eff.p, eps)
-            cand_rt = T.rt_factor(store, "a3" if fixed_is_head else "a2", cand, eff.p, eps)
+            fixed_rt = T.rt_factor(store, "a2" if fixed_is_head else "a3", fixed, eff.p)
+            cand_rt = T.rt_factor(store, "a3" if fixed_is_head else "a2", cand, eff.p)
             rel_t = fixed_rt.factor[:, None, :] * cand_rt.factor * rel[:, None, :]
         else:
             rel_t = np.broadcast_to(rel[:, None, :], cand.shape[:2] + (rel.shape[1],))
@@ -379,7 +377,7 @@ def _duplicate_heavy_setup(kind, filter_kind, rt, p, triples=6, negatives=4,
     positives recur among the negatives and across rows."""
     model = ModelSpec(kind, 4, distance_p=p, gamma=2.0)
     filt = FilterSpec(filter_kind, p=p, rt_enabled=rt, apply_to=apply_to)
-    loss = LossConfig(task="self_adversarial", rp_weight=0.1, negatives=negatives)
+    loss = LossConfig(rp_weight=0.1, negatives=negatives)
     rng = Rng(seed)
     store = build_store(model, filt, 7, num_relations, rng, "gaussian", 0.4)
     gen = rng.derive("batch").generator()
@@ -417,9 +415,9 @@ class TestDistinctCandidateObjective:
         rt_rows = []
         raw_rt_factor = T.rt_factor
 
-        def counting_rt_factor(store_, which, x, p_, eps):
+        def counting_rt_factor(store_, which, x, p_):
             rt_rows.append(x.shape[0])
-            return raw_rt_factor(store_, which, x, p_, eps)
+            return raw_rt_factor(store_, which, x, p_)
 
         monkeypatch.setattr(T, "rt_factor", counting_rt_factor)
         got = total_objective(batch, store, model, filt, loss, negatives=negs)

@@ -55,8 +55,7 @@ def toy_config(kind="cp", filter_kind="rscf", epochs=3, plugin_epoch=0, seed=7,
         model=model,
         filter=FilterSpec(filter_kind, rt_enabled=rt,
                           apply_to="head_only" if model.is_tdm else "head_and_tail"),
-        loss=LossConfig(task="cross_entropy" if model.is_tdm else "self_adversarial",
-                        rp_weight=0.1, dura_weight=0.01 if model.is_tdm else 0.0,
+        loss=LossConfig(rp_weight=0.1, dura_weight=0.01 if model.is_tdm else 0.0,
                         negatives=4),
         **defaults,
     )
@@ -391,6 +390,39 @@ class TestCheckpointV2:
         assert partial[0] > 0  # the save failed partway through the file
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["run.rscfckp"]
+
+
+@pytest.mark.parametrize("section,key,value,loads", [
+    ("loss", "margin", 5.0, False),
+    ("loss", "margin", None, True),
+    ("loss", "task", "self_adversarial", False),
+    ("loss", "task", "cross_entropy", True),
+    ("filter", "zero_change_epsilon", 1e-9, False),
+    ("filter", "zero_change_epsilon", 1e-12, True),
+])
+def test_retired_setting_in_checkpoint_metadata(v2_blob, section, key, value, loads,
+                                                tmp_path):
+    """Checkpoints written before loss.task, loss.margin and
+    filter.zero_change_epsilon were removed record them; only the values the
+    code now uses load."""
+    (meta_len,) = struct.unpack_from("<Q", v2_blob, 8)
+    meta = json.loads(v2_blob[16 : 16 + meta_len])
+    meta["config"][section][key] = value
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    header = b"RSCFCKP2" + struct.pack("<Q", len(meta_bytes)) + meta_bytes
+    path = tmp_path / "old.rscfckp"
+    path.write_bytes(header + struct.pack("<Q", fnv1a(header))
+                     + v2_blob[24 + meta_len :])
+    fresh = tmp_path / "fresh.rscfckp"
+    fresh.write_bytes(v2_blob)
+    if loads:
+        assert load_checkpoint(path).config == load_checkpoint(fresh).config
+        return
+    with pytest.raises(VersionMismatch, match=f"{section}.{key}"):
+        load_checkpoint(path)
+    cfg = v1_run_config(tmp_path)
+    assert cli_main(["evaluate", "--config", str(cfg), "--checkpoint", str(path),
+                     "--out", str(tmp_path / "eval")]) == 2
 
 
 DATA = Path(__file__).parent / "data"

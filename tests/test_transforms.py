@@ -259,22 +259,22 @@ class TestNormalizeRowsVjp:
         x = gen.normal(size=(3, 5))
         x[np.abs(x) < 0.05] += 0.1  # stay off the l1 kink
         d_unit = gen.normal(size=(3, 5))
-        unit, norms, live = normalize_rows(x, p, 1e-12)
+        unit, norms, live = normalize_rows(x, p)
         dx = normalize_rows_vjp(x, unit, norms, live, d_unit, p)
         eps = 1e-7
         for i in range(3):
             for j in range(5):
                 bumped = x.copy()
                 bumped[i, j] += eps
-                up = normalize_rows(bumped, p, 1e-12)[0]
+                up = normalize_rows(bumped, p)[0]
                 bumped[i, j] -= 2 * eps
-                down = normalize_rows(bumped, p, 1e-12)[0]
+                down = normalize_rows(bumped, p)[0]
                 fd = np.sum((up - down) * d_unit) / (2 * eps)
                 assert abs(fd - dx[i, j]) < 1e-6
 
     def test_dead_rows_zero_gradient(self):
         x = np.zeros((2, 3))
-        unit, norms, live = normalize_rows(x, 2, 1e-12)
+        unit, norms, live = normalize_rows(x, 2)
         dx = normalize_rows_vjp(x, unit, norms, live, np.ones((2, 3)), 2)
         assert np.array_equal(dx, np.zeros((2, 3)))
 
