@@ -182,10 +182,12 @@ def scale_trace(store, model: M.ModelSpec, filt: T.FilterSpec,
 
 
 def score_distribution(checkpoint, queries) -> np.ndarray:
-    """One row of candidate scores per (head, relation) query."""
+    """One row of candidate scores per (head, relation) query. Raises
+    NumericalError when any score is not finite."""
     scorer = CandidateScorer(checkpoint.store, checkpoint.model, checkpoint.filter)
-    rows = [scorer.tail_scores(int(h), int(r)) for h, r in queries]
-    return np.stack(rows) if rows else np.zeros((0, checkpoint.store["entity"].shape[0]))
+    pairs = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
+    blocks = list(scorer.blocks("tail", pairs[:, 0], pairs[:, 1]))
+    return np.concatenate(blocks or [np.zeros((0, checkpoint.store["entity"].shape[0]))])
 
 
 def export_score_distribution(checkpoint, queries, path) -> np.ndarray:

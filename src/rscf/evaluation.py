@@ -18,9 +18,10 @@ from .data import (
 from .errors import EmptySplit, GoldOutOfRange, NumericalError
 
 DEFAULT_HITS = (1, 3, 10)
-# Ceiling on one (queries, N) block of candidate scores. At FB15k-237 shape,
-# 16 MiB blocks ranked more slowly and left about 17 MB more heap resident
-# for the training that followed.
+# Ceiling on one score block's working set: (queries, N) scores for tensor
+# models, (queries, N, d) intermediates for distance models. At FB15k-237 shape,
+# 16 MiB tensor blocks ranked more slowly and left about 17 MB more heap
+# resident for the training that followed.
 SCORE_BLOCK_BYTES = 1 << 22
 
 
@@ -50,11 +51,11 @@ class CandidateScorer:
     run's filter exactly as in training.
 
     Tensor models answer head queries through the reciprocal relation row and
-    never transform candidates; distance models scan candidates directly with
-    the candidate-side filter active. A scorer reads the store's tables as they
-    are when it first needs them: the candidate rt factor tables of distance
-    models are built once and reused, so the store must not change while the
-    scorer is in use.
+    never transform candidates; distance models broadcast a block's fixed side
+    against the (1, N, d) candidate table with the candidate-side filter
+    active. A scorer reads the store's tables as they are when it first needs
+    them: the candidate rt factor tables of distance models are built once and
+    reused, so the store must not change while the scorer is in use.
     """
 
     def __init__(self, store, model: M.ModelSpec, filt: T.FilterSpec):
@@ -71,15 +72,29 @@ class CandidateScorer:
                                                self.filt.p).factor
         return self._cand_rt[which]
 
-    def _dbm_scores(self, fixed_id: int, rel_id: int, fixed_is_head: bool) -> np.ndarray:
+    def tail_scores(self, head_id: int, rel_id: int) -> np.ndarray:
+        return self.score_block("tail", np.asarray([head_id]), np.asarray([rel_id]))[0]
+
+    def head_scores(self, tail_id: int, rel_id: int) -> np.ndarray:
+        return self.score_block("head", np.asarray([tail_id]), np.asarray([rel_id]))[0]
+
+    def score_block(self, direction: str, fixed_ids: np.ndarray,
+                    rel_ids: np.ndarray) -> np.ndarray:
+        """(Q, N) scores for Q queries of one direction ("tail": fixed_ids are
+        heads; "head": they are tails). Tensor models score the block with one
+        (Q, d) @ (d, N) product; distance models hold (Q, N, d) intermediates."""
         store, model, filt = self.store, self.model, self.filt
-        ent = store["entity"]
-        rel_rows = np.asarray([rel_id])
-        rel = store["relation"][rel_rows]
-        op = T.et_build(filt, store, rel, rel_rows, model.dim)
+        if model.is_tdm:
+            if direction == "head":
+                rel_ids = rel_ids + store.meta["num_relations"]
+            q, _ = T.tdm_forward(filt, store, model, fixed_ids, rel_ids)
+            return q @ store["entity"].T
+        fixed_is_head = direction == "tail"
+        rel = store["relation"][rel_ids]
+        op = T.et_build(filt, store, rel, rel_ids, model.dim)
         fixed_on, cand_on, fixed_which, cand_which = T.dbm_direction(filt, fixed_is_head)
-        fixed = ent[np.asarray([fixed_id])]
-        cand = ent[None, :, :]
+        fixed = store["entity"][fixed_ids]
+        cand = store["entity"][None, :, :]
         fixed_f = T.et_apply(op, fixed) if fixed_on else fixed
         cand_f = T.et_apply(op, cand) if cand_on else cand
         fixed_rel, cand_factor = rel, None
@@ -88,30 +103,22 @@ class CandidateScorer:
             cand_factor = self._candidate_rt(cand_which)
         sc, _ = T.dbm_direction_scores(model, fixed_is_head, fixed_f, fixed_rel,
                                        cand_f, cand_factor)
-        return sc[0]
+        return sc
 
-    def tail_scores(self, head_id: int, rel_id: int) -> np.ndarray:
-        if self.model.is_tdm:
-            return self.score_block("tail", np.asarray([head_id]), np.asarray([rel_id]))[0]
-        return self._dbm_scores(head_id, rel_id, fixed_is_head=True)
-
-    def head_scores(self, tail_id: int, rel_id: int) -> np.ndarray:
-        if self.model.is_tdm:
-            return self.score_block("head", np.asarray([tail_id]), np.asarray([rel_id]))[0]
-        return self._dbm_scores(tail_id, rel_id, fixed_is_head=False)
-
-    def score_block(self, direction: str, fixed_ids: np.ndarray,
-                    rel_ids: np.ndarray) -> np.ndarray:
-        """(Q, N) scores for Q queries of one direction ("tail": fixed_ids are
-        heads; "head": they are tails). Tensor models score the block with one
-        (Q, d) @ (d, N) product; distance models score query by query."""
-        if self.model.is_tdm:
-            if direction == "head":
-                rel_ids = rel_ids + self.store.meta["num_relations"]
-            q, _ = T.tdm_forward(self.filt, self.store, self.model, fixed_ids, rel_ids)
-            return q @ self.store["entity"].T
-        one = self.tail_scores if direction == "tail" else self.head_scores
-        return np.stack([one(f, r) for f, r in zip(fixed_ids.tolist(), rel_ids.tolist())])
+    def blocks(self, direction: str, fixed_ids: np.ndarray, rel_ids: np.ndarray):
+        """Yields the queries' score blocks in order, each as many rows as fit
+        SCORE_BLOCK_BYTES (at least one). Raises NumericalError on a non-finite
+        score."""
+        ent = self.store["entity"]
+        per_row = ent.shape[0] if self.model.is_tdm else ent.size
+        rows = max(1, SCORE_BLOCK_BYTES // (per_row * ent.itemsize))
+        for lo in range(0, len(fixed_ids), rows):
+            scores = self.score_block(direction, fixed_ids[lo:lo + rows],
+                                      rel_ids[lo:lo + rows])
+            if not np.isfinite(scores).all():
+                raise NumericalError(f"non-finite {direction} scores among queries "
+                                     f"{lo}..{lo + scores.shape[0] - 1}")
+            yield scores
 
 
 @dataclass
@@ -172,8 +179,8 @@ def collect_ranks(checkpoint, dataset: Dataset, split: str,
                   directions: str = "both") -> list[RankResult]:
     """Filtered rank of every query in the split, in deterministic order.
 
-    Queries are scored in blocks of at most SCORE_BLOCK_BYTES per direction.
-    Raises NumericalError when any score in a block is not finite.
+    Queries are scored through CandidateScorer.blocks, which raises
+    NumericalError when any score is not finite.
     """
     if directions not in ("tail", "head", "both"):
         raise ValueError(f"unknown directions {directions!r}")
@@ -182,40 +189,23 @@ def collect_ranks(checkpoint, dataset: Dataset, split: str,
         raise EmptySplit(split)
     index = build_filter_index(dataset)
     scorer = CandidateScorer(checkpoint.store, checkpoint.model, checkpoint.filter)
-    ent = checkpoint.store["entity"]
-    chunk = max(1, SCORE_BLOCK_BYTES // (ent.shape[0] * ent.itemsize))
     wanted = [d for d in ("tail", "head") if directions in (d, "both")]
-    results = []
-    for lo in range(0, arr.shape[0], chunk):
-        block = arr[lo:lo + chunk]
-        scores = {}
-        for d in wanted:
-            fixed = block[:, 0] if d == "tail" else block[:, 2]
-            scores[d] = scorer.score_block(d, fixed, block[:, 1])
-            if not np.isfinite(scores[d]).all():
-                raise NumericalError(f"non-finite {d} scores among {split} "
-                                     f"triples {lo}..{lo + block.shape[0] - 1}")
-        for i, (h, r, t) in enumerate(block.tolist()):
-            if "tail" in scores:
-                rank = filtered_rank(t, scores["tail"][i], index.tail_index.ids_of(h, r))
-                results.append(RankResult(h, r, t, "tail", rank))
-            if "head" in scores:
-                rank = filtered_rank(h, scores["head"][i], index.head_index.ids_of(r, t))
-                results.append(RankResult(h, r, t, "head", rank))
-    return results
+    triples = arr.tolist()
+    ranks = {}
+    for d in wanted:
+        fixed = arr[:, 0] if d == "tail" else arr[:, 2]
+        rows = (row for block in scorer.blocks(d, fixed, arr[:, 1]) for row in block)
+        ranks[d] = [filtered_rank(t, row, index.tail_index.ids_of(h, r)) if d == "tail"
+                    else filtered_rank(h, row, index.head_index.ids_of(r, t))
+                    for (h, r, t), row in zip(triples, rows)]
+    return [RankResult(h, r, t, d, ranks[d][i])
+            for i, (h, r, t) in enumerate(triples) for d in wanted]
 
 
 def evaluate_split(checkpoint, dataset: Dataset, split: str,
                    directions: str = "both", hits_at=DEFAULT_HITS) -> EvalReport:
     results = collect_ranks(checkpoint, dataset, split, directions)
     return aggregate(results, dataset.vocabulary, hits_at)
-
-
-def evaluate_grouped(checkpoint, dataset: Dataset, grouping, split: str = "test",
-                     directions: str = "both", hits_at=DEFAULT_HITS,
-                     num_buckets: int = 10) -> dict[str, EvalReport]:
-    results = collect_ranks(checkpoint, dataset, split, directions)
-    return aggregate_groups(results, dataset, grouping, hits_at, num_buckets)
 
 
 def aggregate_groups(results: list[RankResult], dataset: Dataset, grouping,

@@ -350,12 +350,14 @@ def dbm_direction_scores(model, fixed_is_head: bool, fixed_f: np.ndarray,
     fixed_f (Q, d) and cand_f (Q, K, d) are the (possibly filtered) entities;
     fixed_rel (Q, d_r) is the relation times the fixed side's rt factor (the
     bare relation without rt); cand_factor (Q, K, d_r) holds the candidates' rt
-    factors, or None without rt. Returns models.dbm_scores' (scores, cache),
-    with the head in its first argument slot.
+    factors, or None without rt. The candidate arrays may instead have a
+    leading axis of 1, one candidate table broadcast against every query.
+    Returns models.dbm_scores' (scores, cache), with the head in its first
+    argument slot.
     """
     if cand_factor is None:
         rel_t = np.broadcast_to(fixed_rel[:, None, :],
-                                cand_f.shape[:2] + fixed_rel.shape[-1:])
+                                (fixed_f.shape[0], cand_f.shape[1], fixed_rel.shape[-1]))
     else:
         rel_t = fixed_rel[:, None, :] * cand_factor
     fixed_f = fixed_f[:, None, :]

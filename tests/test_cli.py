@@ -6,8 +6,12 @@ import pytest
 from rscf import evaluation
 from rscf.cli import main
 from rscf.data import Dataset
+from rscf.models import ModelSpec
+from rscf.objectives import LossConfig, build_store
 from rscf.synthetic import write_dataset
-from rscf.trainer import load_checkpoint, save_checkpoint
+from rscf.tensor import Rng
+from rscf.trainer import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
+from rscf.transforms import FilterSpec
 
 CONFIG_TEMPLATE = """
 data.train = {d}/train.txt
@@ -288,6 +292,29 @@ class TestAnalysisCommands:
         lines = (dest / "scores.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 queries
         assert len(lines[0].split(",")) == 12
+
+    @pytest.mark.parametrize("kind", ["complex", "transe"])
+    def test_export_scores_non_finite_exit_code(self, run_dir, tmp_path, kind):
+        out, _ = run_dir
+        ckpt = load_checkpoint(out / "checkpoint.rscfckp")
+        if ckpt.model.kind != kind:
+            vocab = ckpt.vocabulary
+            model = ModelSpec(kind, 8)
+            filt = FilterSpec("rscf", apply_to="head_and_tail", rt_enabled=True)
+            store = build_store(model, filt, vocab.num_entities, vocab.num_relations,
+                                Rng(5), init_scale=0.1)
+            cfg = TrainConfig(model=model, filter=filt, loss=LossConfig(), epochs=0)
+            ckpt = Checkpoint(1, cfg, vocab, store, 0)
+        ckpt.store.tables["entity"][3] = np.nan
+        bad = tmp_path / "nan.rscfckp"
+        save_checkpoint(bad, ckpt)
+        queries = tmp_path / "q.tsv"
+        queries.write_text("e0\tr1\ne5\tr2\n", encoding="utf-8")
+        dest = tmp_path / "scores"
+        code = main(["export-scores", "--checkpoint", str(bad), "--queries",
+                     str(queries), "--out", str(dest), "--deterministic"])
+        assert code == 3
+        assert not (dest / "scores.csv").exists()
 
     def test_check_gradients_small(self, tmp_path):
         code = main(["check-gradients", "--dim", "4", "--triples", "3",

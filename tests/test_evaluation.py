@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from rscf import evaluation, objectives
+from rscf import transforms as T
 from rscf.data import Dataset, build_filter_index, load_relation_groups
 from rscf.errors import EmptySplit, GoldOutOfRange, NumericalError
 from rscf.evaluation import (
     CandidateScorer,
+    aggregate_groups,
     collect_ranks,
-    evaluate_grouped,
     evaluate_split,
     filtered_rank,
 )
@@ -33,6 +34,35 @@ def _loop_rank(gold, scores, known_true):
     better = int(np.sum(kept > scores[gold]))
     tied = int(np.sum(kept == scores[gold])) - 1
     return 1.0 + better + 0.5 * tied
+
+
+def _per_query_scores(store, model, filt, direction, fixed_id, rel_id):
+    """Oracle for CandidateScorer: the per-query scorer the blocked one
+    replaced. Tensor models score one (1, d) @ (d, N) row; distance models
+    filter and rt-condition one fixed entity and every candidate from scratch."""
+    ent = store["entity"]
+    if model.is_tdm:
+        if direction == "head":
+            rel_id += store.meta["num_relations"]
+        q, _ = T.tdm_forward(filt, store, model, np.asarray([fixed_id]),
+                             np.asarray([rel_id]))
+        return (q @ ent.T)[0]
+    fixed_is_head = direction == "tail"
+    rel_rows = np.asarray([rel_id])
+    rel = store["relation"][rel_rows]
+    op = T.et_build(filt, store, rel, rel_rows, model.dim)
+    fixed_on, cand_on, fixed_which, cand_which = T.dbm_direction(filt, fixed_is_head)
+    fixed = ent[np.asarray([fixed_id])]
+    cand = ent[None, :, :]
+    fixed_f = T.et_apply(op, fixed) if fixed_on else fixed
+    cand_f = T.et_apply(op, cand) if cand_on else cand
+    fixed_rel, cand_factor = rel, None
+    if filt.rt_enabled:
+        fixed_rel = T.rt_factor(store, fixed_which, fixed, filt.p).factor * rel
+        cand_factor = T.rt_factor(store, cand_which, cand, filt.p).factor
+    sc, _ = T.dbm_direction_scores(model, fixed_is_head, fixed_f, fixed_rel,
+                                   cand_f, cand_factor)
+    return sc[0]
 
 
 class TestFilteredRank:
@@ -149,12 +179,13 @@ class TestEvaluateSplit:
         ckpt = _fake_checkpoint(store, model, filt, ds.vocabulary)
         report = evaluate_split(ckpt, ds, "test")
         index = build_filter_index(ds)
-        scorer = CandidateScorer(store, model, filt)
         recips = []
         for h, r, t in ds.test:
             for gold, scores, known in (
-                (t, scorer.tail_scores(h, r), index.true_tails(h, r)),
-                (h, scorer.head_scores(t, r), index.true_heads(r, t)),
+                (t, _per_query_scores(store, model, filt, "tail", h, r),
+                 index.true_tails(h, r)),
+                (h, _per_query_scores(store, model, filt, "head", t, r),
+                 index.true_heads(r, t)),
             ):
                 keep = [e for e in range(7) if e == gold or e not in known]
                 s_gold = scores[gold]
@@ -236,14 +267,14 @@ class TestEvaluateGrouped:
         path = tmp_path / "g.tsv"
         path.write_text("".join(f"all\tr{j}\n" for j in range(4)), encoding="utf-8")
         groups = load_relation_groups(path)
-        grouped = evaluate_grouped(ckpt, ds, groups)
+        grouped = aggregate_groups(collect_ranks(ckpt, ds, "test"), ds, groups)
         overall = evaluate_split(ckpt, ds, "test")
         assert set(grouped) == {"all"}
         assert grouped["all"].mrr == overall.mrr
 
     def test_query_weighted_average_identity(self):
         ds, ckpt = self._setup()
-        grouped = evaluate_grouped(ckpt, ds, "frequency", num_buckets=4)
+        grouped = aggregate_groups(collect_ranks(ckpt, ds, "test"), ds, "frequency", num_buckets=4)
         overall = evaluate_split(ckpt, ds, "test")
         total = sum(rep.query_count for rep in grouped.values())
         weighted = sum(rep.mrr * rep.query_count for rep in grouped.values()) / total
@@ -254,7 +285,7 @@ class TestEvaluateGrouped:
         ds, ckpt = self._setup()
         path = tmp_path / "g.tsv"
         path.write_text("g1\tr0\n", encoding="utf-8")
-        grouped = evaluate_grouped(ckpt, ds, load_relation_groups(path))
+        grouped = aggregate_groups(collect_ranks(ckpt, ds, "test"), ds, load_relation_groups(path))
         assert "_other" in grouped
 
     def test_single_relation_mode_matches_report_filter(self):
@@ -262,7 +293,7 @@ class TestEvaluateGrouped:
         overall = evaluate_split(ckpt, ds, "test")
         rel_id = ds.test[0].relation
         name = ds.vocabulary.relation_names[rel_id]
-        grouped = evaluate_grouped(ckpt, ds, rel_id)
+        grouped = aggregate_groups(collect_ranks(ckpt, ds, "test"), ds, rel_id)
         row = next(r for r in overall.per_relation if r["relation_id"] == rel_id)
         assert set(grouped) == {name}
         assert grouped[name].query_count == row["queries"]
@@ -297,16 +328,25 @@ def _grid_dataset(gen, num_entities=9, num_relations=3):
 
 def _reference_ranks(ckpt, ds, split, directions):
     index = build_filter_index(ds)
-    scorer = CandidateScorer(ckpt.store, ckpt.model, ckpt.filter)
+    args = (ckpt.store, ckpt.model, ckpt.filter)
     out = []
     for h, r, t in ds.split(split):
         if directions in ("tail", "both"):
             out.append((h, r, t, "tail",
-                        _loop_rank(t, scorer.tail_scores(h, r), index.true_tails(h, r))))
+                        _loop_rank(t, _per_query_scores(*args, "tail", h, r),
+                                   index.true_tails(h, r))))
         if directions in ("head", "both"):
             out.append((h, r, t, "head",
-                        _loop_rank(h, scorer.head_scores(t, r), index.true_heads(r, t))))
+                        _loop_rank(h, _per_query_scores(*args, "head", t, r),
+                                   index.true_heads(r, t))))
     return out
+
+
+def _block_bytes(store, model, rows):
+    """A SCORE_BLOCK_BYTES that gives blocks of `rows` queries."""
+    ent = store["entity"]
+    per_row = ent.shape[0] if model.is_tdm else ent.size
+    return rows * per_row * ent.itemsize
 
 
 class TestCollectRanksGrid:
@@ -331,13 +371,14 @@ class TestCollectRanksGrid:
             ent[1] = ent[0]
             ent[4] = ent[3] = ent[2]
             ckpt = _fake_checkpoint(store, model, filt, ds.vocabulary)
-            # three triples per block, so the test split spans several blocks
-            monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 3 * num_e * ent.itemsize)
             for directions in ("tail", "head", "both"):
-                got = [(r.head, r.relation, r.tail, r.direction, r.rank)
-                       for r in collect_ranks(ckpt, ds, "test", directions)]
-                assert got == _reference_ranks(ckpt, ds, "test", directions), \
-                    (filter_kind, rt, directions)
+                want = _reference_ranks(ckpt, ds, "test", directions)
+                for rows in (1, 3, 1000):  # 1000 rows hold the whole split
+                    monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES",
+                                        _block_bytes(store, model, rows))
+                    got = [(r.head, r.relation, r.tail, r.direction, r.rank)
+                           for r in collect_ranks(ckpt, ds, "test", directions)]
+                    assert got == want, (filter_kind, rt, directions, rows)
                 checked += 1
                 mid_ranks += sum(1 for *_, rank in got if rank % 1)
         assert checked == len(FILTER_KINDS) * 2 * 3
@@ -346,6 +387,46 @@ class TestCollectRanksGrid:
 
 def _row_close(got, want, rel=1e-12):
     return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestDistanceBlockInvariance:
+    """Distance models broadcast a block of fixed entities against one
+    candidate table; the block's row count changes no score beyond rounding,
+    and one-row blocks reproduce the per-query scorer bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["transe", "rotate"])
+    def test_scores_independent_of_block_rows(self, kind, monkeypatch):
+        ds = _grid_dataset(np.random.default_rng(73))
+        arr = ds.split_array("test")
+        num_e, num_r = ds.vocabulary.num_entities, ds.vocabulary.num_relations
+        model = ModelSpec(kind, 4, gamma=1.0)
+        checked = 0
+        for filter_kind, rt, apply_to in itertools.product(
+                FILTER_KINDS, (False, True), ("head_and_tail", "head_only")):
+            filt = FilterSpec(filter_kind, rt_enabled=rt, apply_to=apply_to)
+            rng = Rng(checked)
+            store = build_store(model, filt, num_e, num_r, rng, init_scale=0.4)
+            for name, table in store.tables.items():
+                table += rng.derive(f"jitter:{name}").generator().normal(0.0, 0.05,
+                                                                         table.shape)
+            for direction, fixed in (("tail", arr[:, 0]), ("head", arr[:, 2])):
+                oracle = np.stack([
+                    _per_query_scores(store, model, filt, direction, f, r)
+                    for f, r in zip(fixed.tolist(), arr[:, 1].tolist())])
+                for rows in (1, 3, len(arr)):
+                    monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES",
+                                        _block_bytes(store, model, rows))
+                    scorer = CandidateScorer(store, model, filt)
+                    blocks = list(scorer.blocks(direction, fixed, arr[:, 1]))
+                    assert [b.shape[0] for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+                    got = np.concatenate(blocks)
+                    if rows == 1:
+                        assert np.array_equal(got, oracle), (filter_kind, rt, apply_to)
+                    else:
+                        assert all(_row_close(g, w) for g, w in zip(got, oracle)), \
+                            (filter_kind, rt, apply_to, rows)
+                checked += 1
+        assert checked == len(FILTER_KINDS) * 2 * 2 * 2
 
 
 class TestTrainingScoresEqualScorer:
