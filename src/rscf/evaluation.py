@@ -18,10 +18,11 @@ from .data import (
 from .errors import EmptySplit, GoldOutOfRange, NumericalError
 
 DEFAULT_HITS = (1, 3, 10)
-# Ceiling on one score block's working set: (queries, N) scores for tensor
-# models, (queries, N, d) intermediates for distance models. At FB15k-237 shape,
-# 16 MiB tensor blocks ranked more slowly and left about 17 MB more heap
-# resident for the training that followed.
+# Target size of one score block, counting one array per block: the (queries, N)
+# scores of tensor models, one (queries, N, d) intermediate of distance models
+# (whose filter, rt and distance temporaries take a few times that). At
+# FB15k-237 shape, 16 MiB tensor blocks ranked more slowly and left about 17 MB
+# more heap resident for the training that followed.
 SCORE_BLOCK_BYTES = 1 << 22
 
 
@@ -193,11 +194,14 @@ def collect_ranks(checkpoint, dataset: Dataset, split: str,
     triples = arr.tolist()
     ranks = {}
     for d in wanted:
-        fixed = arr[:, 0] if d == "tail" else arr[:, 2]
+        fixed, gold = (arr[:, 0], arr[:, 2]) if d == "tail" else (arr[:, 2], arr[:, 0])
+        known = ((index.tail_index.ids_of(h, r) for h, r, _ in triples) if d == "tail"
+                 else (index.head_index.ids_of(r, t) for _, r, t in triples))
         rows = (row for block in scorer.blocks(d, fixed, arr[:, 1]) for row in block)
-        ranks[d] = [filtered_rank(t, row, index.tail_index.ids_of(h, r)) if d == "tail"
-                    else filtered_rank(h, row, index.head_index.ids_of(r, t))
-                    for (h, r, t), row in zip(triples, rows)]
+        try:
+            ranks[d] = [filtered_rank(g, s, k) for g, s, k in zip(gold.tolist(), rows, known)]
+        except NumericalError as err:
+            raise NumericalError(f"{err} of the {split} split") from None
     return [RankResult(h, r, t, d, ranks[d][i])
             for i, (h, r, t) in enumerate(triples) for d in wanted]
 

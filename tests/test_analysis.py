@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rscf import evaluation
 from rscf.analysis import (
     ConsistencySimConfig,
     cluster_report,
@@ -21,6 +22,8 @@ from rscf.objectives import LossConfig, build_store
 from rscf.tensor import Rng
 from rscf.trainer import Checkpoint, TrainConfig
 from rscf.transforms import FilterSpec
+
+from test_evaluation import _per_query_scores
 
 
 class TestIntraClusterDistance:
@@ -149,23 +152,32 @@ class TestScaleTrace:
 
 
 class TestScoreDistributionExport:
-    def test_shape_and_rows(self, tmp_path):
+    def test_shape_and_rows(self, tmp_path, monkeypatch):
         ckpt, _ = _checkpoint("complex", "rscf", entities=7)
+        ent = ckpt.store["entity"]
+        # one-row blocks: each exported row is the one-query scorer's
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", ent.shape[0] * ent.itemsize)
         queries = [(0, 0), (3, 2), (5, 1)]
         path = tmp_path / "scores.csv"
         matrix = export_score_distribution(ckpt, queries, path)
         assert matrix.shape == (3, 7)
         scorer = CandidateScorer(ckpt.store, ckpt.model, ckpt.filter)
-        heads, rels = np.asarray(queries).T
-        # the queries are scored as one block, whose GEMMs round apart from
-        # one-row products in the last bits
-        assert np.array_equal(matrix, scorer.score_block("tail", heads, rels))
         for row, (h, r) in zip(matrix, queries):
-            want = scorer.tail_scores(h, r)
-            assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.array_equal(row, scorer.tail_scores(h, r))
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(str(e) for e in range(7))
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("kind", ["complex", "transe"])
+    def test_multi_row_blocks_match_per_query_oracle(self, tmp_path, kind):
+        ckpt, _ = _checkpoint(kind, "rscf", rt=kind == "transe", entities=7)
+        ent = ckpt.store["entity"]
+        queries = [(0, 0), (3, 2), (5, 1)]
+        assert evaluation.SCORE_BLOCK_BYTES >= len(queries) * ent.size * ent.itemsize
+        matrix = export_score_distribution(ckpt, queries, tmp_path / "scores.csv")
+        for row, (h, r) in zip(matrix, queries):
+            want = _per_query_scores(ckpt.store, ckpt.model, ckpt.filter, "tail", h, r)
+            assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_single_query_three_entities(self, tmp_path):
         ckpt, _ = _checkpoint("cp", "none", entities=3)

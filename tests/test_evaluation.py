@@ -356,6 +356,15 @@ class TestCollectRanksGrid:
         ds = _grid_dataset(gen)
         num_e, num_r = ds.vocabulary.num_entities, ds.vocabulary.num_relations
         model = ModelSpec(kind, 4, gamma=1.0)
+        n = len(ds.split_array("test"))
+        block_rows = []
+        score_block = CandidateScorer.score_block
+
+        def counting_score_block(self, direction, fixed_ids, rel_ids):
+            block_rows.append(len(fixed_ids))
+            return score_block(self, direction, fixed_ids, rel_ids)
+
+        monkeypatch.setattr(CandidateScorer, "score_block", counting_score_block)
         checked = 0
         mid_ranks = 0
         for filter_kind, rt in itertools.product(FILTER_KINDS, (False, True)):
@@ -376,9 +385,13 @@ class TestCollectRanksGrid:
                 for rows in (1, 3, 1000):  # 1000 rows hold the whole split
                     monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES",
                                         _block_bytes(store, model, rows))
+                    block_rows.clear()
                     got = [(r.head, r.relation, r.tail, r.direction, r.rank)
                            for r in collect_ranks(ckpt, ds, "test", directions)]
                     assert got == want, (filter_kind, rt, directions, rows)
+                    per_direction = [min(rows, n - lo) for lo in range(0, n, rows)]
+                    ways = 1 + (directions == "both")
+                    assert block_rows == per_direction * ways, (directions, rows)
                 checked += 1
                 mid_ranks += sum(1 for *_, rank in got if rank % 1)
         assert checked == len(FILTER_KINDS) * 2 * 3
@@ -499,7 +512,7 @@ class TestNonFiniteScores:
     def test_all_nan_entity_table_raises(self, kind):
         ds, ckpt = self._checkpoint(kind)
         ckpt.store.tables["entity"][:] = np.nan
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="of the test split"):
             evaluate_split(ckpt, ds, "test")
 
     def test_one_non_finite_candidate_raises(self):
