@@ -237,9 +237,6 @@ class ConsistencyReport:
     rates: dict[str, dict[str, float]]
     config: ConsistencySimConfig
 
-    def table(self) -> list[list[float]]:
-        return [[self.rates[row][col] for col in self.columns] for row in ROW_NAMES]
-
     def to_dict(self) -> dict:
         return {
             "columns": self.columns,
@@ -283,17 +280,9 @@ def _sample_condition(gen, cfg: ConsistencySimConfig, column):
 
 
 def _sample_matrices(gen, cfg: ConsistencySimConfig) -> np.ndarray:
-    n, s = cfg.dim, cfg.samples
-    sigma = 1.0 / np.sqrt(n)
-    mats = gen.normal(scale=sigma, size=(s, n, n))
-    # full rank is almost sure; resample the measure-zero exceptions anyway
-    for _ in range(8):
-        ranks = np.linalg.matrix_rank(mats)
-        bad = ranks < n
-        if not bad.any():
-            break
-        mats[bad] = gen.normal(scale=sigma, size=(int(bad.sum()), n, n))
-    return mats
+    """Gaussian maps, singular with probability zero."""
+    n = cfg.dim
+    return gen.normal(scale=1.0 / np.sqrt(n), size=(cfg.samples, n, n))
 
 
 def _column_rates(gen, cfg: ConsistencySimConfig, column) -> dict[str, float]:

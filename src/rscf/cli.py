@@ -75,6 +75,11 @@ def _out_dir(args) -> Path:
 # subcommands
 
 
+def _write_train_report(out: Path, report, deterministic: bool) -> None:
+    (out / "train_report.csv").write_text(report.to_csv(), encoding="utf-8")
+    _write_json(out / "train_report.json", report.to_json_dict(), deterministic)
+
+
 def cmd_train(args) -> int:
     cfg = RunConfig.from_file(args.config)
     train_cfg = cfg.train_config()
@@ -87,25 +92,22 @@ def cmd_train(args) -> int:
         checkpoint, report = train(dataset, train_cfg, initial=initial)
     except DivergedLoss as err:
         if err.partial_report is not None:
-            (out / "train_report.csv").write_text(err.partial_report.to_csv(),
-                                                  encoding="utf-8")
-            _write_json(out / "train_report.json",
-                        err.partial_report.to_json_dict(), args.deterministic)
+            _write_train_report(out, err.partial_report, args.deterministic)
         print(f"error: {err}", file=sys.stderr)
         return 3
     save_checkpoint(out / "checkpoint.rscfckp", checkpoint)
-    (out / "train_report.csv").write_text(report.to_csv(), encoding="utf-8")
-    _write_json(out / "train_report.json", report.to_json_dict(),
-                args.deterministic)
+    _write_train_report(out, report, args.deterministic)
     print(f"trained {train_cfg.epochs} epochs -> {out / 'checkpoint.rscfckp'}")
     return 0
 
 
+HITS_COLUMNS = [f"hits{n}" for n in evaluation.HITS]
+
+
 def _per_relation_rows(report: evaluation.EvalReport):
-    header = ["relation", "relation_id", "queries", "mrr", "hits1", "hits3", "hits10"]
-    rows = [[r["relation"], r["relation_id"], r["queries"], repr(r["mrr"]),
-             repr(r.get("hits1", 0.0)), repr(r.get("hits3", 0.0)),
-             repr(r.get("hits10", 0.0))] for r in report.per_relation]
+    header = ["relation", "relation_id", "queries", "mrr"] + HITS_COLUMNS
+    rows = [[r["relation"], r["relation_id"], r["queries"], repr(r["mrr"])]
+            + [repr(r[col]) for col in HITS_COLUMNS] for r in report.per_relation]
     return header, rows
 
 
@@ -140,9 +142,9 @@ def cmd_evaluate(args) -> int:
                                               num_buckets=cfg["eval.buckets"])
         payload["groups"] = {name: rep.to_dict() for name, rep in grouped.items()}
         _write_csv(out / "eval_groups.csv",
-                   ["group", "queries", "mrr", "hits1", "hits3", "hits10"],
-                   [[name, rep.query_count, repr(rep.mrr), repr(rep.hits[1]),
-                     repr(rep.hits[3]), repr(rep.hits[10])]
+                   ["group", "queries", "mrr"] + HITS_COLUMNS,
+                   [[name, rep.query_count, repr(rep.mrr)]
+                    + [repr(rep.hits[n]) for n in evaluation.HITS]
                     for name, rep in sorted(grouped.items())])
     _write_json(out / "eval.json", payload, args.deterministic)
     header, rows = _per_relation_rows(report)
@@ -191,8 +193,6 @@ def cmd_analyze_clusters(args) -> int:
 def cmd_analyze_scales(args) -> int:
     cfg = RunConfig.from_file(args.config)
     sample_size = args.sample or cfg["analysis.sample"]
-    if sample_size < 1:
-        raise ConfigError(f"analysis.sample must be at least 1, got {sample_size}")
     checkpoint = load_checkpoint(args.checkpoint)
     dataset = _load_dataset(cfg)
     triples = analysis.telemetry_sample(dataset.split_array("train"),

@@ -31,6 +31,13 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
 def _choice(*options: str):
     def parse(raw: str) -> str:
         if raw not in options:
@@ -73,9 +80,9 @@ SCHEMA = {
     "train.precision": str,
     "eval.split": _choice("train", "valid", "test"),
     "eval.directions": _choice("tail", "head", "both"),
-    "eval.buckets": int,
+    "eval.buckets": _positive_int,
     "groups.file": str,
-    "analysis.sample": int,
+    "analysis.sample": _positive_int,
 }
 
 # defaults of the keys no spec dataclass holds; any other key left out reads None

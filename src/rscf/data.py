@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -84,13 +82,6 @@ class Vocabulary:
     def from_dict(cls, d: dict) -> "Vocabulary":
         return cls(list(d["entities"]), list(d["relations"]))
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def loads(cls, s: str) -> "Vocabulary":
-        return cls.from_dict(json.loads(s))
-
 
 def build_vocabulary(*splits: list[tuple[str, str, str]]) -> Vocabulary:
     """Assign ids by first appearance across the splits in the order given."""
@@ -157,8 +148,8 @@ class Dataset:
         )
 
 
-class IdTable(Mapping):
-    """Read-only map (a, b) -> set of ids, stored as CSR arrays.
+class IdTable:
+    """Read-only map (a, b) -> ids, stored as CSR arrays.
 
     `key_codes` holds the distinct codes a * width + b in ascending order; the
     ids of key_codes[i] are ids[ptr[i]:ptr[i + 1]], ascending and without
@@ -179,29 +170,13 @@ class IdTable(Mapping):
 
     def ids_of(self, a: int, b: int) -> np.ndarray:
         """Ascending ids stored under (a, b); empty when there are none."""
-        i = self._slot(a, b)
-        if i < 0:
-            return self.ids[:0]
-        return self.ids[self.ptr[i]:self.ptr[i + 1]]
-
-    def _slot(self, a: int, b: int) -> int:
         if a < 0 or not 0 <= b < self.width:
-            return -1
+            return self.ids[:0]
         code = a * self.width + b
         i = int(np.searchsorted(self.key_codes, code))
-        return i if i < self.key_codes.size and self.key_codes[i] == code else -1
-
-    def __getitem__(self, key) -> set[int]:
-        i = self._slot(*key)
-        if i < 0:
-            raise KeyError(key)
-        return set(self.ids[self.ptr[i]:self.ptr[i + 1]].tolist())
-
-    def __iter__(self):
-        return (divmod(code, self.width) for code in self.key_codes.tolist())
-
-    def __len__(self) -> int:
-        return int(self.key_codes.size)
+        if i == self.key_codes.size or self.key_codes[i] != code:
+            return self.ids[:0]
+        return self.ids[self.ptr[i]:self.ptr[i + 1]]
 
 
 @dataclass
@@ -210,12 +185,6 @@ class FilterIndex:
 
     tail_index: IdTable  # (head, relation) -> tails
     head_index: IdTable  # (relation, tail) -> heads
-
-    def true_tails(self, head: int, relation: int) -> set[int]:
-        return set(self.tail_index.ids_of(head, relation).tolist())
-
-    def true_heads(self, relation: int, tail: int) -> set[int]:
-        return set(self.head_index.ids_of(relation, tail).tolist())
 
 
 def build_filter_index(dataset: Dataset) -> FilterIndex:

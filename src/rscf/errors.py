@@ -35,10 +35,6 @@ class TooFewRelations(DataError):
         super().__init__(f"need at least {want} relations to bucket, have {have}")
 
 
-class UnknownRelation(DataError):
-    pass
-
-
 class GoldOutOfRange(DataError):
     pass
 
@@ -56,10 +52,6 @@ class ShapeMismatch(RscfError):
 
 
 class InvalidScheme(RscfError):
-    pass
-
-
-class OddDimension(ShapeMismatch):
     pass
 
 

@@ -8,16 +8,10 @@ import numpy as np
 
 from . import models as M
 from . import transforms as T
-from .data import (
-    Dataset,
-    RelationFrequencyBuckets,
-    RelationGroups,
-    build_filter_index,
-    relation_frequency_buckets,
-)
+from .data import Dataset, RelationGroups, build_filter_index, relation_frequency_buckets
 from .errors import EmptySplit, GoldOutOfRange, NumericalError
 
-DEFAULT_HITS = (1, 3, 10)
+HITS = (1, 3, 10)  # the Hits@N every report and CSV carries
 # Target size of one score block, counting one array per block: the (queries, N)
 # scores of tensor models, one (queries, N, d) intermediate of distance models
 # (whose filter, rt and distance temporaries take a few times that). At
@@ -147,24 +141,24 @@ class EvalReport:
         }
 
 
-def _metrics(ranks: np.ndarray, hits_at) -> tuple[float, dict[int, float]]:
+def _metrics(ranks: np.ndarray) -> tuple[float, dict[int, float]]:
     mrr = float(np.mean(1.0 / ranks))
-    hits = {int(n): float(np.mean(ranks <= n)) for n in hits_at}
+    hits = {n: float(np.mean(ranks <= n)) for n in HITS}
     return mrr, hits
 
 
-def aggregate(results: list[RankResult], vocabulary, hits_at=DEFAULT_HITS) -> EvalReport:
+def aggregate(results: list[RankResult], vocabulary) -> EvalReport:
     if not results:
-        return EvalReport(0.0, {int(n): 0.0 for n in hits_at}, 0, [])
+        return EvalReport(0.0, {n: 0.0 for n in HITS}, 0, [])
     ranks = np.asarray([r.rank for r in results], dtype=np.float64)
-    mrr, hits = _metrics(ranks, hits_at)
+    mrr, hits = _metrics(ranks)
     by_rel: dict[int, list[float]] = {}
     for r in results:
         by_rel.setdefault(r.relation, []).append(r.rank)
     per_relation = []
     for rel_id in sorted(by_rel):
         rel_ranks = np.asarray(by_rel[rel_id])
-        rel_mrr, rel_hits = _metrics(rel_ranks, hits_at)
+        rel_mrr, rel_hits = _metrics(rel_ranks)
         row = {
             "relation": vocabulary.relation_names[rel_id] if vocabulary else str(rel_id),
             "relation_id": rel_id,
@@ -207,62 +201,41 @@ def collect_ranks(checkpoint, dataset: Dataset, split: str,
 
 
 def evaluate_split(checkpoint, dataset: Dataset, split: str,
-                   directions: str = "both", hits_at=DEFAULT_HITS) -> EvalReport:
+                   directions: str = "both") -> EvalReport:
     results = collect_ranks(checkpoint, dataset, split, directions)
-    return aggregate(results, dataset.vocabulary, hits_at)
+    return aggregate(results, dataset.vocabulary)
 
 
 def aggregate_groups(results: list[RankResult], dataset: Dataset, grouping,
-                     hits_at=DEFAULT_HITS,
                      num_buckets: int = 10) -> dict[str, EvalReport]:
     """Per-group metrics of collected ranks. grouping is one of:
 
-    - "frequency" or a RelationFrequencyBuckets: train-frequency buckets,
-      reported as "bucket_0" (most frequent) .. "bucket_k-1";
+    - "frequency": train-frequency buckets, reported as "bucket_0" (most
+      frequent) .. "bucket_k-1";
     - a RelationGroups: named groups, ungrouped relations under "_other";
     - an int relation id: that relation only, under its name.
     """
     vocab = dataset.vocabulary
-    seed_names: list[str] = []
-
-    if grouping == "frequency" or isinstance(grouping, RelationFrequencyBuckets):
-        buckets = (
-            grouping
-            if isinstance(grouping, RelationFrequencyBuckets)
-            else relation_frequency_buckets(dataset.train, vocab.num_relations, num_buckets)
-        )
-        width = len(str(len(buckets.bucket_members) - 1))
-        seed_names = [f"bucket_{b:0{width}d}"
-                      for b in range(len(buckets.bucket_members))]
-
-        def group_name_of(rel_id):
-            return f"bucket_{buckets.bucket_of[rel_id]:0{width}d}"
-
+    if grouping == "frequency":
+        buckets = relation_frequency_buckets(dataset.train, vocab.num_relations, num_buckets)
+        width = len(str(num_buckets - 1))
+        names = [f"bucket_{b:0{width}d}" for b in range(num_buckets)]
+        group_of = {rel_id: names[b] for rel_id, b in buckets.bucket_of.items()}
     elif isinstance(grouping, RelationGroups):
-        resolved, _unknown = grouping.resolve(vocab)
-        seed_names = grouping.group_names()
-
-        def group_name_of(rel_id):
-            return resolved.get(rel_id, "_other")
-
+        names = grouping.group_names()
+        group_of = {**dict.fromkeys(range(vocab.num_relations), "_other"),
+                    **grouping.resolve(vocab)[0]}
     elif isinstance(grouping, int):
-        target = grouping
-        seed_names = [vocab.relation_names[target]]
-
-        def group_name_of(rel_id):
-            return vocab.relation_names[rel_id] if rel_id == target else None
-
+        names = [vocab.relation_names[grouping]]
+        group_of = {grouping: names[0]}
     else:
         raise ValueError(f"unsupported grouping {grouping!r}")
 
     # groups with no queries still report (zero counts), so bucket layouts
     # stay fixed across runs
-    partition: dict[str, list[RankResult]] = {name: [] for name in seed_names}
+    partition: dict[str, list[RankResult]] = {name: [] for name in names}
     for res in results:
-        name = group_name_of(res.relation)
+        name = group_of.get(res.relation)
         if name is not None:
             partition.setdefault(name, []).append(res)
-    return {
-        name: aggregate(members, vocab, hits_at)
-        for name, members in sorted(partition.items())
-    }
+    return {name: aggregate(members, vocab) for name, members in sorted(partition.items())}

@@ -16,8 +16,7 @@ from .objectives import LossConfig, build_store, sample_negatives, total_objecti
 from .tensor import Rng, finite_difference_check
 from .transforms import FILTER_KINDS, FilterSpec
 
-DEFAULT_MODELS = ("transe", "rotate", "cp", "complex", "rescal")
-DEFAULT_FILTERS = tuple(FILTER_KINDS)
+MODELS = ("transe", "rotate", "cp", "complex", "rescal")
 
 
 @dataclass
@@ -71,15 +70,15 @@ def check_combo(model_kind: str, filter_kind: str, rt: bool, rp_weight: float,
     return report.max_rel_error
 
 
-def run_grid(models=DEFAULT_MODELS, filters=DEFAULT_FILTERS,
-             rp_weights=(0.0, 0.1), dura_weights=(0.0, 0.05),
-             seed: int = 3, **kwargs) -> list[ComboResult]:
+def run_grid(seed: int = 3, **kwargs) -> list[ComboResult]:
+    """Every model x filter x rt x relation-prediction weight (0, 0.1) x
+    regularizer weight (0, 0.05; tensor models only) combination."""
     results = []
-    for model_kind in models:
-        duras = dura_weights if model_kind in TDM_KINDS else (0.0,)
-        for filter_kind in filters:
+    for model_kind in MODELS:
+        duras = (0.0, 0.05) if model_kind in TDM_KINDS else (0.0,)
+        for filter_kind in FILTER_KINDS:
             for rt in (False, True):
-                for lam in rp_weights:
+                for lam in (0.0, 0.1):
                     for dura in duras:
                         err = check_combo(model_kind, filter_kind, rt, lam,
                                           dura, seed=seed, **kwargs)

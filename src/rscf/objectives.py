@@ -465,10 +465,10 @@ def _rp_objective(batch, store, model, loss, buf) -> float:
 
 
 def optimizer_step(store: ParameterStore, buf: GradientBuffer,
-                   optimizer: str = "adagrad", lr: float = 0.1,
-                   adagrad_eps: float = 1e-10) -> None:
+                   optimizer: str = "adagrad", lr: float = 0.1) -> None:
     """Apply one update to every touched, trainable row. Adagrad keeps
-    per-element squared-gradient accumulators in the store."""
+    per-element squared-gradient accumulators in the store and adds 1e-10 to
+    their square roots."""
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     if optimizer not in ("adagrad", "sgd"):
@@ -487,6 +487,6 @@ def optimizer_step(store: ParameterStore, buf: GradientBuffer,
             raise NonFiniteGradient(name)
         if optimizer == "adagrad":
             acc[rows] += g * g
-            table[rows] -= lr * g / (np.sqrt(acc[rows]) + adagrad_eps)
+            table[rows] -= lr * g / (np.sqrt(acc[rows]) + 1e-10)
         else:
             table[rows] -= lr * g

@@ -10,10 +10,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as M
-from .errors import (OddDimension, ShapeMismatch, TargetOutOfRange, UnknownRelation,
-                     UnsupportedModel)
+from .errors import DataError, ShapeMismatch, TargetOutOfRange, UnsupportedModel
 from .objectives import cross_entropy, self_adversarial
 from .transforms import DEFAULT_ZERO_EPS
+
+
+class OddDimension(ShapeMismatch):
+    pass
+
+
+class UnknownRelation(DataError):
+    pass
 
 
 def score(model: M.ModelSpec, h_vec, r_vec, t_vec) -> float:

@@ -15,10 +15,6 @@ from pathlib import Path
 from .data import Dataset
 from .tensor import Rng
 
-_UNITS_MOD = {
-    20: (1, 3, 7, 9, 11, 13, 17, 19),
-}
-
 
 @dataclass(frozen=True)
 class AffineRule:
@@ -39,17 +35,13 @@ class AffineRule:
         )
 
 
-def synthetic_kg(seed: int = 0, num_entities: int = 200, num_relations: int = 12,
-                 num_clusters: int = 10, holdout: int = 300) -> Dataset:
-    """200 entities / 12 relations by default: 6 primitive rules plus 6
-    two-order compositions, ~3,000 train triples after holding out `holdout`
-    pairs each for valid and test."""
-    if num_entities % num_clusters != 0:
-        raise ValueError("num_entities must be divisible by num_clusters")
+def synthetic_kg(seed: int = 0) -> Dataset:
+    """200 entities / 12 relations: 6 primitive rules plus 6 two-order
+    compositions, ~3,000 train triples after holding out 300 pairs each for
+    valid and test."""
+    num_entities, num_relations, num_clusters, holdout = 200, 12, 10, 300
     positions = num_entities // num_clusters
-    if positions not in _UNITS_MOD:
-        raise ValueError(f"unsupported positions-per-cluster {positions}")
-    units = _UNITS_MOD[positions]
+    units = (1, 3, 7, 9, 11, 13, 17, 19)  # invertible mod 20: position maps are bijections
     num_primitive = num_relations // 2
     gen = Rng(seed).derive("synthetic").generator()
 

@@ -134,12 +134,12 @@ class FdReport:
 
 def finite_difference_check(loss_fn, store: ParameterStore, analytic: dict,
                             eps: float = 1e-5, rng: Rng | None = None,
-                            coords_per_table: int = 64, full: bool = False) -> FdReport:
+                            coords_per_table: int = 64) -> FdReport:
     """Compare analytic gradients against central differences.
 
     loss_fn is a zero-argument closure over `store`; tables are perturbed in
-    place and restored. Per table, a random subsample of coordinates is checked
-    (all of them under full=True). Relative error per coordinate is
+    place and restored. Per table, coords_per_table random coordinates are
+    checked (all of them in a smaller table). Relative error per coordinate is
     |fd - an| / max(1, |fd|, |an|), and infinite where an is NaN or infinite;
     the max over all checked coordinates is returned.
     """
@@ -155,7 +155,7 @@ def finite_difference_check(loss_fn, store: ParameterStore, analytic: dict,
         flat = table.reshape(-1)
         gflat = grad.reshape(-1)
         n = flat.size
-        if full or n <= coords_per_table:
+        if n <= coords_per_table:
             idx = np.arange(n)
         else:
             idx = gen.choice(n, size=coords_per_table, replace=False)

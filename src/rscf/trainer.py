@@ -16,7 +16,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -128,13 +128,8 @@ class EpochRecord:
 class TrainReport:
     records: list[EpochRecord] = field(default_factory=list)
 
-    _FIELDS = ("epoch", "loss", "valid_mrr", "transformation_scale",
-               "rt_scale", "embedding_scale")
-
     def to_json_dict(self) -> dict:
-        return {"epochs": [
-            {k: getattr(r, k) for k in self._FIELDS} for r in self.records
-        ]}
+        return {"epochs": [asdict(r) for r in self.records]}
 
     def to_csv(self) -> str:
         def _fmt(v):
@@ -144,9 +139,10 @@ class TrainReport:
 
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(self._FIELDS)
+        names = [f.name for f in fields(EpochRecord)]
+        writer.writerow(names)
         for r in self.records:
-            writer.writerow([_fmt(getattr(r, k)) for k in self._FIELDS])
+            writer.writerow([_fmt(getattr(r, k)) for k in names])
         return out.getvalue()
 
 

@@ -210,8 +210,8 @@ class TestMonteCarlo:
 
     def test_table_shape(self):
         report = monte_carlo_consistency(ConsistencySimConfig(dim=4, samples=200))
-        table = report.table()
-        assert len(table) == 3 and all(len(row) == 4 for row in table)
+        rates = report.rates
+        assert len(rates) == 3 and all(len(row) == 4 for row in rates.values())
 
     @pytest.mark.parametrize("dim", [0, -2])
     def test_dim_below_one_rejected(self, dim):

@@ -96,6 +96,10 @@ class TestTrainCommand:
         ("train", {"train.init_scale": "nan"}),
         ("train", {"train.init_scale": "0"}),
         ("train", {"train.init_scale": "-0.1"}),
+        ("evaluate", {"eval.buckets": "0"}),
+        ("evaluate", {"eval.buckets": "-1"}),
+        ("evaluate", {"analysis.sample": "0"}),
+        ("evaluate", {"analysis.sample": "-1"}),
     ])
     def test_bad_config_values_are_config_errors(self, tmp_path, command, settings,
                                                  capsys):

@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -73,7 +74,7 @@ class TestVocabulary:
 
     def test_roundtrip_serialization(self):
         vocab = build_vocabulary([("a", "r", "b"), ("c", "s", "d")])
-        again = Vocabulary.loads(vocab.dumps())
+        again = Vocabulary.from_dict(json.loads(json.dumps(vocab.to_dict())))
         assert again.entity_ids == vocab.entity_ids
         assert again.relation_ids == vocab.relation_ids
 
@@ -83,8 +84,8 @@ class TestFilterIndex:
         ds = Dataset(train=[Triple(0, 0, 1)], valid=[Triple(0, 0, 2)], test=[],
                      vocabulary=build_vocabulary([("a", "r", "b"), ("a", "r", "c")]))
         index = build_filter_index(ds)
-        assert index.true_tails(0, 0) == {1, 2}
-        assert index.true_heads(0, 1) == {0}
+        assert index.tail_index.ids_of(0, 0).tolist() == [1, 2]
+        assert index.head_index.ids_of(0, 1).tolist() == [0]
 
     def test_id_slices_are_sorted_and_deduplicated(self):
         ds = Dataset(train=[Triple(0, 0, 2), Triple(0, 0, 1), Triple(0, 0, 2)],
@@ -95,13 +96,14 @@ class TestFilterIndex:
         assert index.head_index.ids_of(0, 2).tolist() == [0, 3]
         assert index.tail_index.ids_of(0, 1).size == 0
         assert index.tail_index.ids_of(-1, 0).size == 0
-        assert dict(index.tail_index) == {(0, 0): {1, 2}, (3, 0): {2}}
-        assert len(index.head_index) == 2 and (0, 1) in index.head_index
+        assert index.tail_index.key_codes.size == 2  # keys (0, 0) and (3, 0)
+        assert index.tail_index.ids_of(3, 0).tolist() == [2]
+        assert index.head_index.key_codes.size == 2 and index.head_index.ids_of(0, 1).size > 0
 
     def test_empty_dataset(self):
         ds = Dataset([], [], [], build_vocabulary([]))
         index = build_filter_index(ds)
-        assert not index.tail_index and not index.head_index
+        assert index.tail_index.key_codes.size == 0 and index.head_index.key_codes.size == 0
 
     def test_matches_linear_scan_on_random_kg(self):
         gen = np.random.default_rng(5)
@@ -115,7 +117,7 @@ class TestFilterIndex:
         for h in range(ds.vocabulary.num_entities):
             for r in range(ds.vocabulary.num_relations):
                 expected = {t.tail for t in everything if t.head == h and t.relation == r}
-                assert index.true_tails(h, r) == expected
+                assert set(index.tail_index.ids_of(h, r).tolist()) == expected
 
     def test_completeness_invariant(self):
         gen = np.random.default_rng(9)
@@ -124,8 +126,8 @@ class TestFilterIndex:
         ds = Dataset.from_raw(raw[:20], raw[20:30], raw[30:])
         index = build_filter_index(ds)
         for t in ds.all_triples():
-            assert t.tail in index.true_tails(t.head, t.relation)
-            assert t.head in index.true_heads(t.relation, t.tail)
+            assert t.tail in index.tail_index.ids_of(t.head, t.relation)
+            assert t.head in index.head_index.ids_of(t.relation, t.tail)
 
 
 class TestFrequencyBuckets:

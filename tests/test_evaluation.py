@@ -183,9 +183,9 @@ class TestEvaluateSplit:
         for h, r, t in ds.test:
             for gold, scores, known in (
                 (t, _per_query_scores(store, model, filt, "tail", h, r),
-                 index.true_tails(h, r)),
+                 set(index.tail_index.ids_of(h, r).tolist())),
                 (h, _per_query_scores(store, model, filt, "head", t, r),
-                 index.true_heads(r, t)),
+                 set(index.head_index.ids_of(r, t).tolist())),
             ):
                 keep = [e for e in range(7) if e == gold or e not in known]
                 s_gold = scores[gold]
@@ -334,11 +334,11 @@ def _reference_ranks(ckpt, ds, split, directions):
         if directions in ("tail", "both"):
             out.append((h, r, t, "tail",
                         _loop_rank(t, _per_query_scores(*args, "tail", h, r),
-                                   index.true_tails(h, r))))
+                                   set(index.tail_index.ids_of(h, r).tolist()))))
         if directions in ("head", "both"):
             out.append((h, r, t, "head",
                         _loop_rank(h, _per_query_scores(*args, "head", t, r),
-                                   index.true_heads(r, t))))
+                                   set(index.head_index.ids_of(r, t).tolist()))))
     return out
 
 

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rscf.errors import OddDimension, ShapeMismatch, UnknownRelation
+from rscf.errors import ShapeMismatch
 from rscf.models import p_norm
 from rscf.reference import (
     ZERO_CHANGE,
+    OddDimension,
     SfbrParams,
+    UnknownRelation,
     build_linear2_matrix,
     p_normalize,
     rscf_entity_transform,
