@@ -168,15 +168,17 @@ class IdTable:
         self.key_codes = key_of[starts]
         self.ptr = np.append(starts, codes.size)
 
-    def ids_of(self, a: int, b: int) -> np.ndarray:
-        """Ascending ids stored under (a, b); empty when there are none."""
-        if a < 0 or not 0 <= b < self.width:
-            return self.ids[:0]
-        code = a * self.width + b
-        i = int(np.searchsorted(self.key_codes, code))
-        if i == self.key_codes.size or self.key_codes[i] != code:
-            return self.ids[:0]
-        return self.ids[self.ptr[i]:self.ptr[i + 1]]
+    def slices(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(start, stop) arrays: the ids stored under key (a[i], b[i]) are
+        ids[start[i]:stop[i]], an empty slice for a key with none (a < 0 or b
+        outside [0, width) included)."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        codes = a * self.width + b
+        i = np.searchsorted(self.key_codes, codes)
+        hit = (a >= 0) & (b >= 0) & (b < self.width) & (i < self.key_codes.size)
+        hit[hit] = self.key_codes[i[hit]] == codes[hit]
+        start = self.ptr[i]
+        return start, np.where(hit, self.ptr[np.minimum(i + 1, self.key_codes.size)], start)
 
 
 @dataclass

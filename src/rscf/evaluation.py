@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,25 +21,43 @@ HITS = (1, 3, 10)  # the Hits@N every report and CSV carries
 SCORE_BLOCK_BYTES = 1 << 22
 
 
-def filtered_rank(gold: int, scores: np.ndarray, known_true) -> float:
-    """Mid-rank of the gold candidate after removing other known-true ids.
+def rank_block(scores: np.ndarray, gold: np.ndarray, ids: np.ndarray,
+               start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Filtered mid-ranks of the Q gold candidates of a (Q, N) score block.
 
-    rank = 1 + #{better survivors} + #{tied survivors != gold} / 2, counted
-    over all candidates minus the known-true ids (gold, repeats and ids
-    outside the candidate range dropped). known_true is any iterable of ids.
+    Row q ranks candidate gold[q] after removing its known-true ids,
+    ids[start[q]:stop[q]] (the gold id, repeats and ids outside [0, N)
+    ignored): rank = 1 + #{better survivors} + #{tied survivors != gold} / 2.
+    Scores are compared in their own dtype, which is exact.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    n = scores.shape[0]
-    if not 0 <= gold < n:
-        raise GoldOutOfRange(f"gold {gold} outside [0, {n})")
+    q, n = scores.shape
+    bad = (gold < 0) | (gold >= n)
+    if bad.any():
+        raise GoldOutOfRange(f"gold {gold[bad][0]} outside [0, {n})")
+    rows = np.arange(q)
+    s_gold = scores[rows, gold]
+    # int32 row sums of the bool masks take about half the time of intp ones
+    better = (scores > s_gold[:, None]).sum(axis=1, dtype=np.int32)
+    tied = (scores == s_gold[:, None]).sum(axis=1, dtype=np.int32)
+    # the known-true ids of every row, flattened, as (row, id) pairs
+    lengths = stop - start
+    row = np.repeat(rows, lengths)
+    known = ids[np.arange(row.size) + np.repeat(start - (np.cumsum(lengths) - lengths),
+                                                 lengths)]
+    keep = (known != gold[row]) & (known >= 0) & (known < n)
+    row, known = np.divmod(np.unique(row[keep] * n + known[keep]), n)
+    s_known, s_row_gold = scores[row, known], s_gold[row]
+    better = better - np.bincount(row[s_known > s_row_gold], minlength=q)
+    tied = tied - np.bincount(row[s_known == s_row_gold], minlength=q)
+    return 1.0 + better + 0.5 * (tied - 1)  # gold survives by construction
+
+
+def filtered_rank(gold: int, scores: np.ndarray, known_true) -> float:
+    """rank_block for one query; known_true is any iterable of ids."""
     known = (known_true if isinstance(known_true, np.ndarray)
              else np.fromiter(known_true, dtype=np.int64))
-    known = np.unique(known[(known != gold) & (known >= 0) & (known < n)])
-    s_gold = scores[gold]
-    s_known = scores[known]
-    better = np.count_nonzero(scores > s_gold) - np.count_nonzero(s_known > s_gold)
-    tied = np.count_nonzero(scores == s_gold) - np.count_nonzero(s_known == s_gold)
-    return 1.0 + int(better) + 0.5 * (int(tied) - 1)  # gold survives by construction
+    return float(rank_block(np.asarray(scores)[None, :], np.asarray([gold]), known,
+                            np.zeros(1, dtype=np.int64), np.asarray([known.size]))[0])
 
 
 class CandidateScorer:
@@ -100,13 +119,17 @@ class CandidateScorer:
                                        cand_f, cand_factor)
         return sc
 
-    def blocks(self, direction: str, fixed_ids: np.ndarray, rel_ids: np.ndarray):
-        """Yields the queries' score blocks in order, each as many rows as fit
-        SCORE_BLOCK_BYTES (at least one). Raises NumericalError on a non-finite
-        score."""
+    @property
+    def block_rows(self) -> int:
+        """Queries per score block: as many as fit SCORE_BLOCK_BYTES, at least one."""
         ent = self.store["entity"]
         per_row = ent.shape[0] if self.model.is_tdm else ent.size
-        rows = max(1, SCORE_BLOCK_BYTES // (per_row * ent.itemsize))
+        return max(1, SCORE_BLOCK_BYTES // (per_row * ent.itemsize))
+
+    def blocks(self, direction: str, fixed_ids: np.ndarray, rel_ids: np.ndarray):
+        """Yields the queries' score blocks in order, each block_rows rows (the
+        last may hold fewer). Raises NumericalError on a non-finite score."""
+        rows = self.block_rows
         for lo in range(0, len(fixed_ids), rows):
             scores = self.score_block(direction, fixed_ids[lo:lo + rows],
                                       rel_ids[lo:lo + rows])
@@ -160,7 +183,7 @@ def aggregate(results: list[RankResult], vocabulary) -> EvalReport:
         rel_ranks = np.asarray(by_rel[rel_id])
         rel_mrr, rel_hits = _metrics(rel_ranks)
         row = {
-            "relation": vocabulary.relation_names[rel_id] if vocabulary else str(rel_id),
+            "relation": vocabulary.relation_names[rel_id],
             "relation_id": rel_id,
             "queries": int(rel_ranks.size),
             "mrr": rel_mrr,
@@ -175,7 +198,8 @@ def collect_ranks(checkpoint, dataset: Dataset, split: str,
     """Filtered rank of every query in the split, in deterministic order.
 
     Queries are scored through CandidateScorer.blocks, which raises
-    NumericalError when any score is not finite.
+    NumericalError when any score is not finite, and ranked by rank_block. A
+    rank that is not finite or lies outside [1, N] raises NumericalError too.
     """
     if directions not in ("tail", "head", "both"):
         raise ValueError(f"unknown directions {directions!r}")
@@ -184,20 +208,38 @@ def collect_ranks(checkpoint, dataset: Dataset, split: str,
         raise EmptySplit(split)
     index = build_filter_index(dataset)
     scorer = CandidateScorer(checkpoint.store, checkpoint.model, checkpoint.filter)
+    ent = checkpoint.store["entity"]
+    n = ent.shape[0]
+    # score blocks ranked together: distance blocks, often one query, are
+    # stacked up to SCORE_BLOCK_BYTES of scores; tensor blocks already fill it
+    stack = max(1, SCORE_BLOCK_BYTES // (n * ent.itemsize) // scorer.block_rows)
+    heads, rels, tails = arr.T
     wanted = [d for d in ("tail", "head") if directions in (d, "both")]
-    triples = arr.tolist()
     ranks = {}
     for d in wanted:
-        fixed, gold = (arr[:, 0], arr[:, 2]) if d == "tail" else (arr[:, 2], arr[:, 0])
-        known = ((index.tail_index.ids_of(h, r) for h, r, _ in triples) if d == "tail"
-                 else (index.head_index.ids_of(r, t) for _, r, t in triples))
-        rows = (row for block in scorer.blocks(d, fixed, arr[:, 1]) for row in block)
+        table, fixed, gold, keys = ((index.tail_index, heads, tails, (heads, rels))
+                                    if d == "tail" else
+                                    (index.head_index, tails, heads, (rels, tails)))
+        start, stop = table.slices(*keys)
+        out = np.empty(len(arr))
+        lo = 0
+        blocks = scorer.blocks(d, fixed, rels)
         try:
-            ranks[d] = [filtered_rank(g, s, k) for g, s, k in zip(gold.tolist(), rows, known)]
+            while group := list(itertools.islice(blocks, stack)):
+                block = group[0] if len(group) == 1 else np.concatenate(group)
+                hi = lo + block.shape[0]
+                out[lo:hi] = rank_block(block, gold[lo:hi], table.ids,
+                                        start[lo:hi], stop[lo:hi])
+                lo = hi
         except NumericalError as err:
             raise NumericalError(f"{err} of the {split} split") from None
+        bad = ~((out >= 1.0) & (out <= n))  # NaN fails both
+        if bad.any():
+            raise NumericalError(f"{np.count_nonzero(bad)} {d} ranks outside [1, {n}] "
+                                 f"(first {out[bad][0]!r}) of the {split} split")
+        ranks[d] = out.tolist()
     return [RankResult(h, r, t, d, ranks[d][i])
-            for i, (h, r, t) in enumerate(triples) for d in wanted]
+            for i, (h, r, t) in enumerate(arr.tolist()) for d in wanted]
 
 
 def evaluate_split(checkpoint, dataset: Dataset, split: str,

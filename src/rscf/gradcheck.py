@@ -30,11 +30,10 @@ class ComboResult:
 
 
 def check_combo(model_kind: str, filter_kind: str, rt: bool, rp_weight: float,
-                dura_weight: float, dim: int = 6, num_entities: int = 6,
-                num_relations: int = 3, triples: int = 5, negatives: int = 4,
-                seed: int = 3, eps: float = 1e-5,
+                dura_weight: float, dim: int = 6, triples: int = 5, seed: int = 3,
                 coords_per_table: int = 64) -> float:
     """Max relative error between analytic and central-difference gradients."""
+    num_entities, num_relations, negatives, eps = 6, 3, 4, 1e-5
     if model_kind == "rescal":
         dim = min(dim, 4)  # keeps the dim^2 relation rows small
     model = ModelSpec(model_kind, dim, distance_p=2, gamma=2.0)

@@ -1,7 +1,8 @@
 """Single-vector reference oracles: each states one equation of the method
 (scores, filters, relation transformation, task loss, duality regularizer,
-relation prediction) for one vector or triple, independently of the batched
-kernels. No production path imports this module; tests compare against it."""
+relation prediction, the filter-index lookup) for one vector, triple or key,
+independently of the batched kernels. No production path imports this module;
+tests compare against it."""
 
 from __future__ import annotations
 
@@ -284,3 +285,15 @@ def rp_term(model: M.ModelSpec, h_vec, t_vec, relation_table, true_relation: int
     value, d_scores = cross_entropy(scores, [true_relation])
     d_h, d_t, d_table = M.relation_scores_vjp(model, h, t, table, cache, d_scores)
     return value, (d_h[0], d_t[0], d_table)
+
+
+def ids_of(table, a: int, b: int) -> np.ndarray:
+    """Ascending ids a data.IdTable stores under the one key (a, b), found by a
+    scalar binary search; empty when there are none."""
+    if a < 0 or not 0 <= b < table.width:
+        return table.ids[:0]
+    code = a * table.width + b
+    i = int(np.searchsorted(table.key_codes, code))
+    if i == table.key_codes.size or table.key_codes[i] != code:
+        return table.ids[:0]
+    return table.ids[table.ptr[i]:table.ptr[i + 1]]

@@ -23,7 +23,7 @@ from rscf.evaluation import CandidateScorer, collect_ranks, evaluate_split
 from rscf.gradcheck import run_grid
 from rscf.models import ModelSpec, p_norm
 from rscf.objectives import LossConfig, build_store, total_objective
-from rscf.reference import ZERO_CHANGE, dura_penalty, p_normalize, rp_term
+from rscf.reference import ZERO_CHANGE, dura_penalty, ids_of, p_normalize, rp_term
 from rscf.synthetic import synthetic_kg, write_dataset
 from rscf.tensor import Rng
 from rscf.trainer import Checkpoint, TrainConfig, train
@@ -171,11 +171,11 @@ def test_criterion_07_filtered_ranking_oracle():
         for res in collect_ranks(ckpt, ds, "test"):
             if res.direction == "tail":
                 scores = scorer.tail_scores(res.head, res.relation)
-                known = set(index.tail_index.ids_of(res.head, res.relation).tolist())
+                known = set(ids_of(index.tail_index, res.head, res.relation).tolist())
                 gold = res.tail
             else:
                 scores = scorer.head_scores(res.tail, res.relation)
-                known = set(index.head_index.ids_of(res.relation, res.tail).tolist())
+                known = set(ids_of(index.head_index, res.relation, res.tail).tolist())
                 gold = res.head
             if _sort_based_rank(gold, scores, known) != res.rank:
                 mismatches += 1
@@ -207,8 +207,8 @@ def _random_guess_mrr(dataset: Dataset) -> float:
     harmonics = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, num_e + 1))])
     expectations = []
     for h, r, t in dataset.test:
-        for gold, known in ((t, set(index.tail_index.ids_of(h, r).tolist())),
-                            (h, set(index.head_index.ids_of(r, t).tolist()))):
+        for gold, known in ((t, set(ids_of(index.tail_index, h, r).tolist())),
+                            (h, set(ids_of(index.head_index, r, t).tolist()))):
             c = num_e - len(known - {gold})
             expectations.append(harmonics[c] / c)
     return float(np.mean(expectations))

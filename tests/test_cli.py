@@ -159,6 +159,16 @@ class TestEvaluateCommand:
         assert code == 3
         assert not (tmp_path / "eval" / "eval.json").exists()
 
+    def test_out_of_range_rank_exit_code(self, run_dir, tmp_path, monkeypatch):
+        out, cfg = run_dir
+        monkeypatch.setattr(evaluation, "rank_block",
+                            lambda scores, *args: np.full(scores.shape[0], 0.5))
+        code = main(["evaluate", "--config", str(cfg), "--checkpoint",
+                     str(out / "checkpoint.rscfckp"), "--split", "test",
+                     "--out", str(tmp_path / "eval")])
+        assert code == 3
+        assert not (tmp_path / "eval" / "eval.json").exists()
+
     def test_group_by_frequency_yields_buckets(self, run_dir, tmp_path, monkeypatch):
         out, cfg = run_dir
         dest = tmp_path / "evalg"

@@ -18,6 +18,7 @@ from rscf.data import (
     relation_frequency_buckets,
 )
 from rscf.errors import DuplicateRelation, MalformedLine, TooFewRelations
+from rscf.reference import ids_of
 
 BENCH_DIR = os.environ.get("RSCF_BENCH_DIR", "")
 
@@ -84,21 +85,21 @@ class TestFilterIndex:
         ds = Dataset(train=[Triple(0, 0, 1)], valid=[Triple(0, 0, 2)], test=[],
                      vocabulary=build_vocabulary([("a", "r", "b"), ("a", "r", "c")]))
         index = build_filter_index(ds)
-        assert index.tail_index.ids_of(0, 0).tolist() == [1, 2]
-        assert index.head_index.ids_of(0, 1).tolist() == [0]
+        assert ids_of(index.tail_index, 0, 0).tolist() == [1, 2]
+        assert ids_of(index.head_index, 0, 1).tolist() == [0]
 
     def test_id_slices_are_sorted_and_deduplicated(self):
         ds = Dataset(train=[Triple(0, 0, 2), Triple(0, 0, 1), Triple(0, 0, 2)],
                      valid=[Triple(0, 0, 1)], test=[Triple(0, 0, 2), Triple(3, 0, 2)],
                      vocabulary=build_vocabulary([("a", "r", "b")]))
         index = build_filter_index(ds)
-        assert index.tail_index.ids_of(0, 0).tolist() == [1, 2]
-        assert index.head_index.ids_of(0, 2).tolist() == [0, 3]
-        assert index.tail_index.ids_of(0, 1).size == 0
-        assert index.tail_index.ids_of(-1, 0).size == 0
+        assert ids_of(index.tail_index, 0, 0).tolist() == [1, 2]
+        assert ids_of(index.head_index, 0, 2).tolist() == [0, 3]
+        assert ids_of(index.tail_index, 0, 1).size == 0
+        assert ids_of(index.tail_index, -1, 0).size == 0
         assert index.tail_index.key_codes.size == 2  # keys (0, 0) and (3, 0)
-        assert index.tail_index.ids_of(3, 0).tolist() == [2]
-        assert index.head_index.key_codes.size == 2 and index.head_index.ids_of(0, 1).size > 0
+        assert ids_of(index.tail_index, 3, 0).tolist() == [2]
+        assert index.head_index.key_codes.size == 2 and ids_of(index.head_index, 0, 1).size > 0
 
     def test_empty_dataset(self):
         ds = Dataset([], [], [], build_vocabulary([]))
@@ -117,7 +118,34 @@ class TestFilterIndex:
         for h in range(ds.vocabulary.num_entities):
             for r in range(ds.vocabulary.num_relations):
                 expected = {t.tail for t in everything if t.head == h and t.relation == r}
-                assert set(index.tail_index.ids_of(h, r).tolist()) == expected
+                assert set(ids_of(index.tail_index, h, r).tolist()) == expected
+
+    def test_slices_match_scalar_lookup_and_linear_scan(self):
+        gen = np.random.default_rng(6)
+        triples = [Triple(*map(int, row)) for row in
+                   np.stack([gen.integers(0, 7, 40), gen.integers(0, 3, 40),
+                             gen.integers(0, 7, 40)], axis=1)]
+        names = [(f"e{i}", f"r{j}", f"e{k}") for i, j, k in triples]
+        ds = Dataset.from_raw(names[:25], names[25:32], names[32:])
+        everything = ds.all_triples()
+        num_e, num_r = ds.vocabulary.num_entities, ds.vocabulary.num_relations
+        table = build_filter_index(ds).tail_index
+        # present and absent keys, negative a or b, and b at or past the width
+        keys = [(h, r) for h in range(-2, num_e + 2) for r in range(-2, num_r + 3)]
+        heads, rels = np.asarray(keys).T
+        order = gen.permutation(len(keys))  # lookups need not come sorted
+        start, stop = table.slices(heads[order], rels[order])
+        hits = 0
+        for i, (h, r) in enumerate(np.asarray(keys)[order].tolist()):
+            got = table.ids[start[i]:stop[i]]
+            assert got.tolist() == ids_of(table, h, r).tolist()
+            expected = sorted({t.tail for t in everything if t.head == h and t.relation == r})
+            assert got.tolist() == expected
+            hits += bool(expected)
+        assert 0 < hits < len(keys)
+        empty = build_filter_index(Dataset([], [], [], build_vocabulary([]))).tail_index
+        start, stop = empty.slices(heads, rels)
+        assert np.array_equal(start, stop)
 
     def test_completeness_invariant(self):
         gen = np.random.default_rng(9)
@@ -126,8 +154,8 @@ class TestFilterIndex:
         ds = Dataset.from_raw(raw[:20], raw[20:30], raw[30:])
         index = build_filter_index(ds)
         for t in ds.all_triples():
-            assert t.tail in index.tail_index.ids_of(t.head, t.relation)
-            assert t.head in index.head_index.ids_of(t.relation, t.tail)
+            assert t.tail in ids_of(index.tail_index, t.head, t.relation)
+            assert t.head in ids_of(index.head_index, t.relation, t.tail)
 
 
 class TestFrequencyBuckets:

@@ -13,10 +13,11 @@ from rscf.evaluation import (
     collect_ranks,
     evaluate_split,
     filtered_rank,
+    rank_block,
 )
 from rscf.models import ModelSpec
 from rscf.objectives import LossConfig, build_store, sample_negatives, total_objective
-from rscf.reference import rscf_entity_transform, rscf_relation_transform, score
+from rscf.reference import ids_of, rscf_entity_transform, rscf_relation_transform, score
 from rscf.tensor import Rng
 from rscf.trainer import Checkpoint, TrainConfig
 from rscf.transforms import FILTER_KINDS, FilterSpec
@@ -113,6 +114,57 @@ class TestFilteredRank:
         assert filtered_rank(1, np.full(5, np.nan), {1}) == 0.5
 
 
+class TestRankBlock:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_loop_reference_on_random_blocks(self, dtype):
+        gen = np.random.default_rng(2)
+        for _ in range(40):
+            total, n = 20, int(gen.integers(1, 15))
+            # a few distinct values, so ties are common
+            scores = gen.integers(0, 4, size=(total, n)).astype(dtype)
+            scores += gen.normal(size=(total, n)).astype(dtype) * (gen.random() < 0.5)
+            gold = gen.integers(0, n, size=total)
+            # per-row known lists with repeats, the gold id, ids outside [0, n)
+            # and empty lists, laid out back to back in one id array
+            lists = [gen.integers(-2, n + 2, size=int(gen.integers(0, 8))) for _ in range(total)]
+            for row in gen.choice(total, size=5, replace=False):
+                lists[row] = np.append(lists[row], [gold[row], gold[row]])
+            stop = np.cumsum([len(k) for k in lists])
+            start = stop - [len(k) for k in lists]
+            ids = np.concatenate(lists).astype(np.int64)
+            want = [_loop_rank(gold[q], scores[q], lists[q]) for q in range(total)]
+            for rows in (1, 3, total):
+                got = np.concatenate([
+                    rank_block(scores[lo:lo + rows], gold[lo:lo + rows], ids,
+                               start[lo:lo + rows], stop[lo:lo + rows])
+                    for lo in range(0, total, rows)])
+                assert got.tolist() == want, rows
+
+    def test_reads_known_ids_through_index_slices(self):
+        gen = np.random.default_rng(4)
+        ds = _grid_dataset(gen)
+        arr = ds.split_array("test")
+        num_e = ds.vocabulary.num_entities
+        table = build_filter_index(ds).tail_index
+        # gold tails with the queried relation shifted past the index's keys
+        # half the time, so absent keys give empty slices
+        rels = arr[:, 1] + ds.vocabulary.num_relations * (np.arange(len(arr)) % 2)
+        start, stop = table.slices(arr[:, 0], rels)
+        assert (start == stop).any() and (start < stop).any()
+        for dtype in (np.float32, np.float64):
+            scores = gen.integers(0, 3, size=(len(arr), num_e)).astype(dtype)
+            got = rank_block(scores, arr[:, 2], table.ids, start, stop)
+            want = [_loop_rank(g, s, ids_of(table, h, r).tolist())
+                    for g, s, h, r in zip(arr[:, 2], scores, arr[:, 0], rels)]
+            assert got.tolist() == want
+
+    def test_gold_out_of_range(self):
+        ids = np.zeros(0, dtype=np.int64)
+        with pytest.raises(GoldOutOfRange, match="gold 3 outside"):
+            rank_block(np.zeros((2, 3)), np.asarray([0, 3]), ids, np.zeros(2, int),
+                       np.zeros(2, int))
+
+
 def _fake_checkpoint(store, model, filt, vocab):
     cfg = TrainConfig(model=model, filter=filt,
                       loss=LossConfig(),
@@ -183,9 +235,9 @@ class TestEvaluateSplit:
         for h, r, t in ds.test:
             for gold, scores, known in (
                 (t, _per_query_scores(store, model, filt, "tail", h, r),
-                 set(index.tail_index.ids_of(h, r).tolist())),
+                 set(ids_of(index.tail_index, h, r).tolist())),
                 (h, _per_query_scores(store, model, filt, "head", t, r),
-                 set(index.head_index.ids_of(r, t).tolist())),
+                 set(ids_of(index.head_index, r, t).tolist())),
             ):
                 keep = [e for e in range(7) if e == gold or e not in known]
                 s_gold = scores[gold]
@@ -334,11 +386,11 @@ def _reference_ranks(ckpt, ds, split, directions):
         if directions in ("tail", "both"):
             out.append((h, r, t, "tail",
                         _loop_rank(t, _per_query_scores(*args, "tail", h, r),
-                                   set(index.tail_index.ids_of(h, r).tolist()))))
+                                   set(ids_of(index.tail_index, h, r).tolist()))))
         if directions in ("head", "both"):
             out.append((h, r, t, "head",
                         _loop_rank(h, _per_query_scores(*args, "head", t, r),
-                                   set(index.head_index.ids_of(r, t).tolist()))))
+                                   set(ids_of(index.head_index, r, t).tolist()))))
     return out
 
 
@@ -396,6 +448,57 @@ class TestCollectRanksGrid:
                 mid_ranks += sum(1 for *_, rank in got if rank % 1)
         assert checked == len(FILTER_KINDS) * 2 * 3
         assert mid_ranks > 0
+
+
+class TestBlockRanking:
+    def _checkpoint(self, kind):
+        ds = _grid_dataset(np.random.default_rng(75))
+        model = ModelSpec(kind, 4, gamma=1.0)
+        filt = FilterSpec("rscf", rt_enabled=True,
+                          apply_to="head_only" if model.is_tdm else "head_and_tail")
+        store = build_store(model, filt, ds.vocabulary.num_entities,
+                            ds.vocabulary.num_relations, Rng(9), init_scale=0.4)
+        return ds, _fake_checkpoint(store, model, filt, ds.vocabulary)
+
+    @pytest.mark.parametrize("kind", ["complex", "transe"])
+    def test_ranks_whole_blocks_without_per_query_calls(self, kind, monkeypatch):
+        ds, ckpt = self._checkpoint(kind)
+        want = _reference_ranks(ckpt, ds, "test", "both")
+
+        def per_query(*args):
+            raise AssertionError("ranked one query at a time")
+
+        rank_rows = []
+        real_rank_block = evaluation.rank_block
+
+        def counting_rank_block(scores, *args):
+            rank_rows.append(scores.shape[0])
+            return real_rank_block(scores, *args)
+
+        monkeypatch.setattr(evaluation, "filtered_rank", per_query)
+        monkeypatch.setattr(evaluation, "rank_block", counting_rank_block)
+        # one-query score blocks; distance blocks are stacked up to the same
+        # budget of scores before ranking (ent.shape[1] rows), tensor blocks are not
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES",
+                            _block_bytes(ckpt.store, ckpt.model, 1))
+        got = [(r.head, r.relation, r.tail, r.direction, r.rank)
+               for r in collect_ranks(ckpt, ds, "test")]
+        assert got == want
+        n = len(ds.test)
+        rows = 1 if ckpt.model.is_tdm else ckpt.store["entity"].shape[1]
+        assert rank_rows == [min(rows, n - lo) for lo in range(0, n, rows)] * 2
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, 10.0])
+    @pytest.mark.parametrize("directions", ["tail", "head"])
+    def test_rank_outside_candidate_range_raises(self, bad, directions, monkeypatch):
+        ds, ckpt = self._checkpoint("complex")
+        num_e = ds.vocabulary.num_entities
+        assert num_e == 9  # so 10.0 lies outside [1, N]
+        monkeypatch.setattr(evaluation, "rank_block",
+                            lambda scores, *args: np.full(scores.shape[0], bad))
+        with pytest.raises(NumericalError,
+                           match=rf"{directions} ranks outside \[1, {num_e}\] .* of the test split"):
+            collect_ranks(ckpt, ds, "test", directions)
 
 
 def _row_close(got, want, rel=1e-12):
