@@ -2,27 +2,16 @@
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DuplicateRelation, MalformedLine, TooFewRelations
 
-
-class Triple(NamedTuple):
-    head: int
-    relation: int
-    tail: int
-
-
-def triples_array(triples: list) -> np.ndarray:
-    """(n, 3) int64 array of (head, relation, tail) rows."""
-    flat = itertools.chain.from_iterable(triples)
-    return np.fromiter(flat, dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
+SPLITS = ("train", "valid", "test")
 
 
 def load_triples(path, fmt: str = "tsv") -> list[tuple[str, str, str]]:
@@ -71,9 +60,14 @@ class Vocabulary:
     def num_relations(self) -> int:
         return len(self.relation_names)
 
-    def encode(self, raw: Iterable[tuple[str, str, str]]) -> list[Triple]:
-        ent, rel = self.entity_ids, self.relation_ids
-        return [Triple(ent[h], rel[r], ent[t]) for h, r, t in raw]
+    def encode(self, raw: Sequence[tuple[str, str, str]]) -> np.ndarray:
+        """(n, 3) int64 (head, relation, tail) ids of name triples, in order.
+        An unknown name raises KeyError."""
+        out = np.empty((len(raw), 3), dtype=np.int64)
+        for col, ids in enumerate((self.entity_ids, self.relation_ids, self.entity_ids)):
+            out[:, col] = np.fromiter(map(ids.__getitem__, map(itemgetter(col), raw)),
+                                      dtype=np.int64, count=len(raw))
+        return out
 
     def to_dict(self) -> dict:
         return {"entities": self.entity_names, "relations": self.relation_names}
@@ -98,24 +92,42 @@ def build_vocabulary(*splits: list[tuple[str, str, str]]) -> Vocabulary:
     return Vocabulary(list(entities), list(relations))
 
 
-@dataclass
+def _read_only_rows(rows) -> np.ndarray:
+    """Read-only, C-contiguous (n, 3) int64 view of an (n, 3) int sequence."""
+    arr = np.ascontiguousarray(rows, dtype=np.int64)
+    if arr.size == 0:
+        arr = arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"expected (n, 3) triples, got shape {arr.shape}")
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(eq=False)
 class Dataset:
-    train: list[Triple]
-    valid: list[Triple]
-    test: list[Triple]
+    """Splits as read-only (n, 3) int64 arrays of (head, relation, tail) ids.
+
+    Every consumer shares these arrays (split_array hands them out), so they
+    are not writeable: a write would corrupt every later filter index and epoch.
+    """
+
+    train: np.ndarray
+    valid: np.ndarray
+    test: np.ndarray
     vocabulary: Vocabulary
 
-    def split(self, name: str) -> list[Triple]:
-        try:
-            return {"train": self.train, "valid": self.valid, "test": self.test}[name]
-        except KeyError:
-            raise ValueError(f"unknown split {name!r}") from None
+    def __post_init__(self):
+        for name in SPLITS:
+            setattr(self, name, _read_only_rows(getattr(self, name)))
 
     def split_array(self, name: str) -> np.ndarray:
-        return triples_array(self.split(name))
+        if name not in SPLITS:
+            raise ValueError(f"unknown split {name!r}")
+        return getattr(self, name)
 
-    def all_triples(self) -> list[Triple]:
-        return self.train + self.valid + self.test
+    def all_triples(self) -> np.ndarray:
+        return np.concatenate([self.train, self.valid, self.test])
 
     @classmethod
     def from_raw(cls, train_raw, valid_raw, test_raw) -> "Dataset":
@@ -190,7 +202,7 @@ class FilterIndex:
 
 
 def build_filter_index(dataset: Dataset) -> FilterIndex:
-    arr = triples_array(dataset.all_triples())
+    arr = dataset.all_triples()
     h, r, t = arr.T
     num_e = int(max(h.max(), t.max())) + 1 if arr.size else 1
     num_r = int(r.max()) + 1 if arr.size else 1
@@ -200,13 +212,13 @@ def build_filter_index(dataset: Dataset) -> FilterIndex:
 @dataclass
 class RelationFrequencyBuckets:
     bucket_of: dict[int, int]
-    bucket_members: list[list[int]]
 
 
 def relation_frequency_buckets(
-    train: list[Triple], num_relations: int, k: int = 10
+    train: np.ndarray, num_relations: int, k: int = 10
 ) -> RelationFrequencyBuckets:
-    """Partition all relations into k buckets by descending train frequency.
+    """Partition relations 0..num_relations-1 into k buckets by descending
+    frequency in train, (n, 3) (head, relation, tail) ids.
 
     Ties break by relation id ascending. When the count is not divisible by k,
     the earlier (higher-frequency) buckets take the extra relation.
@@ -215,17 +227,13 @@ def relation_frequency_buckets(
         raise ValueError("k must be >= 1")
     if num_relations < k:
         raise TooFewRelations(num_relations, k)
-    freq = Counter(t.relation for t in train)
-    order = sorted(range(num_relations), key=lambda r: (-freq.get(r, 0), r))
+    rels = np.asarray(train, dtype=np.int64)[:, 1]
+    freq = np.bincount(rels, minlength=num_relations)[:num_relations]
+    order = np.argsort(-freq, kind="stable")  # (-freq, id): a stable sort keeps ids ascending
     base, extra = divmod(num_relations, k)
-    members: list[list[int]] = []
-    start = 0
-    for b in range(k):
-        size = base + (1 if b < extra else 0)
-        members.append(order[start : start + size])
-        start += size
-    bucket_of = {r: b for b, rel_ids in enumerate(members) for r in rel_ids}
-    return RelationFrequencyBuckets(bucket_of, members)
+    # bucket b holds base + 1 relations while b < extra, then base
+    bucket = np.repeat(np.arange(k), base + (np.arange(k) < extra))
+    return RelationFrequencyBuckets(dict(zip(order.tolist(), bucket.tolist())))
 
 
 @dataclass

@@ -173,14 +173,14 @@ def _metrics(ranks: np.ndarray) -> tuple[float, dict[int, float]]:
 def aggregate(results: list[RankResult], vocabulary) -> EvalReport:
     if not results:
         return EvalReport(0.0, {n: 0.0 for n in HITS}, 0, [])
-    ranks = np.asarray([r.rank for r in results], dtype=np.float64)
+    ranks = np.fromiter((r.rank for r in results), dtype=np.float64, count=len(results))
     mrr, hits = _metrics(ranks)
-    by_rel: dict[int, list[float]] = {}
-    for r in results:
-        by_rel.setdefault(r.relation, []).append(r.rank)
+    rels = np.fromiter((r.relation for r in results), dtype=np.int64, count=len(results))
+    # a stable sort keeps each relation's ranks in result order
+    order = np.argsort(rels, kind="stable")
+    rel_ids, starts = np.unique(rels[order], return_index=True)
     per_relation = []
-    for rel_id in sorted(by_rel):
-        rel_ranks = np.asarray(by_rel[rel_id])
+    for rel_id, rel_ranks in zip(rel_ids.tolist(), np.split(ranks[order], starts[1:])):
         rel_mrr, rel_hits = _metrics(rel_ranks)
         row = {
             "relation": vocabulary.relation_names[rel_id],

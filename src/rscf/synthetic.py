@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import Dataset
+from .data import SPLITS, Dataset
 from .tensor import Rng
 
 
@@ -115,9 +115,9 @@ def write_dataset(dataset: Dataset, directory) -> None:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     vocab = dataset.vocabulary
-    for split in ("train", "valid", "test"):
+    for split in SPLITS:
         lines = [
             f"{vocab.entity_names[h]}\t{vocab.relation_names[r]}\t{vocab.entity_names[t]}\n"
-            for h, r, t in dataset.split(split)
+            for h, r, t in dataset.split_array(split).tolist()
         ]
         (d / f"{split}.txt").write_text("".join(lines), encoding="utf-8")

@@ -252,7 +252,7 @@ def train(dataset: Dataset, config: TrainConfig,
                 record.transformation_scale = trace.transformation_scale
                 record.rt_scale = trace.rt_scale
                 record.embedding_scale = trace.embedding_scale
-        if (config.validate and dataset.valid
+        if (config.validate and len(dataset.valid)
                 and state.epoch % config.validate_every == 0):
             ckpt = Checkpoint(CHECKPOINT_VERSION, config, dataset.vocabulary,
                               state.store, state.epoch)

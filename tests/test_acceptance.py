@@ -152,7 +152,7 @@ def test_criterion_07_filtered_ranking_oracle():
         k = len(raw)
         ds = Dataset.from_raw(seed_cov + raw[: k // 2], raw[k // 2 : 3 * k // 4],
                               raw[3 * k // 4 :])
-        if not ds.test:
+        if not len(ds.test):
             continue
         model = ModelSpec(kinds[kg % len(kinds)], 4, gamma=1.0)
         filt = FilterSpec("rscf" if kg % 2 else "none",

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 from pathlib import Path
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from rscf.data import (
     Dataset,
-    Triple,
     Vocabulary,
     build_filter_index,
     build_vocabulary,
@@ -80,17 +80,76 @@ class TestVocabulary:
         assert again.relation_ids == vocab.relation_ids
 
 
+class TestDatasetArrays:
+    def test_splits_are_read_only_int64_rows(self, tmp_path):
+        _write(tmp_path, "train.txt", "a\tr\tb\nb\ts\tc\n")
+        _write(tmp_path, "test.txt", "c\tr\ta\n")
+        ds = Dataset.load_dir(tmp_path)
+        assert ds.train.tolist() == [[0, 0, 1], [1, 1, 2]]
+        assert ds.test.tolist() == [[2, 0, 0]]
+        assert ds.valid.shape == (0, 3)
+        for name in ("train", "valid", "test"):
+            arr = ds.split_array(name)
+            assert arr is getattr(ds, name)
+            assert arr.dtype == np.int64 and arr.flags.c_contiguous
+            with pytest.raises(ValueError):
+                arr[:1, 0] = 7
+        assert ds.train.tolist() == [[0, 0, 1], [1, 1, 2]]
+        with pytest.raises(ValueError, match="unknown split"):
+            ds.split_array("dev")
+
+    def test_any_triple_sequence_becomes_read_only_rows(self):
+        rows = np.array([[0, 0, 1], [1, 0, 0]], dtype=np.int32)
+        ds = Dataset(train=rows, valid=[(1, 0, 1)], test=[], vocabulary=build_vocabulary([]))
+        assert ds.train.dtype == np.int64 and ds.valid.tolist() == [[1, 0, 1]]
+        assert ds.test.shape == (0, 3)
+        with pytest.raises(ValueError):
+            ds.valid[0, 0] = 0
+        with pytest.raises(ValueError, match="expected \\(n, 3\\) triples"):
+            Dataset(train=[(0, 1)], valid=[], test=[], vocabulary=build_vocabulary([]))
+
+    def test_encode_rejects_unknown_names(self):
+        vocab = build_vocabulary([("a", "r", "b")])
+        assert vocab.encode([("b", "r", "a")]).tolist() == [[1, 0, 0]]
+        assert vocab.encode([]).shape == (0, 3)
+        with pytest.raises(KeyError):
+            vocab.encode([("a", "r", "zz")])
+        with pytest.raises(KeyError):
+            vocab.encode([("a", "q", "b")])
+
+    def test_load_keeps_no_python_object_per_triple(self, tmp_path):
+        gen = np.random.default_rng(12)
+        n = 20_000
+        rows = np.stack([gen.integers(0, 2_000, n), gen.integers(0, 50, n),
+                         gen.integers(0, 2_000, n)], axis=1).tolist()
+        lines = "".join(f"e{h}\tr{r}\te{t}\n" for h, r, t in rows)
+        data = tmp_path / "kg"
+        data.mkdir()
+        _write(data, "train.txt", lines)
+        warm = tmp_path / "warm"  # imports and caches the first load makes
+        warm.mkdir()
+        _write(warm, "train.txt", "a\tr\tb\n")
+        Dataset.load_dir(warm)
+        gc.collect()
+        before = len(gc.get_objects())
+        ds = Dataset.load_dir(data)
+        gc.collect()
+        growth = len(gc.get_objects()) - before
+        assert len(ds.train) == n
+        assert growth < 0.01 * n, growth
+
+
 class TestFilterIndex:
     def test_merges_splits(self):
-        ds = Dataset(train=[Triple(0, 0, 1)], valid=[Triple(0, 0, 2)], test=[],
+        ds = Dataset(train=[(0, 0, 1)], valid=[(0, 0, 2)], test=[],
                      vocabulary=build_vocabulary([("a", "r", "b"), ("a", "r", "c")]))
         index = build_filter_index(ds)
         assert ids_of(index.tail_index, 0, 0).tolist() == [1, 2]
         assert ids_of(index.head_index, 0, 1).tolist() == [0]
 
     def test_id_slices_are_sorted_and_deduplicated(self):
-        ds = Dataset(train=[Triple(0, 0, 2), Triple(0, 0, 1), Triple(0, 0, 2)],
-                     valid=[Triple(0, 0, 1)], test=[Triple(0, 0, 2), Triple(3, 0, 2)],
+        ds = Dataset(train=[(0, 0, 2), (0, 0, 1), (0, 0, 2)],
+                     valid=[(0, 0, 1)], test=[(0, 0, 2), (3, 0, 2)],
                      vocabulary=build_vocabulary([("a", "r", "b")]))
         index = build_filter_index(ds)
         assert ids_of(index.tail_index, 0, 0).tolist() == [1, 2]
@@ -108,26 +167,26 @@ class TestFilterIndex:
 
     def test_matches_linear_scan_on_random_kg(self):
         gen = np.random.default_rng(5)
-        triples = [Triple(*map(int, row)) for row in
+        triples = [tuple(map(int, row)) for row in
                    np.stack([gen.integers(0, 9, 50), gen.integers(0, 3, 50),
                              gen.integers(0, 9, 50)], axis=1)]
         names = [(f"e{i}", f"r{j}", f"e{k}") for i, j, k in triples]
         ds = Dataset.from_raw(names[:30], names[30:40], names[40:])
         index = build_filter_index(ds)
-        everything = ds.all_triples()
+        everything = ds.all_triples().tolist()
         for h in range(ds.vocabulary.num_entities):
             for r in range(ds.vocabulary.num_relations):
-                expected = {t.tail for t in everything if t.head == h and t.relation == r}
+                expected = {t for hh, rr, t in everything if hh == h and rr == r}
                 assert set(ids_of(index.tail_index, h, r).tolist()) == expected
 
     def test_slices_match_scalar_lookup_and_linear_scan(self):
         gen = np.random.default_rng(6)
-        triples = [Triple(*map(int, row)) for row in
+        triples = [tuple(map(int, row)) for row in
                    np.stack([gen.integers(0, 7, 40), gen.integers(0, 3, 40),
                              gen.integers(0, 7, 40)], axis=1)]
         names = [(f"e{i}", f"r{j}", f"e{k}") for i, j, k in triples]
         ds = Dataset.from_raw(names[:25], names[25:32], names[32:])
-        everything = ds.all_triples()
+        everything = ds.all_triples().tolist()
         num_e, num_r = ds.vocabulary.num_entities, ds.vocabulary.num_relations
         table = build_filter_index(ds).tail_index
         # present and absent keys, negative a or b, and b at or past the width
@@ -139,7 +198,7 @@ class TestFilterIndex:
         for i, (h, r) in enumerate(np.asarray(keys)[order].tolist()):
             got = table.ids[start[i]:stop[i]]
             assert got.tolist() == ids_of(table, h, r).tolist()
-            expected = sorted({t.tail for t in everything if t.head == h and t.relation == r})
+            expected = sorted({t for hh, rr, t in everything if hh == h and rr == r})
             assert got.tolist() == expected
             hits += bool(expected)
         assert 0 < hits < len(keys)
@@ -153,32 +212,40 @@ class TestFilterIndex:
                for _ in range(40)]
         ds = Dataset.from_raw(raw[:20], raw[20:30], raw[30:])
         index = build_filter_index(ds)
-        for t in ds.all_triples():
-            assert t.tail in ids_of(index.tail_index, t.head, t.relation)
-            assert t.head in ids_of(index.head_index, t.relation, t.tail)
+        for h, r, t in ds.all_triples().tolist():
+            assert t in ids_of(index.tail_index, h, r)
+            assert h in ids_of(index.head_index, r, t)
+
+
+def _bucket_members(buckets, k):
+    """Relation ids of each of the k buckets, ascending, from bucket_of."""
+    members = [[] for _ in range(k)]
+    for rel_id, b in sorted(buckets.bucket_of.items()):
+        members[b].append(rel_id)
+    return members
 
 
 class TestFrequencyBuckets:
     def test_even_split(self):
-        train = [Triple(0, r, 0) for r in range(20) for _ in range(20 - r)]
-        buckets = relation_frequency_buckets(train, 20, k=10)
-        assert [len(b) for b in buckets.bucket_members] == [2] * 10
-        assert buckets.bucket_members[0] == [0, 1]
+        train = [(0, r, 0) for r in range(20) for _ in range(20 - r)]
+        members = _bucket_members(relation_frequency_buckets(train, 20, k=10), 10)
+        assert [len(b) for b in members] == [2] * 10
+        assert members[0] == [0, 1]
 
     def test_tie_breaks_by_relation_id(self):
-        train = [Triple(0, 0, 0)] * 5 + [Triple(0, 1, 0)] * 5 + [Triple(0, 2, 0)]
+        train = [(0, 0, 0)] * 5 + [(0, 1, 0)] * 5 + [(0, 2, 0)]
         buckets = relation_frequency_buckets(train, 3, k=3)
-        assert buckets.bucket_members == [[0], [1], [2]]
+        assert _bucket_members(buckets, 3) == [[0], [1], [2]]
 
     def test_237_relations_into_10(self):
-        train = [Triple(0, r, 0) for r in range(237) for _ in range(r + 1)]
+        train = [(0, r, 0) for r in range(237) for _ in range(r + 1)]
         buckets = relation_frequency_buckets(train, 237, k=10)
-        sizes = [len(b) for b in buckets.bucket_members]
+        sizes = [len(b) for b in _bucket_members(buckets, 10)]
         assert sizes == [24] * 7 + [23] * 3
 
     def test_too_few_relations(self):
         with pytest.raises(TooFewRelations):
-            relation_frequency_buckets([Triple(0, 0, 0)], 3, k=10)
+            relation_frequency_buckets([(0, 0, 0)], 3, k=10)
 
     @given(st.integers(1, 40), st.integers(1, 8), st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
@@ -186,14 +253,15 @@ class TestFrequencyBuckets:
         if num_rel < k:
             return
         gen = np.random.default_rng(seed)
-        train = [Triple(0, int(r), 0) for r in gen.integers(0, num_rel, size=120)]
+        train = [(0, int(r), 0) for r in gen.integers(0, num_rel, size=120)]
         buckets = relation_frequency_buckets(train, num_rel, k=k)
-        flat = [r for members in buckets.bucket_members for r in members]
+        bucket_members = _bucket_members(buckets, k)
+        flat = [r for members in bucket_members for r in members]
         assert sorted(flat) == list(range(num_rel))
-        sizes = [len(b) for b in buckets.bucket_members]
+        sizes = [len(b) for b in bucket_members]
         assert max(sizes) - min(sizes) <= 1
-        freqs = [sorted((-sum(1 for t in train if t.relation == r), r)
-                        for r in members) for members in buckets.bucket_members]
+        freqs = [sorted((-sum(1 for t in train if t[1] == r), r)
+                        for r in members) for members in bucket_members]
         # descending frequency across bucket boundaries
         for left, right in zip(freqs, freqs[1:]):
             assert left[-1] <= right[0]

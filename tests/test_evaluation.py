@@ -7,8 +7,11 @@ from rscf import evaluation, objectives
 from rscf import transforms as T
 from rscf.data import Dataset, build_filter_index, load_relation_groups
 from rscf.errors import EmptySplit, GoldOutOfRange, NumericalError
+from rscf.data import Vocabulary
 from rscf.evaluation import (
     CandidateScorer,
+    RankResult,
+    aggregate,
     aggregate_groups,
     collect_ranks,
     evaluate_split,
@@ -343,7 +346,7 @@ class TestEvaluateGrouped:
     def test_single_relation_mode_matches_report_filter(self):
         ds, ckpt = self._setup()
         overall = evaluate_split(ckpt, ds, "test")
-        rel_id = ds.test[0].relation
+        rel_id = int(ds.test[0, 1])
         name = ds.vocabulary.relation_names[rel_id]
         grouped = aggregate_groups(collect_ranks(ckpt, ds, "test"), ds, rel_id)
         row = next(r for r in overall.per_relation if r["relation_id"] == rel_id)
@@ -366,6 +369,28 @@ class TestReportInvariants:
             assert report.mrr >= report.hits[1]
             assert 0.0 < report.mrr <= 1.0
 
+    def test_per_relation_matches_per_result_grouping(self):
+        gen = np.random.default_rng(57)
+        num_relations, n = 17, 3000
+        vocab = Vocabulary(["e0"], [f"r{j}" for j in range(num_relations)])
+        rels = gen.integers(0, num_relations - 1, n).tolist()  # the last relation has none
+        ranks = (gen.integers(2, 1000, n) / 2).tolist()  # mid-ranks included
+        results = [RankResult(0, r, 0, "tail" if i % 2 else "head", rank)
+                   for i, (r, rank) in enumerate(zip(rels, ranks))]
+        # the per-result grouping: each relation's ranks in result order
+        by_rel: dict[int, list[float]] = {}
+        for res in results:
+            by_rel.setdefault(res.relation, []).append(res.rank)
+        want = []
+        for rel_id in sorted(by_rel):
+            rel_ranks = np.asarray(by_rel[rel_id])
+            want.append({"relation": f"r{rel_id}", "relation_id": rel_id,
+                         "queries": rel_ranks.size, "mrr": float(np.mean(1.0 / rel_ranks)),
+                         **{f"hits{k}": float(np.mean(rel_ranks <= k)) for k in (1, 3, 10)}})
+        got = aggregate(results, vocab).per_relation
+        assert got == want  # float equality: bit-identical
+        assert [type(row["relation_id"]) for row in got] == [int] * len(want)
+
 
 def _grid_dataset(gen, num_entities=9, num_relations=3):
     """Random KG whose test split repeats train triples and itself."""
@@ -382,7 +407,7 @@ def _reference_ranks(ckpt, ds, split, directions):
     index = build_filter_index(ds)
     args = (ckpt.store, ckpt.model, ckpt.filter)
     out = []
-    for h, r, t in ds.split(split):
+    for h, r, t in ds.split_array(split).tolist():
         if directions in ("tail", "both"):
             out.append((h, r, t, "tail",
                         _loop_rank(t, _per_query_scores(*args, "tail", h, r),
