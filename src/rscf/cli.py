@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, evaluation
 from .config import ConfigError, RunConfig
 from .data import Dataset, load_relation_groups
-from .errors import DataError, DivergedLoss, NumericalError, RscfError
+from .errors import DataError, DivergedLoss, MalformedLine, NumericalError, RscfError
 from .gradcheck import run_grid
 from .tensor import Rng
 from .trainer import load_checkpoint, save_checkpoint, train
@@ -118,8 +118,8 @@ def cmd_evaluate(args) -> int:
     split = args.split or cfg["eval.split"]
     directions = args.directions or cfg["eval.directions"]
     out = _out_dir(args)
-    results = evaluation.collect_ranks(checkpoint, dataset, split, directions)
-    report = evaluation.aggregate(results, dataset.vocabulary)
+    ranks, relations = evaluation.collect_ranks(checkpoint, dataset, split, directions)
+    report = evaluation.aggregate(ranks, relations, dataset.vocabulary)
     payload = report.to_dict()
     if args.group_by:
         if args.group_by == "frequency":
@@ -138,7 +138,7 @@ def cmd_evaluate(args) -> int:
             grouping = rel_id
         else:
             raise UsageError(f"unknown grouping {args.group_by!r}")
-        grouped = evaluation.aggregate_groups(results, dataset, grouping,
+        grouped = evaluation.aggregate_groups(ranks, relations, dataset, grouping,
                                               num_buckets=cfg["eval.buckets"])
         payload["groups"] = {name: rep.to_dict() for name, rep in grouped.items()}
         _write_csv(out / "eval_groups.csv",
@@ -155,13 +155,27 @@ def cmd_evaluate(args) -> int:
 
 
 def _cluster_vectors_from_csv(path):
+    """Label,value,... rows; every row holds the same number of finite values."""
     clusters: dict[str, list[np.ndarray]] = {}
+    width = None
     with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
-            clusters.setdefault(row[0], []).append(
-                np.asarray([float(v) for v in row[1:]]))
+            try:
+                vec = np.asarray([float(v) for v in row[1:]])
+            except ValueError as err:
+                raise MalformedLine(path, reader.line_num, str(err)) from None
+            if not vec.size:
+                raise MalformedLine(path, reader.line_num, "a label with no values")
+            if not np.isfinite(vec).all():
+                raise MalformedLine(path, reader.line_num, "a value that is not finite")
+            width = width or vec.size
+            if vec.size != width:
+                raise MalformedLine(path, reader.line_num,
+                                    f"expected {width} values, got {vec.size}")
+            clusters.setdefault(row[0], []).append(vec)
     if not clusters:
         raise DataError(f"no vectors in {path}")
     return clusters, 0

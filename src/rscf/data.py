@@ -209,16 +209,11 @@ def build_filter_index(dataset: Dataset) -> FilterIndex:
     return FilterIndex(IdTable(h, r, t, num_r, num_e), IdTable(r, t, h, num_e, num_e))
 
 
-@dataclass
-class RelationFrequencyBuckets:
-    bucket_of: dict[int, int]
-
-
-def relation_frequency_buckets(
-    train: np.ndarray, num_relations: int, k: int = 10
-) -> RelationFrequencyBuckets:
-    """Partition relations 0..num_relations-1 into k buckets by descending
-    frequency in train, (n, 3) (head, relation, tail) ids.
+def relation_frequency_buckets(train: np.ndarray, num_relations: int,
+                               k: int = 10) -> np.ndarray:
+    """(num_relations,) int64 bucket of each relation: relations
+    0..num_relations-1 partitioned into k buckets by descending frequency in
+    train, (n, 3) (head, relation, tail) ids.
 
     Ties break by relation id ascending. When the count is not divisible by k,
     the earlier (higher-frequency) buckets take the extra relation.
@@ -231,9 +226,10 @@ def relation_frequency_buckets(
     freq = np.bincount(rels, minlength=num_relations)[:num_relations]
     order = np.argsort(-freq, kind="stable")  # (-freq, id): a stable sort keeps ids ascending
     base, extra = divmod(num_relations, k)
+    bucket = np.empty(num_relations, dtype=np.int64)
     # bucket b holds base + 1 relations while b < extra, then base
-    bucket = np.repeat(np.arange(k), base + (np.arange(k) < extra))
-    return RelationFrequencyBuckets(dict(zip(order.tolist(), bucket.tolist())))
+    bucket[order] = np.repeat(np.arange(k), base + (np.arange(k) < extra))
+    return bucket
 
 
 @dataclass

@@ -140,15 +140,6 @@ class CandidateScorer:
 
 
 @dataclass
-class RankResult:
-    head: int
-    relation: int
-    tail: int
-    direction: str  # "tail" or "head"
-    rank: float
-
-
-@dataclass
 class EvalReport:
     mrr: float
     hits: dict[int, float]
@@ -170,15 +161,15 @@ def _metrics(ranks: np.ndarray) -> tuple[float, dict[int, float]]:
     return mrr, hits
 
 
-def aggregate(results: list[RankResult], vocabulary) -> EvalReport:
-    if not results:
+def aggregate(ranks: np.ndarray, relations: np.ndarray, vocabulary) -> EvalReport:
+    """Metrics of float64 ranks, overall and per relation of the parallel
+    int64 relation ids."""
+    if not ranks.size:
         return EvalReport(0.0, {n: 0.0 for n in HITS}, 0, [])
-    ranks = np.fromiter((r.rank for r in results), dtype=np.float64, count=len(results))
     mrr, hits = _metrics(ranks)
-    rels = np.fromiter((r.relation for r in results), dtype=np.int64, count=len(results))
-    # a stable sort keeps each relation's ranks in result order
-    order = np.argsort(rels, kind="stable")
-    rel_ids, starts = np.unique(rels[order], return_index=True)
+    # a stable sort keeps each relation's ranks in query order
+    order = np.argsort(relations, kind="stable")
+    rel_ids, starts = np.unique(relations[order], return_index=True)
     per_relation = []
     for rel_id, rel_ranks in zip(rel_ids.tolist(), np.split(ranks[order], starts[1:])):
         rel_mrr, rel_hits = _metrics(rel_ranks)
@@ -190,12 +181,14 @@ def aggregate(results: list[RankResult], vocabulary) -> EvalReport:
         }
         row.update({f"hits{n}": v for n, v in sorted(rel_hits.items())})
         per_relation.append(row)
-    return EvalReport(mrr, hits, len(results), per_relation)
+    return EvalReport(mrr, hits, int(ranks.size), per_relation)
 
 
 def collect_ranks(checkpoint, dataset: Dataset, split: str,
-                  directions: str = "both") -> list[RankResult]:
-    """Filtered rank of every query in the split, in deterministic order.
+                  directions: str = "both") -> tuple[np.ndarray, np.ndarray]:
+    """Filtered rank of every query in the split: (ranks, relations), float64
+    ranks and their int64 relation ids, triple by triple in split order with
+    the tail query before the head query.
 
     Queries are scored through CandidateScorer.blocks, which raises
     NumericalError when any score is not finite, and ranked by rank_block. A
@@ -215,13 +208,14 @@ def collect_ranks(checkpoint, dataset: Dataset, split: str,
     stack = max(1, SCORE_BLOCK_BYTES // (n * ent.itemsize) // scorer.block_rows)
     heads, rels, tails = arr.T
     wanted = [d for d in ("tail", "head") if directions in (d, "both")]
-    ranks = {}
-    for d in wanted:
+    # one row per triple, one column per direction: raveled, the tail query
+    # of each triple comes before its head query
+    ranks = np.empty((len(arr), len(wanted)))
+    for d, out in zip(wanted, ranks.T):
         table, fixed, gold, keys = ((index.tail_index, heads, tails, (heads, rels))
                                     if d == "tail" else
                                     (index.head_index, tails, heads, (rels, tails)))
         start, stop = table.slices(*keys)
-        out = np.empty(len(arr))
         lo = 0
         blocks = scorer.blocks(d, fixed, rels)
         try:
@@ -237,47 +231,50 @@ def collect_ranks(checkpoint, dataset: Dataset, split: str,
         if bad.any():
             raise NumericalError(f"{np.count_nonzero(bad)} {d} ranks outside [1, {n}] "
                                  f"(first {out[bad][0]!r}) of the {split} split")
-        ranks[d] = out.tolist()
-    return [RankResult(h, r, t, d, ranks[d][i])
-            for i, (h, r, t) in enumerate(arr.tolist()) for d in wanted]
+    return ranks.ravel(), np.repeat(rels, len(wanted))
 
 
 def evaluate_split(checkpoint, dataset: Dataset, split: str,
                    directions: str = "both") -> EvalReport:
-    results = collect_ranks(checkpoint, dataset, split, directions)
-    return aggregate(results, dataset.vocabulary)
+    return aggregate(*collect_ranks(checkpoint, dataset, split, directions),
+                     dataset.vocabulary)
 
 
-def aggregate_groups(results: list[RankResult], dataset: Dataset, grouping,
-                     num_buckets: int = 10) -> dict[str, EvalReport]:
-    """Per-group metrics of collected ranks. grouping is one of:
+def aggregate_groups(ranks: np.ndarray, relations: np.ndarray, dataset: Dataset,
+                     grouping, num_buckets: int = 10) -> dict[str, EvalReport]:
+    """Per-group metrics of collect_ranks' (ranks, relations). grouping is one of:
 
     - "frequency": train-frequency buckets, reported as "bucket_0" (most
       frequent) .. "bucket_k-1";
     - a RelationGroups: named groups, ungrouped relations under "_other";
     - an int relation id: that relation only, under its name.
+
+    Each grouping maps relation ids to indices into its group names (-1: no
+    group); a group's ranks are taken by mask, so they stay in query order.
     """
     vocab = dataset.vocabulary
     if grouping == "frequency":
-        buckets = relation_frequency_buckets(dataset.train, vocab.num_relations, num_buckets)
+        group_of = relation_frequency_buckets(dataset.train, vocab.num_relations, num_buckets)
         width = len(str(num_buckets - 1))
         names = [f"bucket_{b:0{width}d}" for b in range(num_buckets)]
-        group_of = {rel_id: names[b] for rel_id, b in buckets.bucket_of.items()}
     elif isinstance(grouping, RelationGroups):
         names = grouping.group_names()
-        group_of = {**dict.fromkeys(range(vocab.num_relations), "_other"),
-                    **grouping.resolve(vocab)[0]}
+        index = {name: g for g, name in enumerate(names)}
+        # ungrouped relations join a group named "_other", or a new last one
+        group_of = np.full(vocab.num_relations, index.get("_other", len(names)))
+        for rel_id, name in grouping.resolve(vocab)[0].items():
+            group_of[rel_id] = index[name]
     elif isinstance(grouping, int):
         names = [vocab.relation_names[grouping]]
-        group_of = {grouping: names[0]}
+        group_of = np.where(np.arange(vocab.num_relations) == grouping, 0, -1)
     else:
         raise ValueError(f"unsupported grouping {grouping!r}")
 
-    # groups with no queries still report (zero counts), so bucket layouts
-    # stay fixed across runs
-    partition: dict[str, list[RankResult]] = {name: [] for name in names}
-    for res in results:
-        name = group_of.get(res.relation)
-        if name is not None:
-            partition.setdefault(name, []).append(res)
-    return {name: aggregate(members, vocab) for name, members in sorted(partition.items())}
+    group = group_of[relations]
+    # named groups with no queries still report (zero counts), so bucket
+    # layouts stay fixed across runs; the new "_other" only when it has queries
+    if (group == len(names)).any():
+        names.append("_other")
+    reports = {name: aggregate(ranks[group == g], relations[group == g], vocab)
+               for g, name in enumerate(names)}
+    return dict(sorted(reports.items()))

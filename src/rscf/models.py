@@ -117,21 +117,21 @@ def _contract_r(kind: str, h: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def tdm_query(kind: str, lhs: np.ndarray, rel: np.ndarray):
-    """Query vector q with score = q . t. Returns (q, cache)."""
-    return _contract_t(kind, lhs, rel), None
+    """Query vector q with score = q . t."""
+    return _contract_t(kind, lhs, rel)
 
 
-def tdm_query_vjp(kind: str, lhs, rel, cache, dq):
+def tdm_query_vjp(kind: str, lhs, rel, dq):
     return _contract_h(kind, dq, rel), _contract_r(kind, lhs, dq)
 
 
 def tdm_query_t(kind: str, rhs: np.ndarray, rel: np.ndarray):
     """Transposed query q' = rhs R^T (head-prediction dual used by the
     duality regularizer)."""
-    return _contract_h(kind, rhs, rel), None
+    return _contract_h(kind, rhs, rel)
 
 
-def tdm_query_t_vjp(kind: str, rhs, rel, cache, dq):
+def tdm_query_t_vjp(kind: str, rhs, rel, dq):
     return _contract_t(kind, dq, rel), _contract_r(kind, dq, rhs)
 
 

@@ -210,9 +210,9 @@ def build_store(model: M.ModelSpec, filt: T.FilterSpec, num_entities: int,
         "reciprocal": reciprocal,
     }
     store.create("entity", init_embeddings(
-        num_entities, de, init_scheme, rng.derive("init:entity"), init_scale, dtype).data)
+        num_entities, de, init_scheme, rng.derive("init:entity"), init_scale, dtype))
     store.create("relation", init_embeddings(
-        rel_rows, dr, init_scheme, rng.derive("init:relation"), init_scale, dtype).data)
+        rel_rows, dr, init_scheme, rng.derive("init:relation"), init_scale, dtype))
 
     def _affine(label: str, rows: int, cols: int) -> np.ndarray:
         gen = rng.derive(label).generator()
@@ -305,12 +305,12 @@ def _tdm_objective(batch, store, model, eff, loss, buf) -> float:
         w = loss.dura_weight
         lhs_f, rel = tape.lhs_f, tape.rel
         tgt = ent[tgt_ids]
-        qd, qd_cache = M.tdm_query(kind, lhs_f, rel)
-        qt, qt_cache = M.tdm_query_t(kind, tgt, rel)
+        qd = M.tdm_query(kind, lhs_f, rel)
+        qt = M.tdm_query_t(kind, tgt, rel)
         value += w * float(np.sum(qd * qd) + np.sum(lhs_f * lhs_f)
                            + np.sum(tgt * tgt) + np.sum(qt * qt))
-        d_h1, d_r1 = M.tdm_query_vjp(kind, lhs_f, rel, qd_cache, 2.0 * w * qd)
-        d_t2, d_r2 = M.tdm_query_t_vjp(kind, tgt, rel, qt_cache, 2.0 * w * qt)
+        d_h1, d_r1 = M.tdm_query_vjp(kind, lhs_f, rel, 2.0 * w * qd)
+        d_t2, d_r2 = M.tdm_query_t_vjp(kind, tgt, rel, 2.0 * w * qt)
         d_lhs_f = d_h1 + 2.0 * w * lhs_f
         d_rel += d_r1 + d_r2
         buf.add_rows("entity", tgt_ids, d_t2 + 2.0 * w * tgt)

@@ -81,9 +81,9 @@ def score_all_tails(model: M.ModelSpec, h_vec, r_vec, entity_table,
         pred = M._dbm_predict(kind, np.broadcast_to(h, cand.shape), rel)
         return -M.p_norm(pred - cand, model.distance_p)
     if relations is None:
-        q, _ = M.tdm_query(kind, h[None, :], np.ascontiguousarray(rel[:1]))
+        q = M.tdm_query(kind, h[None, :], np.ascontiguousarray(rel[:1]))
         return cand @ q[0]
-    qs, _ = M.tdm_query(kind, np.broadcast_to(h, cand.shape), rel)
+    qs = M.tdm_query(kind, np.broadcast_to(h, cand.shape), rel)
     return np.sum(qs * cand, axis=-1)
 
 
@@ -267,11 +267,11 @@ def dura_penalty(h_hat, rel, t, kind: str):
     h_hat = np.atleast_2d(np.asarray(h_hat, dtype=np.float64))
     rel = np.atleast_2d(np.asarray(rel, dtype=np.float64))
     t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-    q, qc = M.tdm_query(kind, h_hat, rel)
-    qt, qtc = M.tdm_query_t(kind, t, rel)
+    q = M.tdm_query(kind, h_hat, rel)
+    qt = M.tdm_query_t(kind, t, rel)
     value = float(np.sum(q * q) + np.sum(h_hat * h_hat) + np.sum(t * t) + np.sum(qt * qt))
-    d_h1, d_r1 = M.tdm_query_vjp(kind, h_hat, rel, qc, 2.0 * q)
-    d_t2, d_r2 = M.tdm_query_t_vjp(kind, t, rel, qtc, 2.0 * qt)
+    d_h1, d_r1 = M.tdm_query_vjp(kind, h_hat, rel, 2.0 * q)
+    d_t2, d_r2 = M.tdm_query_t_vjp(kind, t, rel, 2.0 * qt)
     return value, (d_h1 + 2.0 * h_hat, d_r1 + d_r2, d_t2 + 2.0 * t)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidScheme, NonFiniteLoss, ShapeMismatch
+from .errors import InvalidScheme, NonFiniteLoss, NumericalError, ShapeMismatch
 
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -45,26 +45,11 @@ class Rng:
         return Rng(self.seed, child)
 
 
-@dataclass
-class EmbeddingTable:
-    rows: int
-    dim: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data)
-        if self.data.shape != (self.rows, self.dim):
-            raise ShapeMismatch(
-                f"table data shape {self.data.shape} != ({self.rows}, {self.dim})"
-            )
-        if not np.isfinite(self.data).all():
-            raise ValueError("embedding table contains non-finite entries")
-
-
 def init_embeddings(rows: int, dim: int, scheme: str, rng: Rng,
-                    init_scale: float = 1.0, dtype=np.float64) -> EmbeddingTable:
-    """Seeded initialization. gaussian: N(0, init_scale^2). uniform: U(-b, b) with
-    b = init_scale * 6 / sqrt(dim)."""
+                    init_scale: float = 1.0, dtype=np.float64) -> np.ndarray:
+    """Seeded (rows, dim) table. gaussian: N(0, init_scale^2). uniform: U(-b, b)
+    with b = init_scale * 6 / sqrt(dim). An entry that is not finite in dtype
+    raises NumericalError."""
     if rows < 1 or dim < 1:
         raise ValueError("rows and dim must be >= 1")
     gen = rng.generator()
@@ -75,7 +60,12 @@ def init_embeddings(rows: int, dim: int, scheme: str, rng: Rng,
         data = gen.uniform(-bound, bound, size=(rows, dim))
     else:
         raise InvalidScheme(f"unknown init scheme {scheme!r}")
-    return EmbeddingTable(rows, dim, data.astype(dtype))
+    with np.errstate(over="ignore"):  # reported below
+        data = data.astype(dtype)
+    if not np.isfinite(data).all():
+        raise NumericalError(f"initial embeddings overflow {data.dtype} "
+                             f"(init_scale {init_scale!r})")
+    return data
 
 
 class ParameterStore:

@@ -285,7 +285,6 @@ class TdmTape:
     rel_t: np.ndarray
     op: EtOp | None
     head_factor: RtFactor | None
-    q_cache: object
 
 
 def tdm_forward(spec: FilterSpec, store, model, lhs_ids: np.ndarray,
@@ -302,8 +301,8 @@ def tdm_forward(spec: FilterSpec, store, model, lhs_ids: np.ndarray,
     if spec.rt_enabled:
         head_factor = rt_factor(store, "a2", lhs, spec.p)
         rel_t = head_factor.factor * rel
-    q, q_cache = M.tdm_query(model.kind, lhs_f, rel_t)
-    return q, TdmTape(lhs, rel, lhs_f, rel_t, op, head_factor, q_cache)
+    q = M.tdm_query(model.kind, lhs_f, rel_t)
+    return q, TdmTape(lhs, rel, lhs_f, rel_t, op, head_factor)
 
 
 def tdm_backward(spec: FilterSpec, model, tape: TdmTape, d_q: np.ndarray,
@@ -312,8 +311,7 @@ def tdm_backward(spec: FilterSpec, model, tape: TdmTape, d_q: np.ndarray,
     (or None); d_rel, the cotangent of the base relation rows so far, is
     accumulated in place. Accumulates the filter and rt parameter gradients
     into buf; returns (d_lhs, d_rel) for the caller to scatter."""
-    d_lhs_fq, d_rel_t = M.tdm_query_vjp(model.kind, tape.lhs_f, tape.rel_t,
-                                        tape.q_cache, d_q)
+    d_lhs_fq, d_rel_t = M.tdm_query_vjp(model.kind, tape.lhs_f, tape.rel_t, d_q)
     if d_lhs_f is not None:
         d_lhs_fq += d_lhs_f
     d_lhs_rt = 0.0

@@ -168,16 +168,20 @@ def test_criterion_07_filtered_ranking_oracle():
         ckpt = Checkpoint(1, cfg, ds.vocabulary, store, 0)
         index = build_filter_index(ds)
         scorer = CandidateScorer(store, model, filt)
-        for res in collect_ranks(ckpt, ds, "test"):
-            if res.direction == "tail":
-                scores = scorer.tail_scores(res.head, res.relation)
-                known = set(ids_of(index.tail_index, res.head, res.relation).tolist())
-                gold = res.tail
+        ranks, relations = collect_ranks(ckpt, ds, "test")
+        # queries come triple by triple, the tail query before the head query
+        queries = [(h, r, t, d) for h, r, t in ds.test.tolist() for d in ("tail", "head")]
+        assert [q[1] for q in queries] == relations.tolist()
+        for (h, r, t, direction), rank in zip(queries, ranks.tolist(), strict=True):
+            if direction == "tail":
+                scores = scorer.tail_scores(h, r)
+                known = set(ids_of(index.tail_index, h, r).tolist())
+                gold = t
             else:
-                scores = scorer.head_scores(res.tail, res.relation)
-                known = set(ids_of(index.head_index, res.relation, res.tail).tolist())
-                gold = res.head
-            if _sort_based_rank(gold, scores, known) != res.rank:
+                scores = scorer.head_scores(t, r)
+                known = set(ids_of(index.head_index, r, t).tolist())
+                gold = h
+            if _sort_based_rank(gold, scores, known) != rank:
                 mismatches += 1
             checked += 1
     _report(7, "filtered-ranking oracle", mismatches == 0 and checked > 500,

@@ -135,6 +135,18 @@ class TestTrainCommand:
         assert code == 3
         assert (tmp_path / "train_report.json").exists()
 
+    def test_init_overflow_is_numerical_failure(self, tiny_data, tmp_path, capsys):
+        # 1e39 is finite in f64 but overflows f32 when the tables are cast
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(d=tiny_data).replace(
+            "train.init_scale = 0.1", "train.init_scale = 1e39\ntrain.precision = f32"),
+            encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--deterministic"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not (tmp_path / "o" / "checkpoint.rscfckp").exists()
+
 
 class TestEvaluateCommand:
     def test_eval_report(self, run_dir, tmp_path):
@@ -226,6 +238,21 @@ class TestAnalysisCommands:
         payload = json.loads((tmp_path / "clusters.json").read_text())
         assert payload["clusters"] == ["g1", "g2"]
         assert abs(payload["intra_per_cluster"][0] - 0.5) < 1e-9
+
+    @pytest.mark.parametrize("text,line", [
+        ("g1,1,0\na,1,x\n", 2),  # a non-numeric cell
+        ("g1,1,0\n\na\n", 3),  # a label with no values
+        ("a,1,2\na,1\n", 2),  # rows of different lengths
+        ("g1,1,0\ng2,0,nan\n", 2),  # a value that is not finite
+    ])
+    def test_analyze_clusters_malformed_vectors(self, tmp_path, text, line, capsys):
+        vectors = tmp_path / "vecs.csv"
+        vectors.write_text(text, encoding="utf-8")
+        code = main(["analyze-clusters", "--vectors", str(vectors),
+                     "--out", str(tmp_path / "o"), "--deterministic"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"data error: {vectors}:{line}: ")
+        assert not (tmp_path / "o" / "clusters.json").exists()
 
     def test_analyze_clusters_from_checkpoint(self, run_dir, tmp_path):
         out, _ = run_dir

@@ -218,9 +218,9 @@ class TestFilterIndex:
 
 
 def _bucket_members(buckets, k):
-    """Relation ids of each of the k buckets, ascending, from bucket_of."""
+    """Relation ids of each of the k buckets, ascending, from the bucket array."""
     members = [[] for _ in range(k)]
-    for rel_id, b in sorted(buckets.bucket_of.items()):
+    for rel_id, b in enumerate(buckets.tolist()):
         members[b].append(rel_id)
     return members
 

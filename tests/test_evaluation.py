@@ -10,7 +10,6 @@ from rscf.errors import EmptySplit, GoldOutOfRange, NumericalError
 from rscf.data import Vocabulary
 from rscf.evaluation import (
     CandidateScorer,
-    RankResult,
     aggregate,
     aggregate_groups,
     collect_ranks,
@@ -322,14 +321,14 @@ class TestEvaluateGrouped:
         path = tmp_path / "g.tsv"
         path.write_text("".join(f"all\tr{j}\n" for j in range(4)), encoding="utf-8")
         groups = load_relation_groups(path)
-        grouped = aggregate_groups(collect_ranks(ckpt, ds, "test"), ds, groups)
+        grouped = aggregate_groups(*collect_ranks(ckpt, ds, "test"), ds, groups)
         overall = evaluate_split(ckpt, ds, "test")
         assert set(grouped) == {"all"}
         assert grouped["all"].mrr == overall.mrr
 
     def test_query_weighted_average_identity(self):
         ds, ckpt = self._setup()
-        grouped = aggregate_groups(collect_ranks(ckpt, ds, "test"), ds, "frequency", num_buckets=4)
+        grouped = aggregate_groups(*collect_ranks(ckpt, ds, "test"), ds, "frequency", num_buckets=4)
         overall = evaluate_split(ckpt, ds, "test")
         total = sum(rep.query_count for rep in grouped.values())
         weighted = sum(rep.mrr * rep.query_count for rep in grouped.values()) / total
@@ -340,7 +339,7 @@ class TestEvaluateGrouped:
         ds, ckpt = self._setup()
         path = tmp_path / "g.tsv"
         path.write_text("g1\tr0\n", encoding="utf-8")
-        grouped = aggregate_groups(collect_ranks(ckpt, ds, "test"), ds, load_relation_groups(path))
+        grouped = aggregate_groups(*collect_ranks(ckpt, ds, "test"), ds, load_relation_groups(path))
         assert "_other" in grouped
 
     def test_single_relation_mode_matches_report_filter(self):
@@ -348,11 +347,92 @@ class TestEvaluateGrouped:
         overall = evaluate_split(ckpt, ds, "test")
         rel_id = int(ds.test[0, 1])
         name = ds.vocabulary.relation_names[rel_id]
-        grouped = aggregate_groups(collect_ranks(ckpt, ds, "test"), ds, rel_id)
+        grouped = aggregate_groups(*collect_ranks(ckpt, ds, "test"), ds, rel_id)
         row = next(r for r in overall.per_relation if r["relation_id"] == rel_id)
         assert set(grouped) == {name}
         assert grouped[name].query_count == row["queries"]
         assert abs(grouped[name].mrr - row["mrr"]) < 1e-12
+
+
+class TestGroupsMatchPerResultPartition:
+    """aggregate_groups against a per-result partition: each group's results
+    in query order, every named group reported, and a group that no name
+    declares (the ungrouped relations' "_other") only when it holds queries."""
+
+    def _data(self):
+        vocab = Vocabulary(["e0"], [f"r{j}" for j in range(8)])
+        # relation j appears 8 - j times, so bucket b of 4 holds r{2b}, r{2b+1}
+        train = [(0, j, 0) for j in range(8) for _ in range(8 - j)]
+        gen = np.random.default_rng(59)
+        relations = gen.integers(0, 6, 2000)  # r6 and r7 have no queries
+        ranks = gen.integers(2, 40, 2000) / 2  # mid-ranks included
+        return Dataset(train, [], [], vocab), ranks, relations
+
+    @staticmethod
+    def _partition(ds, ranks, relations, group_of, names):
+        partition = {name: [] for name in names}
+        for rank, rel in zip(ranks.tolist(), relations.tolist()):
+            name = group_of.get(rel)
+            if name is not None:
+                partition.setdefault(name, []).append((rank, rel))
+        return [(name, aggregate(np.array([m[0] for m in members], dtype=np.float64),
+                                 np.array([m[1] for m in members], dtype=np.int64),
+                                 ds.vocabulary).to_dict())
+                for name, members in sorted(partition.items())]
+
+    def _check(self, grouping, group_of, names, num_buckets=10):
+        ds, ranks, relations = self._data()
+        grouped = aggregate_groups(ranks, relations, ds, grouping, num_buckets)
+        got = [(name, rep.to_dict()) for name, rep in grouped.items()]
+        assert got == self._partition(ds, ranks, relations, group_of, names)  # bit-identical
+        return dict(got)
+
+    def _groups(self, tmp_path, text):
+        path = tmp_path / "g.tsv"
+        path.write_text(text, encoding="utf-8")
+        return load_relation_groups(path)
+
+    def test_frequency_buckets(self):
+        names = [f"bucket_{b}" for b in range(4)]
+        got = self._check("frequency", {j: names[j // 2] for j in range(8)}, names,
+                          num_buckets=4)
+        assert got["bucket_3"]["query_count"] == 0  # r6 and r7: reported, empty
+        assert got["bucket_3"]["mrr"] == 0.0
+
+    def test_groups_with_empty_group_and_unknown_relation(self, tmp_path):
+        groups = self._groups(tmp_path, "g1\tr0\ng1\tr1\nempty\tr7\ng2\tr2\ng1\tmissing\n")
+        group_of = {**dict.fromkeys(range(8), "_other"), 0: "g1", 1: "g1", 7: "empty",
+                    2: "g2"}
+        got = self._check(groups, group_of, ["g1", "empty", "g2"])
+        assert list(got) == ["_other", "empty", "g1", "g2"]
+        assert got["empty"]["query_count"] == 0
+        assert sum(rep["query_count"] for rep in got.values()) == 2000
+
+    def test_other_only_when_it_holds_queries(self, tmp_path):
+        groups = self._groups(tmp_path, "a\tr0\na\tr1\nb\tr2\nb\tr3\nb\tr4\nc\tr5\n")
+        group_of = {**dict.fromkeys(range(8), "_other"), 0: "a", 1: "a", 2: "b",
+                    3: "b", 4: "b", 5: "c"}
+        got = self._check(groups, group_of, ["a", "b", "c"])
+        assert list(got) == ["a", "b", "c"]  # r6 and r7 are ungrouped, without queries
+
+    def test_user_group_named_other_merges_with_ungrouped(self, tmp_path):
+        groups = self._groups(tmp_path, "_other\tr0\ng1\tr1\n")
+        group_of = {**dict.fromkeys(range(8), "_other"), 1: "g1"}
+        got = self._check(groups, group_of, ["_other", "g1"])
+        relations = self._data()[2]
+        assert got["_other"]["query_count"] == int(np.count_nonzero(relations != 1))
+
+    def test_user_group_named_other_reports_when_empty(self, tmp_path):
+        groups = self._groups(tmp_path, "".join(f"g\tr{j}\n" for j in range(7))
+                              + "_other\tr7\n")
+        got = self._check(groups, {**dict.fromkeys(range(7), "g"), 7: "_other"},
+                          ["g", "_other"])
+        assert got["_other"]["query_count"] == 0
+
+    @pytest.mark.parametrize("rel_id", [3, 7])
+    def test_single_relation(self, rel_id):
+        got = self._check(rel_id, {rel_id: f"r{rel_id}"}, [f"r{rel_id}"])
+        assert list(got) == [f"r{rel_id}"]
 
 
 class TestReportInvariants:
@@ -373,21 +453,19 @@ class TestReportInvariants:
         gen = np.random.default_rng(57)
         num_relations, n = 17, 3000
         vocab = Vocabulary(["e0"], [f"r{j}" for j in range(num_relations)])
-        rels = gen.integers(0, num_relations - 1, n).tolist()  # the last relation has none
-        ranks = (gen.integers(2, 1000, n) / 2).tolist()  # mid-ranks included
-        results = [RankResult(0, r, 0, "tail" if i % 2 else "head", rank)
-                   for i, (r, rank) in enumerate(zip(rels, ranks))]
+        rels = gen.integers(0, num_relations - 1, n)  # the last relation has none
+        ranks = gen.integers(2, 1000, n) / 2  # mid-ranks included
         # the per-result grouping: each relation's ranks in result order
         by_rel: dict[int, list[float]] = {}
-        for res in results:
-            by_rel.setdefault(res.relation, []).append(res.rank)
+        for rel, rank in zip(rels.tolist(), ranks.tolist()):
+            by_rel.setdefault(rel, []).append(rank)
         want = []
         for rel_id in sorted(by_rel):
             rel_ranks = np.asarray(by_rel[rel_id])
             want.append({"relation": f"r{rel_id}", "relation_id": rel_id,
                          "queries": rel_ranks.size, "mrr": float(np.mean(1.0 / rel_ranks)),
                          **{f"hits{k}": float(np.mean(rel_ranks <= k)) for k in (1, 3, 10)}})
-        got = aggregate(results, vocab).per_relation
+        got = aggregate(ranks, rels, vocab).per_relation
         assert got == want  # float equality: bit-identical
         assert [type(row["relation_id"]) for row in got] == [int] * len(want)
 
@@ -404,19 +482,24 @@ def _grid_dataset(gen, num_entities=9, num_relations=3):
 
 
 def _reference_ranks(ckpt, ds, split, directions):
+    """(relation, rank) of every query, triple by triple, tail query first."""
     index = build_filter_index(ds)
     args = (ckpt.store, ckpt.model, ckpt.filter)
     out = []
     for h, r, t in ds.split_array(split).tolist():
         if directions in ("tail", "both"):
-            out.append((h, r, t, "tail",
-                        _loop_rank(t, _per_query_scores(*args, "tail", h, r),
-                                   set(ids_of(index.tail_index, h, r).tolist()))))
+            out.append((r, _loop_rank(t, _per_query_scores(*args, "tail", h, r),
+                                      set(ids_of(index.tail_index, h, r).tolist()))))
         if directions in ("head", "both"):
-            out.append((h, r, t, "head",
-                        _loop_rank(h, _per_query_scores(*args, "head", t, r),
-                                   set(ids_of(index.head_index, r, t).tolist()))))
+            out.append((r, _loop_rank(h, _per_query_scores(*args, "head", t, r),
+                                      set(ids_of(index.head_index, r, t).tolist()))))
     return out
+
+
+def _rank_pairs(ranks, relations):
+    """collect_ranks' parallel arrays as (relation, rank) pairs."""
+    assert ranks.dtype == np.float64 and relations.dtype == np.int64
+    return list(zip(relations.tolist(), ranks.tolist()))
 
 
 def _block_bytes(store, model, rows):
@@ -463,8 +546,7 @@ class TestCollectRanksGrid:
                     monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES",
                                         _block_bytes(store, model, rows))
                     block_rows.clear()
-                    got = [(r.head, r.relation, r.tail, r.direction, r.rank)
-                           for r in collect_ranks(ckpt, ds, "test", directions)]
+                    got = _rank_pairs(*collect_ranks(ckpt, ds, "test", directions))
                     assert got == want, (filter_kind, rt, directions, rows)
                     per_direction = [min(rows, n - lo) for lo in range(0, n, rows)]
                     ways = 1 + (directions == "both")
@@ -506,8 +588,7 @@ class TestBlockRanking:
         # budget of scores before ranking (ent.shape[1] rows), tensor blocks are not
         monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES",
                             _block_bytes(ckpt.store, ckpt.model, 1))
-        got = [(r.head, r.relation, r.tail, r.direction, r.rank)
-               for r in collect_ranks(ckpt, ds, "test")]
+        got = _rank_pairs(*collect_ranks(ckpt, ds, "test"))
         assert got == want
         n = len(ds.test)
         rows = 1 if ckpt.model.is_tdm else ckpt.store["entity"].shape[1]

@@ -3,7 +3,6 @@ import pytest
 
 from rscf.errors import InvalidScheme, NonFiniteLoss, ShapeMismatch
 from rscf.tensor import (
-    EmbeddingTable,
     ParameterStore,
     Rng,
     finite_difference_check,
@@ -41,31 +40,25 @@ class TestRng:
 class TestInitEmbeddings:
     def test_zero_sigma_gives_zeros(self):
         table = init_embeddings(2, 3, "gaussian", Rng(0), init_scale=0.0)
-        assert np.array_equal(table.data, np.zeros((2, 3)))
+        assert np.array_equal(table, np.zeros((2, 3)))
 
     def test_bitwise_deterministic(self):
         a = init_embeddings(50, 8, "gaussian", Rng(11), 0.1)
         b = init_embeddings(50, 8, "gaussian", Rng(11), 0.1)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_sample_stddev_matches(self):
         table = init_embeddings(12_500, 8, "gaussian", Rng(2), init_scale=0.1)
-        assert abs(table.data.std() - 0.1) < 0.005
+        assert abs(table.std() - 0.1) < 0.005
 
     def test_uniform_bound(self):
         table = init_embeddings(100, 16, "uniform", Rng(4), init_scale=1.0)
         bound = 6.0 / np.sqrt(16)
-        assert np.abs(table.data).max() <= bound
+        assert np.abs(table).max() <= bound
 
     def test_invalid_scheme(self):
         with pytest.raises(InvalidScheme):
             init_embeddings(2, 2, "xavier", Rng(0))
-
-    def test_table_invariants(self):
-        with pytest.raises(Exception):
-            EmbeddingTable(2, 2, np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            EmbeddingTable(1, 2, np.array([[np.nan, 1.0]]))
 
 
 def _quadratic_store():
