@@ -59,7 +59,7 @@ def check_combo(model_kind: str, filter_kind: str, rt: bool, rp_weight: float,
 
     def loss_fn():
         return total_objective(batch, store, model, filt, loss,
-                               negatives=negs)[0]
+                               negatives=negs, grad=False)[0]
 
     _, buf = total_objective(batch, store, model, filt, loss, negatives=negs)
     report = finite_difference_check(loss_fn, store,

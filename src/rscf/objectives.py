@@ -252,14 +252,16 @@ def sample_negatives(batch: np.ndarray, num_entities: int, k: int, rng: Rng):
 
 def total_objective(batch, store: ParameterStore, model: M.ModelSpec,
                     filt: T.FilterSpec, loss: LossConfig, negatives=None,
-                    filter_active: bool = True):
+                    filter_active: bool = True, grad: bool = True):
     """Objective value and gradients for a batch of (head, relation, tail) rows.
 
     negatives: (tail_negs, head_negs) index arrays, required for distance
     models (sampled by the caller so the objective itself is deterministic).
+    grad=False stops each term after its value and returns (value, None); the
+    value is the same, bit for bit.
     """
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
-    buf = GradientBuffer(store)
+    buf = GradientBuffer(store) if grad else None
     if batch.shape[0] == 0:
         return 0.0, buf
     eff = filt if filter_active else T.INERT_FILTER
@@ -297,8 +299,9 @@ def _tdm_objective(batch, store, model, eff, loss, buf) -> float:
         q_blk = q[sl]
         part, d_scores = cross_entropy(q_blk @ ent.T, tgt_ids[sl])
         value += part
-        np.matmul(d_scores, ent, out=d_q[sl])
-        buf.add_full("entity", d_scores.T @ q_blk)
+        if buf is not None:
+            np.matmul(d_scores, ent, out=d_q[sl])
+            buf.add_full("entity", d_scores.T @ q_blk)
 
     d_lhs_f, d_rel = None, np.zeros_like(tape.rel)
     if loss.dura_weight > 0:
@@ -309,11 +312,15 @@ def _tdm_objective(batch, store, model, eff, loss, buf) -> float:
         qt = M.tdm_query_t(kind, tgt, rel)
         value += w * float(np.sum(qd * qd) + np.sum(lhs_f * lhs_f)
                            + np.sum(tgt * tgt) + np.sum(qt * qt))
+        if buf is None:
+            return value
         d_h1, d_r1 = M.tdm_query_vjp(kind, lhs_f, rel, 2.0 * w * qd)
         d_t2, d_r2 = M.tdm_query_t_vjp(kind, tgt, rel, 2.0 * w * qt)
         d_lhs_f = d_h1 + 2.0 * w * lhs_f
         d_rel += d_r1 + d_r2
         buf.add_rows("entity", tgt_ids, d_t2 + 2.0 * w * tgt)
+    if buf is None:
+        return value
 
     d_lhs, d_rel = T.tdm_backward(eff, model, tape, d_q, d_lhs_f, d_rel, buf)
     buf.add_rows("entity", lhs_ids, d_lhs)
@@ -393,6 +400,8 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
                                                   fixed_rel[sl], cand_f, cand_factor)
             part, d_sc = self_adversarial(sc, model.gamma, loss.adv_temperature)
             value += part
+            if buf is None:
+                continue
 
             d_a, d_r3, d_b = M.dbm_scores_vjp(model.kind, sc_cache, d_sc,
                                                model.distance_p)
@@ -414,6 +423,8 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
                 d_cand = d_cand_f
             scatter_rows(d_cand_u, inv_sl, d_cand)
 
+        if buf is None:
+            continue
         if fixed_side_on:
             d_fixed, d_mult, d_bias = T.et_apply_vjp(op, fixed, d_fixed_f)
             _accumulate_op(slice(None), d_mult, d_bias)
@@ -425,6 +436,8 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
         buf.add_rows("entity", fixed_ids, d_fixed)
         buf.add_rows("entity", uniq, d_cand_u)
 
+    if buf is None:
+        return value
     if op is not None:
         d_rel_et = T.et_param_vjp(eff, op, d_op, d_op_bias, buf)
         if d_rel_et is not None:
@@ -452,6 +465,8 @@ def _rp_objective(batch, store, model, loss, buf) -> float:
         scores, cache = M.relation_scores(model, h, t, base_rows)
         part, d_scores = cross_entropy(scores, batch[sl, 1])
         value += part
+        if buf is None:
+            continue
         d_scores *= lam
         d_h, d_t, d_table = M.relation_scores_vjp(model, h, t, base_rows, cache, d_scores)
         buf.add_rows("entity", batch[sl, 0], d_h)

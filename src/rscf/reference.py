@@ -1,8 +1,8 @@
 """Single-vector reference oracles: each states one equation of the method
 (scores, filters, relation transformation, task loss, duality regularizer,
-relation prediction, the filter-index lookup) for one vector, triple or key,
-independently of the batched kernels. No production path imports this module;
-tests compare against it."""
+relation prediction, the filter-index lookup, the FNV-1a recurrence) for one
+vector, triple, key or byte, independently of the batched kernels. No
+production path imports this module; tests compare against it."""
 
 from __future__ import annotations
 
@@ -297,3 +297,13 @@ def ids_of(table, a: int, b: int) -> np.ndarray:
     if i == table.key_codes.size or table.key_codes[i] != code:
         return table.ids[:0]
     return table.ids[table.ptr[i]:table.ptr[i + 1]]
+
+
+def fnv1a_bytewise(data, h: int = 0xCBF29CE484222325) -> int:
+    """64-bit FNV-1a one byte at a time: h = (h ^ b) * 0x100000001B3 mod 2^64
+    (str is encoded as UTF-8)."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
+    return h

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,15 +12,84 @@ from .errors import InvalidScheme, NonFiniteLoss, NumericalError, ShapeMismatch
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+# Inputs shorter than this many bytes take the byte loop, which is faster
+# there than the kernel's fixed per-block cost (rng labels are 8-30 bytes).
+FNV_LOOP_BELOW = 1536
+# Bytes per kernel block; the kernel's scratch memory is a fixed multiple of it.
+FNV_BLOCK = 1 << 16
 
 
 def fnv1a(data, h: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a over bytes (str is encoded as UTF-8)."""
+    """64-bit FNV-1a over bytes (str is encoded as UTF-8): for each byte b,
+    h = (h ^ b) * prime mod 2^64.
+
+    Long inputs go through a NumPy kernel, in FNV_BLOCK slices that chain h,
+    with the same result as the byte loop."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+    if len(data) < FNV_LOOP_BELOW:
+        for byte in data:
+            h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+        return h
+    buf = np.frombuffer(data, dtype=np.uint8)
+    for start in range(0, buf.size, FNV_BLOCK):
+        h = _fnv1a_block(buf[start:start + FNV_BLOCK], h)
     return h
+
+
+@functools.cache
+def _fnv_powers() -> np.ndarray:
+    """prime^j mod 2^64 for j = 0..FNV_BLOCK."""
+    powers = np.full(FNV_BLOCK + 1, _FNV_PRIME, dtype=np.uint64)
+    powers[0] = 1
+    np.multiply.accumulate(powers, out=powers)
+    powers.flags.writeable = False  # shared by every call
+    return powers
+
+
+def _fnv1a_block(block: np.ndarray, h: int) -> int:
+    """FNV-1a of a uint8 block from state h.
+
+    XOR with b only changes the low byte L of the state, so it adds
+    delta = (L ^ b) - L, and the result is
+    h * prime^m + sum_i delta_i * prime^(m - i) mod 2^64 over the m bytes,
+    exact in wrapping uint64. The low bytes L_i come from
+    L_(i+1) = ((L_i ^ b_i) * 0xB3) mod 256 (0xB3 is the prime mod 256), one
+    bit at a time: bit k of the product is bit k of x plus bit k of
+    (x mod 2^k) * 0xB3, so once bits < k are known, bit k of every L_i is a
+    prefix XOR."""
+    m = block.size
+    low = np.zeros(m + 1, dtype=np.uint8)  # L_0 .. L_m
+    flips = np.zeros(m + 1, dtype=np.uint8)
+    for k in range(8):
+        x = low[:m] ^ block
+        x &= (1 << k) - 1
+        x *= 0xB3
+        x ^= block
+        x >>= k
+        x &= 1
+        flips[0] = (h >> k) & 1
+        flips[1:] = x
+        bits = _prefix_xor(flips)
+        bits <<= k
+        low |= bits
+    delta = np.subtract(low[:m] ^ block, low[:m], dtype=np.int64).view(np.uint64)
+    powers = _fnv_powers()
+    delta *= powers[m:0:-1]
+    return (h * int(powers[m]) + int(delta.sum(dtype=np.uint64))) & _MASK64
+
+
+def _prefix_xor(bits: np.ndarray) -> np.ndarray:
+    """Inclusive prefix XOR of a 0/1 uint8 array, packed 64 bits per word."""
+    n = bits.size
+    words = np.zeros(-(-n // 64), dtype="<u8")
+    packed = np.packbits(bits, bitorder="little")
+    words.view(np.uint8)[:packed.size] = packed
+    for shift in (1, 2, 4, 8, 16, 32):
+        words ^= words << shift
+    parity = words >> 63  # XOR of all 64 bits of each word
+    words ^= (np.bitwise_xor.accumulate(parity) ^ parity) * _MASK64
+    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,29 @@ class TestTotalObjective:
                                    negatives=negs)
         assert inert == plain
 
+    @pytest.mark.parametrize("kind,filter_kind,rt,rp,dura", [
+        ("complex", "rscf", True, 0.1, 0.05),
+        ("rescal", "sfbr_linear2", False, 0.0, 0.05),
+        ("cp", "none", False, 0.1, 0.0),
+        ("transe", "rscf", True, 0.1, 0.0),
+        ("rotate", "sfbr_n", False, 0.0, 0.0),
+    ])
+    def test_value_only_matches_full_pass(self, kind, filter_kind, rt, rp, dura,
+                                          monkeypatch):
+        model, filt, loss, store, batch, negs = _toy_setup(
+            kind, filter_kind, rt=rt, rp=rp, dura=dura, dim=6, seed=7)
+        full, _ = total_objective(batch, store, model, filt, loss, negatives=negs)
+
+        def no_scatter(*args):
+            raise AssertionError("value-only pass touched a gradient")
+
+        monkeypatch.setattr(objectives, "scatter_rows", no_scatter)
+        monkeypatch.setattr(objectives.GradientBuffer, "add_full", no_scatter)
+        value, buf = total_objective(batch, store, model, filt, loss,
+                                     negatives=negs, grad=False)
+        assert buf is None
+        assert value == full
+
 
 class TestOptimizerStep:
     def test_sgd_example(self):

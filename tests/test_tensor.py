@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import rscf.tensor as tensor_module
 from rscf.errors import InvalidScheme, NonFiniteLoss, ShapeMismatch
+from rscf.reference import fnv1a_bytewise
 from rscf.tensor import (
+    FNV_BLOCK,
+    FNV_LOOP_BELOW,
     ParameterStore,
     Rng,
     finite_difference_check,
@@ -10,12 +16,57 @@ from rscf.tensor import (
     init_embeddings,
 )
 
+FNV_LENGTHS = sorted({*range(301), 63, 64, 65, FNV_LOOP_BELOW - 1, FNV_LOOP_BELOW,
+                      FNV_LOOP_BELOW + 1, FNV_BLOCK - 1, FNV_BLOCK, FNV_BLOCK + 1,
+                      3 * FNV_BLOCK + 17})
+FNV_STATES = [0xCBF29CE484222325, 0, (1 << 64) - 1,
+              *(int(v) for v in np.random.default_rng(1).integers(
+                  0, 1 << 64, size=3, dtype=np.uint64))]
+
 
 class TestFnv1a:
     def test_known_vectors(self):
         assert fnv1a(b"") == 0xCBF29CE484222325
         assert fnv1a("a") == 0xAF63DC4C8601EC8C
         assert fnv1a(b"foobar") == 0x85944171F73967E8
+
+    @pytest.mark.parametrize("loop_below", [FNV_LOOP_BELOW, 0])  # 0: kernel only
+    @pytest.mark.parametrize("h", FNV_STATES, ids=hex)
+    def test_matches_byte_loop_at_every_length(self, h, loop_below, monkeypatch):
+        monkeypatch.setattr(tensor_module, "FNV_LOOP_BELOW", loop_below)
+        data = np.random.default_rng(h % 997).integers(
+            0, 256, size=max(FNV_LENGTHS), dtype=np.uint8).tobytes()
+        for n in FNV_LENGTHS:
+            assert fnv1a(data[:n], h) == fnv1a_bytewise(data[:n], h), n
+
+    @pytest.mark.parametrize("byte", [b"\0", b"\xff", b"\xb3"])
+    def test_repeated_byte(self, byte):
+        for h in FNV_STATES:
+            assert fnv1a(byte * 5000, h) == fnv1a_bytewise(byte * 5000, h)
+
+    def test_buffer_types(self):
+        data = np.random.default_rng(3).integers(
+            0, 256, size=2 * FNV_BLOCK + 5, dtype=np.uint8).tobytes()
+        want = fnv1a_bytewise(data)
+        assert fnv1a(bytearray(data)) == want
+        assert fnv1a(memoryview(data)) == want
+        assert fnv1a(memoryview(np.frombuffer(data, dtype=np.uint8))) == want
+        text = "Zürich → 東京 ✓ " * 400
+        assert len(text.encode("utf-8")) > FNV_LOOP_BELOW
+        assert fnv1a(text) == fnv1a_bytewise(text) == fnv1a(text.encode("utf-8"))
+
+    def test_scratch_memory_is_bounded_by_the_block(self):
+        data = np.random.default_rng(4).integers(
+            0, 256, size=4 << 20, dtype=np.uint8).tobytes()
+        tracemalloc.start()
+        try:
+            got = fnv1a(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a kernel sized by the input would need 8 bytes per input byte
+        assert peak < 32 * FNV_BLOCK < len(data)
+        assert got == fnv1a_bytewise(data)
 
 
 class TestRng:
@@ -35,6 +86,38 @@ class TestRng:
 
     def test_derive_chain_depends_on_parent(self):
         assert Rng(3).derive("a").derive(1).stream != Rng(3).derive("b").derive(1).stream
+
+    @pytest.mark.parametrize("rng,labels,stream", [
+        (Rng(0), ("negatives",), 0xAE68C1A8D77C45CB),
+        (Rng(0), ("shuffle",), 0x2CE0B1DFA0EF1ACE),
+        (Rng(0), ("init:entity",), 0xA3F3C681EE8537D4),
+        (Rng(0), ("",), 0xA8C7F832281A39C5),
+        (Rng(0), ("épοch",), 0x7A3583626960632B),
+        (Rng(0), (0,), 0x88201FB960FF6465),
+        (Rng(0), (1,), 0x692558B056101A44),
+        (Rng(0), (2**64 - 1,), 0x821E65573BEFF6DD),
+        (Rng(2**63 + 5, 7), ("negatives",), 0x7B335A1062D9A702),
+        (Rng(2**63 + 5, 7), (1,), 0xBA20A56A32AF65C3),
+        (Rng(3), ("epoch", 4, "negatives"), 0x6A5DF64E5B9ECBD4),
+        (Rng(5), (2, "shuffle", "x"), 0x2771D65915B1DF21),
+        (Rng(11), ("epoch", 0, "shuffle"), 0x3B99534DE6C9CA66),
+        (Rng(0), ("L" * 3000,), 0x0929ADB85802F945),
+        (Rng(0, 9), ("ü" * 700,), 0x253DA47030BDCBBC),
+        (Rng(0, 9), ("ü" * 800,), 0x5D98572E9954D22C),
+    ])
+    def test_derive_known_answers(self, rng, labels, stream):
+        for label in labels:
+            rng = rng.derive(label)
+        assert rng.stream == stream
+
+    def test_derived_generators_known_answers(self):
+        shuffle = Rng(11).derive("epoch").derive(0).derive("shuffle").generator()
+        assert shuffle.permutation(10).tolist() == [7, 2, 3, 4, 8, 1, 9, 6, 5, 0]
+        negs = Rng(3).derive("epoch").derive(4).derive("negatives").generator()
+        assert negs.integers(0, 1000, 5).tolist() == [866, 14, 246, 171, 789]
+        init = Rng(7).derive("init:entity").generator().normal(size=3)
+        assert init.tolist() == [-0.43398014704670956, -1.6695213046459052,
+                                 -0.6439145012268946]
 
 
 class TestInitEmbeddings:

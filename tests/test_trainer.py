@@ -19,7 +19,7 @@ from rscf.objectives import (
     total_objective,
 )
 from rscf.synthetic import write_dataset
-from rscf.tensor import Rng, fnv1a
+from rscf.tensor import FNV_LOOP_BELOW, Rng, fnv1a
 from rscf.trainer import (
     TrainConfig,
     TrainState,
@@ -502,3 +502,19 @@ class TestCheckpointV1:
             assert a.store[name].tobytes() == b.store[name].tobytes()
             assert a.store.acc[name].tobytes() == b.store.acc[name].tobytes()
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+class TestCheckpointV2Fixture:
+    def test_loads_and_resaves_to_identical_bytes(self, tmp_path):
+        blob = (DATA / "v2_checkpoint.rscfckp").read_bytes()
+        (meta_len,) = struct.unpack_from("<Q", blob, 8)
+        assert blob[:8] == b"RSCFCKP2" and 16 + meta_len >= FNV_LOOP_BELOW
+        loaded = load_checkpoint(DATA / "v2_checkpoint.rscfckp")
+        assert loaded.version == 2 and loaded.epoch == 2
+        with np.load(DATA / "v1_tables.npz") as saved:
+            for key in saved.files:
+                got = (loaded.store.acc[key[4:]] if key.startswith("acc:")
+                       else loaded.store[key])
+                assert got.tobytes() == saved[key].tobytes()
+        save_checkpoint(tmp_path / "again.rscfckp", loaded)
+        assert (tmp_path / "again.rscfckp").read_bytes() == blob
