@@ -55,14 +55,15 @@ def _fnv1a_block(block: np.ndarray, h: int) -> int:
     h * prime^m + sum_i delta_i * prime^(m - i) mod 2^64 over the m bytes,
     exact in wrapping uint64. The low bytes L_i come from
     L_(i+1) = ((L_i ^ b_i) * 0xB3) mod 256 (0xB3 is the prime mod 256), one
-    bit at a time: bit k of the product is bit k of x plus bit k of
+    bit at a time: bit k of the product is bit k of x XOR bit k of
     (x mod 2^k) * 0xB3, so once bits < k are known, bit k of every L_i is a
-    prefix XOR."""
+    prefix XOR of its change at each step, starting from bit k of h."""
     m = block.size
     low = np.zeros(m + 1, dtype=np.uint8)  # L_0 .. L_m
+    before = low[:m]  # the low byte each b_i meets
     flips = np.zeros(m + 1, dtype=np.uint8)
     for k in range(8):
-        x = low[:m] ^ block
+        x = before ^ block
         x &= (1 << k) - 1
         x *= 0xB3
         x ^= block
@@ -73,7 +74,7 @@ def _fnv1a_block(block: np.ndarray, h: int) -> int:
         bits = _prefix_xor(flips)
         bits <<= k
         low |= bits
-    delta = np.subtract(low[:m] ^ block, low[:m], dtype=np.int64).view(np.uint64)
+    delta = np.subtract(before ^ block, before, dtype=np.int64).view(np.uint64)
     powers = _fnv_powers()
     delta *= powers[m:0:-1]
     return (h * int(powers[m]) + int(delta.sum(dtype=np.uint64))) & _MASK64
