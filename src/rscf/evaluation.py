@@ -66,10 +66,11 @@ class CandidateScorer:
 
     Tensor models answer head queries through the reciprocal relation row and
     never transform candidates; distance models broadcast a block's fixed side
-    against the (1, N, d) candidate table with the candidate-side filter
-    active. A scorer reads the store's tables as they are when it first needs
-    them: the candidate rt factor tables of distance models are built once and
-    reused, so the store must not change while the scorer is in use.
+    against chunks of the candidate table with the candidate-side filter
+    active, computing each chunk in the scorer's workspace. A scorer reads the
+    store's tables as they are when it first needs them: the candidate rt
+    factor tables of distance models are built once and reused, so the store
+    must not change while the scorer is in use.
     """
 
     def __init__(self, store, model: M.ModelSpec, filt: T.FilterSpec):
@@ -77,6 +78,7 @@ class CandidateScorer:
         self.model = model
         self.filt = filt
         self._cand_rt: dict[str, np.ndarray] = {}
+        self._ws = M.Workspace()
 
     def _candidate_rt(self, which: str) -> np.ndarray:
         """(1, N, d_r) rt factor of every candidate entity, built on first use."""
@@ -96,7 +98,10 @@ class CandidateScorer:
                     rel_ids: np.ndarray) -> np.ndarray:
         """(Q, N) scores for Q queries of one direction ("tail": fixed_ids are
         heads; "head": they are tails). Tensor models score the block with one
-        (Q, d) @ (d, N) product; distance models hold (Q, N, d) intermediates."""
+        (Q, d) @ (d, N) product. Distance models score it in chunks of
+        candidates whose (Q, C, d) arrays fit models.WORKSPACE_BYTES, each
+        written straight into its columns of the block; the chunking changes
+        no score."""
         store, model, filt = self.store, self.model, self.filt
         if model.is_tdm:
             if direction == "head":
@@ -107,17 +112,23 @@ class CandidateScorer:
         rel = store["relation"][rel_ids]
         op = T.et_build(filt, store, rel, rel_ids, model.dim)
         fixed_on, cand_on, fixed_which, cand_which = T.dbm_direction(filt, fixed_is_head)
-        fixed = store["entity"][fixed_ids]
-        cand = store["entity"][None, :, :]
+        ent = store["entity"]
+        fixed = ent[fixed_ids]
         fixed_f = T.et_apply(op, fixed) if fixed_on else fixed
-        cand_f = T.et_apply(op, cand) if cand_on else cand
-        fixed_rel, cand_factor = rel, None
+        fixed_rel, cand_rt = rel, None
         if filt.rt_enabled:
             fixed_rel = T.rt_factor(store, fixed_which, fixed, filt.p).factor * rel
-            cand_factor = self._candidate_rt(cand_which)
-        sc, _ = T.dbm_direction_scores(model, fixed_is_head, fixed_f, fixed_rel,
-                                       cand_f, cand_factor)
-        return sc
+            cand_rt = self._candidate_rt(cand_which)
+        scores = np.empty((len(fixed_ids), ent.shape[0]), dtype=ent.dtype)
+        step = max(1, M.WORKSPACE_BYTES // (max(1, len(fixed_ids)) * model.dim * ent.itemsize))
+        for lo in range(0, ent.shape[0], step):
+            chunk = slice(lo, lo + step)
+            cand = ent[None, chunk]
+            cand_f = T.et_apply(op, cand, ws=self._ws) if cand_on else cand
+            cand_factor = None if cand_rt is None else cand_rt[:, chunk]
+            T.dbm_direction_scores(model, fixed_is_head, fixed_f, fixed_rel, cand_f,
+                                   cand_factor, ws=self._ws, out=scores[:, chunk])
+        return scores
 
     @property
     def block_rows(self) -> int:

@@ -25,11 +25,10 @@ from .errors import (
 )
 from .tensor import ParameterStore, Rng, init_embeddings
 
-# Byte budget for one (b, K, d) candidate array of the distance objective, for
-# one (b, R, d) array of the distance models' relation-prediction term, and for
-# one (rows, N) all-entity score block of the tensor objective: a batch is
-# processed in slices that fit it, so peak memory does not grow with the batch
-# size.
+# Byte budget for one (rows, N) all-entity score block of the tensor objective:
+# a batch is scored in row slices that fit it, so peak memory does not grow with
+# the batch size. The distance objective's (b, K, d) and (b, R, d) slices fit
+# models.WORKSPACE_BYTES instead.
 OBJECTIVE_BLOCK_BYTES = 1 << 24
 
 # Elements per np.add.at call in scatter_rows (1024 rows at d = 64); bounds
@@ -142,8 +141,9 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def cross_entropy(scores: np.ndarray, targets: np.ndarray):
-    """Sum of -log softmax(scores)[target] over rows. Returns (value, d_scores)."""
+def cross_entropy(scores: np.ndarray, targets: np.ndarray, *, terms=None):
+    """Sum of -log softmax(scores)[target] over rows. Returns (value, d_scores);
+    terms, a (rows,) array when given, receives each row's term."""
     scores = np.atleast_2d(scores)
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     q, c = scores.shape
@@ -160,18 +160,24 @@ def cross_entropy(scores: np.ndarray, targets: np.ndarray):
     d = scores - m
     np.exp(d, out=d)
     total = d.sum(axis=1, keepdims=True)
-    value = float(np.sum(m[:, 0] + np.log(total[:, 0]) - picked))
+    row = m[:, 0] + np.log(total[:, 0]) - picked
+    if terms is not None:
+        terms[...] = row
+    value = float(np.sum(row))
     d /= total
     d[rows, targets] -= 1.0
     return value, d
 
 
-def self_adversarial(scores: np.ndarray, margin: float, temperature: float):
+def self_adversarial(scores: np.ndarray, margin: float, temperature: float, *,
+                     terms=None):
     """RotatE-style negative-weighted loss over rows [positive, negatives...].
 
     L = -log sig(margin + s+) - sum_i p_i log sig(-margin - s_i),
     p = softmax(temperature * negatives). The softmax weights are part of the
-    loss, so the returned gradient is the exact total derivative.
+    loss, so the returned gradient is the exact total derivative. terms, a
+    (2, rows) array when given, receives each row's positive and negative term;
+    the value is the sum of the first plus the sum of the second.
     """
     scores = np.atleast_2d(scores)
     if scores.shape[1] < 2:
@@ -181,7 +187,10 @@ def self_adversarial(scores: np.ndarray, margin: float, temperature: float):
     p = softmax(temperature * s_neg, axis=1)
     log_pos = _log_sigmoid(margin + s_pos)
     log_neg = _log_sigmoid(-margin - s_neg)
-    value = float(np.sum(-log_pos) + np.sum(-(p * log_neg).sum(axis=1)))
+    pos, neg = -log_pos, -(p * log_neg).sum(axis=1)
+    if terms is not None:
+        terms[0], terms[1] = pos, neg
+    value = float(np.sum(pos) + np.sum(neg))
     d = np.empty_like(scores)
     d[:, 0] = _sigmoid(margin + s_pos) - 1.0
     weighted_mean = (p * log_neg).sum(axis=1, keepdims=True)
@@ -265,6 +274,7 @@ def total_objective(batch, store: ParameterStore, model: M.ModelSpec,
     if batch.shape[0] == 0:
         return 0.0, buf
     eff = filt if filter_active else T.INERT_FILTER
+    ws = M.Workspace()  # the distance terms' slice buffers
     if model.is_tdm:
         value = _tdm_objective(batch, store, model, eff, loss, buf)
     else:
@@ -272,9 +282,9 @@ def total_objective(batch, store: ParameterStore, model: M.ModelSpec,
             raise UnsupportedModel("duality regularizer is tensor-model only")
         if negatives is None:
             raise ValueError("distance models need pre-sampled negatives")
-        value = _dbm_objective(batch, store, model, eff, loss, negatives, buf)
+        value = _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws)
     if loss.rp_weight > 0:
-        value += _rp_objective(batch, store, model, loss, buf)
+        value += _rp_objective(batch, store, model, loss, buf, ws)
     return value, buf
 
 
@@ -295,7 +305,8 @@ def _tdm_objective(batch, store, model, eff, loss, buf) -> float:
     q, tape = T.tdm_forward(eff, store, model, lhs_ids, rel_rows)
     value = 0.0
     d_q = np.empty_like(q)
-    for sl in _triple_slices(q.shape[0], ent.shape[0] * ent.itemsize):
+    for sl in _triple_slices(q.shape[0], ent.shape[0] * ent.itemsize,
+                             OBJECTIVE_BLOCK_BYTES):
         q_blk = q[sl]
         part, d_scores = cross_entropy(q_blk @ ent.T, tgt_ids[sl])
         value += part
@@ -328,22 +339,25 @@ def _tdm_objective(batch, store, model, eff, loss, buf) -> float:
     return value
 
 
-def _triple_slices(b: int, bytes_per_row: int) -> list[slice]:
+def _triple_slices(b: int, bytes_per_row: int, budget: int | None = None) -> list[slice]:
     """Consecutive slices of b rows (triples, or the tensor objective's query
-    rows), each holding as many rows as fit OBJECTIVE_BLOCK_BYTES (at least
-    one)."""
-    step = max(1, OBJECTIVE_BLOCK_BYTES // bytes_per_row)
+    rows), each holding as many rows as fit the budget (at least one); the
+    budget is models.WORKSPACE_BYTES unless given."""
+    budget = M.WORKSPACE_BYTES if budget is None else budget
+    step = max(1, budget // bytes_per_row)
     return [slice(s, min(s + step, b)) for s in range(0, b, step)]
 
 
-def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
+def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
     """Self-adversarial loss of both directions of a distance model.
 
     A candidate's rt factor depends only on its entity, so each direction
     computes it once per distinct candidate id of the batch, sums the candidate
     cotangents per distinct id, and makes one rt VJP and one entity scatter.
-    The (b, K, d) candidate work runs in triple slices under
-    OBJECTIVE_BLOCK_BYTES; the per-id tables span the whole batch.
+    The (b, K, d) candidate work runs in triple slices that fit the
+    workspace's models.WORKSPACE_BYTES and reuse its buffers; the per-id tables
+    span the whole batch. Each direction keeps its per-row loss terms and sums
+    them once, so the value does not depend on the slicing.
     """
     rt = eff.rt_enabled
     ent = store["entity"]
@@ -377,6 +391,8 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
         cand_ids = np.concatenate([gold_ids[:, None], negs], axis=1)
         uniq, inv = np.unique(cand_ids, return_inverse=True)
         inv = inv.reshape(cand_ids.shape)
+        if uniq[0] < 0 or uniq[-1] >= ent.shape[0]:
+            raise IndexError(f"candidate ids outside [0, {ent.shape[0]})")
 
         fixed = ent[fixed_ids]
         fixed_f = T.et_apply(op, fixed) if fixed_side_on else fixed
@@ -390,21 +406,28 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
             d_fixed_factor = np.zeros_like(fixed_rel)
             d_cand_factor_u = np.zeros_like(cand_rt.factor)
 
-        for sl in _triple_slices(b, cand_ids.shape[1] * model.dim * ent.itemsize):
+        k = cand_ids.shape[1]
+        terms = np.empty((2, b), dtype=ent.dtype)
+        for sl in _triple_slices(b, k * model.dim * ent.itemsize):
+            n = sl.stop - sl.start
             op_sl = op.rows(sl) if cand_side_on else None
-            cand = ent[cand_ids[sl]]
-            cand_f = T.et_apply(op_sl, cand) if cand_side_on else cand
+            cand = np.take(ent, cand_ids[sl], axis=0, mode="clip",
+                           out=ws("cand", (n, k, model.dim), ent.dtype))
+            cand_f = T.et_apply(op_sl, cand, ws=ws) if cand_side_on else cand
             if rt:
-                cand_factor = cand_rt.factor[inv[sl]]
+                cand_factor = np.take(cand_rt.factor, inv[sl], axis=0, mode="clip",
+                                      out=ws("cand_factor", (n, k, rel.shape[1]),
+                                             rel.dtype))
             sc, sc_cache = T.dbm_direction_scores(model, fixed_is_head, fixed_f[sl],
-                                                  fixed_rel[sl], cand_f, cand_factor)
-            part, d_sc = self_adversarial(sc, model.gamma, loss.adv_temperature)
-            value += part
+                                                  fixed_rel[sl], cand_f, cand_factor,
+                                                  ws=ws)
+            _, d_sc = self_adversarial(sc, model.gamma, loss.adv_temperature,
+                                       terms=terms[:, sl])
             if buf is None:
                 continue
 
             d_a, d_r3, d_b = M.dbm_scores_vjp(model.kind, sc_cache, d_sc,
-                                               model.distance_p)
+                                               model.distance_p, ws=ws)
             d_fixed_fk, d_cand_f = (d_a, d_b) if fixed_is_head else (d_b, d_a)
             d_fixed_f[sl] = d_fixed_fk.sum(axis=1)
             inv_sl = inv[sl].reshape(-1)
@@ -412,16 +435,19 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
                 d_fixed_rel = np.einsum("bkd,bkd->bd", d_r3, cand_factor)
                 d_rel[sl] += d_fixed_rel * fixed_rt.factor[sl]
                 d_fixed_factor[sl] = d_fixed_rel * rel[sl]
-                scatter_rows(d_cand_factor_u, inv_sl, d_r3 * fixed_rel[sl, None, :])
+                scatter_rows(d_cand_factor_u, inv_sl,
+                             np.multiply(d_r3, fixed_rel[sl, None, :],
+                                         out=ws("d_cand_factor", d_r3.shape, d_r3.dtype)))
             else:
                 d_rel[sl] += d_r3.sum(axis=1)
 
             if cand_side_on:
-                d_cand, d_mult, d_bias = T.et_apply_vjp(op_sl, cand, d_cand_f)
+                d_cand, d_mult, d_bias = T.et_apply_vjp(op_sl, cand, d_cand_f, ws=ws)
                 _accumulate_op(sl, d_mult, d_bias)
             else:
                 d_cand = d_cand_f
             scatter_rows(d_cand_u, inv_sl, d_cand)
+        value += float(np.sum(terms[0]) + np.sum(terms[1]))
 
         if buf is None:
             continue
@@ -446,33 +472,39 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf) -> float:
     return value
 
 
-def _rp_objective(batch, store, model, loss, buf) -> float:
+def _rp_objective(batch, store, model, loss, buf, ws) -> float:
     """Relation prediction, once per triple, on base embeddings over the base
     relation rows. Distance models build (b, R, d) arrays, so they run in
-    triple slices under OBJECTIVE_BLOCK_BYTES."""
+    workspace-sized triple slices. The per-row terms are summed once and the
+    gradients reach the buffer after the last slice, in one batch-wide order,
+    so the slicing changes no bit."""
     lam = loss.rp_weight
     ent = store["entity"]
     num_rel = store.meta["num_relations"]
     base_rows = store["relation"][:num_rel]
+    b = batch.shape[0]
     if model.is_dbm:
-        slices = _triple_slices(batch.shape[0], num_rel * model.dim * ent.itemsize)
+        slices = _triple_slices(b, num_rel * model.dim * ent.itemsize)
     else:
         slices = [slice(None)]
-    value = 0.0
+    terms = np.empty(b, dtype=ent.dtype)
+    d_heads, d_tails = np.empty((2, b, model.dim), dtype=ent.dtype)
+    d_table = None
     for sl in slices:
         h = ent[batch[sl, 0]]
         t = ent[batch[sl, 2]]
-        scores, cache = M.relation_scores(model, h, t, base_rows)
-        part, d_scores = cross_entropy(scores, batch[sl, 1])
-        value += part
+        scores, cache = M.relation_scores(model, h, t, base_rows, ws=ws)
+        _, d_scores = cross_entropy(scores, batch[sl, 1], terms=terms[sl])
         if buf is None:
             continue
         d_scores *= lam
-        d_h, d_t, d_table = M.relation_scores_vjp(model, h, t, base_rows, cache, d_scores)
-        buf.add_rows("entity", batch[sl, 0], d_h)
-        buf.add_rows("entity", batch[sl, 2], d_t)
+        d_heads[sl], d_tails[sl], d_table = M.relation_scores_vjp(
+            model, h, t, base_rows, cache, d_scores, ws=ws, d_table=d_table)
+    if buf is not None:
+        buf.add_rows("entity", batch[:, 0], d_heads)
+        buf.add_rows("entity", batch[:, 2], d_tails)
         buf.add_rows("relation", np.arange(num_rel), d_table)
-    return lam * value
+    return lam * float(np.sum(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +515,12 @@ def optimizer_step(store: ParameterStore, buf: GradientBuffer,
                    optimizer: str = "adagrad", lr: float = 0.1) -> None:
     """Apply one update to every touched, trainable row. Adagrad keeps
     per-element squared-gradient accumulators in the store and adds 1e-10 to
-    their square roots."""
+    their square roots.
+
+    Rows are updated in place in blocks that fit models.WORKSPACE_BYTES, through
+    one reused scratch, with the operations of the whole-table formula
+    (reference.optimizer_step) in its order, so the result is the same bits. A
+    table with a non-finite gradient in any touched row is left unchanged."""
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     if optimizer not in ("adagrad", "sgd"):
@@ -496,12 +533,35 @@ def optimizer_step(store: ParameterStore, buf: GradientBuffer,
             continue
         table = store.tables[name]
         acc = store.acc[name]
-        rows = slice(None) if mask.all() else np.nonzero(mask)[0]
-        g = grad[rows]
-        if not np.isfinite(g).all():
-            raise NonFiniteGradient(name)
-        if optimizer == "adagrad":
-            acc[rows] += g * g
-            table[rows] -= lr * g / (np.sqrt(acc[rows]) + 1e-10)
-        else:
-            table[rows] -= lr * g
+        rows = None if mask.all() else np.nonzero(mask)[0]
+        count = table.shape[0] if rows is None else rows.size
+        step = max(1, M.WORKSPACE_BYTES // (table.shape[1] * table.itemsize))
+        scratch = np.empty((3, min(step, count), table.shape[1]), table.dtype)
+        finite = np.empty(scratch.shape[1:], dtype=bool)
+
+        def block(lo, hi, src, k):
+            """Rows lo..hi of the update's selection in src: a view when every
+            row is selected, else gathered into scratch[k]."""
+            if rows is None:
+                return src[lo:hi]
+            return np.take(src, rows[lo:hi], axis=0, mode="clip", out=scratch[k, :hi - lo])
+
+        blocks = [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+        for lo, hi in blocks:
+            if not np.isfinite(block(lo, hi, grad, 0), out=finite[:hi - lo]).all():
+                raise NonFiniteGradient(name)
+        for lo, hi in blocks:
+            g = block(lo, hi, grad, 0)
+            upd = np.multiply(lr, g, out=scratch[2, :hi - lo])  # lr * g
+            if optimizer == "adagrad":
+                a = block(lo, hi, acc, 1)
+                a += np.multiply(g, g, out=scratch[0, :hi - lo])  # g is not read again
+                if rows is not None:
+                    acc[rows[lo:hi]] = a
+                a_root = np.sqrt(a, out=scratch[0, :hi - lo])
+                a_root += 1e-10
+                upd /= a_root
+            t = block(lo, hi, table, 0)
+            t -= upd
+            if rows is not None:
+                table[rows[lo:hi]] = t

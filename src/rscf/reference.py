@@ -1,8 +1,9 @@
 """Single-vector reference oracles: each states one equation of the method
 (scores, filters, relation transformation, task loss, duality regularizer,
-relation prediction, the filter-index lookup, the FNV-1a recurrence) for one
-vector, triple, key or byte, independently of the batched kernels. No
-production path imports this module; tests compare against it."""
+relation prediction, the optimizer update, the filter-index lookup, the FNV-1a
+recurrence) for one vector, triple, table, key or byte, independently of the
+batched kernels. No production path imports this module; tests compare
+against it."""
 
 from __future__ import annotations
 
@@ -285,6 +286,20 @@ def rp_term(model: M.ModelSpec, h_vec, t_vec, relation_table, true_relation: int
     value, d_scores = cross_entropy(scores, [true_relation])
     d_h, d_t, d_table = M.relation_scores_vjp(model, h, t, table, cache, d_scores)
     return value, (d_h[0], d_t[0], d_table)
+
+
+def optimizer_step(table, acc, grad, touched, optimizer: str, lr: float):
+    """One Adagrad or SGD update written as whole-table expressions over the
+    touched rows; returns updated copies of (table, acc)."""
+    table, acc = table.copy(), acc.copy()
+    rows = slice(None) if touched.all() else np.nonzero(touched)[0]
+    g = grad[rows]
+    if optimizer == "adagrad":
+        acc[rows] += g * g
+        table[rows] -= lr * g / (np.sqrt(acc[rows]) + 1e-10)
+    else:
+        table[rows] -= lr * g
+    return table, acc
 
 
 def ids_of(table, a: int, b: int) -> np.ndarray:

@@ -188,24 +188,34 @@ def _expand(op_arr: np.ndarray, target_ndim: int) -> np.ndarray:
     return op_arr
 
 
-def et_apply(op: EtOp | None, ent: np.ndarray) -> np.ndarray:
+def et_apply(op: EtOp | None, ent: np.ndarray, *, ws=None) -> np.ndarray:
+    """The filtered entities; with a workspace, a view of its "et" buffer."""
     if op is None:
         return ent
+    w = _expand(op.factor_vectors(), ent.ndim)
+    shape = np.broadcast_shapes(w.shape[:-1], ent.shape[:-1]) + ent.shape[-1:]
+    out = M.scratch(ws, "et", shape, np.result_type(w, ent))
     if op.blocks is not None:
-        w = _expand(op.blocks, ent.ndim)
         half = ent.shape[-1] // 2
         w1, w2, w3, w4 = np.split(w, 4, axis=-1)
         e1, e2 = ent[..., :half], ent[..., half:]
-        return np.concatenate([w1 * e1 + w2 * e2, w3 * e1 + w4 * e2], axis=-1)
-    out = ent * _expand(op.mult, ent.ndim)
+        o1, o2 = out[..., :half], out[..., half:]
+        tmp = M.scratch(ws, "et.tmp", o1.shape, out.dtype)
+        np.multiply(w1, e1, out=o1)  # [w1 e1 + w2 e2, w3 e1 + w4 e2]
+        o1 += np.multiply(w2, e2, out=tmp)
+        np.multiply(w3, e1, out=o2)
+        o2 += np.multiply(w4, e2, out=tmp)
+        return out
+    np.multiply(ent, w, out=out)
     if op.bias is not None:
-        out = out + _expand(op.bias, ent.ndim)
+        out += _expand(op.bias, ent.ndim)
     return out
 
 
-def et_apply_vjp(op: EtOp | None, ent: np.ndarray, d_out: np.ndarray):
+def et_apply_vjp(op: EtOp | None, ent: np.ndarray, d_out: np.ndarray, *, ws=None):
     """Returns (d_ent, d_mult_or_blocks (Q,*), d_bias or None), reducing over
-    any candidate axis."""
+    any candidate axis; with a workspace, d_ent is a view of its "et_vjp"
+    buffer."""
     if op is None:
         return d_out, None, None
     reduce_axes = tuple(range(1, ent.ndim - 1))  # candidate axes, if any
@@ -213,20 +223,31 @@ def et_apply_vjp(op: EtOp | None, ent: np.ndarray, d_out: np.ndarray):
     def _reduce(x):
         return x.sum(axis=reduce_axes) if reduce_axes else x
 
+    def _reduce_product(x, y):
+        if not reduce_axes:
+            return x * y
+        return np.multiply(x, y, out=M.scratch(ws, "et_vjp.tmp", x.shape, x.dtype)
+                           ).sum(axis=reduce_axes)
+
+    w = _expand(op.factor_vectors(), ent.ndim)
+    d_ent = M.scratch(ws, "et_vjp", d_out.shape, np.result_type(d_out, w))
     if op.blocks is not None:
-        w = _expand(op.blocks, ent.ndim)
         half = ent.shape[-1] // 2
         w1, w2, w3, w4 = np.split(w, 4, axis=-1)
         e1, e2 = ent[..., :half], ent[..., half:]
         d1, d2 = d_out[..., :half], d_out[..., half:]
-        d_ent = np.concatenate([d1 * w1 + d2 * w3, d1 * w2 + d2 * w4], axis=-1)
-        d_blocks = np.concatenate(
-            [_reduce(d1 * e1), _reduce(d1 * e2), _reduce(d2 * e1), _reduce(d2 * e2)],
-            axis=-1,
-        )
+        d_blocks = np.concatenate([_reduce_product(d1, e1), _reduce_product(d1, e2),
+                                   _reduce_product(d2, e1), _reduce_product(d2, e2)],
+                                  axis=-1)
+        o1, o2 = d_ent[..., :half], d_ent[..., half:]
+        tmp = M.scratch(ws, "et_vjp.tmp", o1.shape, d_ent.dtype)
+        np.multiply(d1, w1, out=o1)  # [d1 w1 + d2 w3, d1 w2 + d2 w4]
+        o1 += np.multiply(d2, w3, out=tmp)
+        np.multiply(d1, w2, out=o2)
+        o2 += np.multiply(d2, w4, out=tmp)
         return d_ent, d_blocks, None
-    d_ent = d_out * _expand(op.mult, ent.ndim)
-    d_mult = _reduce(d_out * ent)
+    np.multiply(d_out, w, out=d_ent)
+    d_mult = _reduce_product(d_out, ent)
     d_bias = _reduce(d_out) if op.bias is not None else None
     return d_ent, d_mult, d_bias
 
@@ -342,7 +363,8 @@ def dbm_direction(spec: FilterSpec, fixed_is_head: bool):
 
 
 def dbm_direction_scores(model, fixed_is_head: bool, fixed_f: np.ndarray,
-                         fixed_rel: np.ndarray, cand_f: np.ndarray, cand_factor):
+                         fixed_rel: np.ndarray, cand_f: np.ndarray, cand_factor, *,
+                         ws=None, out=None):
     """Distance scores (Q, K) of Q fixed entities against K candidates each.
 
     fixed_f (Q, d) and cand_f (Q, K, d) are the (possibly filtered) entities;
@@ -351,14 +373,16 @@ def dbm_direction_scores(model, fixed_is_head: bool, fixed_f: np.ndarray,
     factors, or None without rt. The candidate arrays may instead have a
     leading axis of 1, one candidate table broadcast against every query.
     Returns models.dbm_scores' (scores, cache), with the head in its first
-    argument slot.
+    argument slot; ws and out pass through to it.
     """
-    if cand_factor is None:
-        rel_t = np.broadcast_to(fixed_rel[:, None, :],
-                                (fixed_f.shape[0], cand_f.shape[1], fixed_rel.shape[-1]))
-    else:
-        rel_t = fixed_rel[:, None, :] * cand_factor
+    rel_t = fixed_rel[:, None, :]
+    if cand_factor is not None:
+        shape = np.broadcast_shapes(rel_t.shape, cand_factor.shape)
+        rel_t = np.multiply(rel_t, cand_factor,
+                            out=M.scratch(ws, "rel_t", shape, np.result_type(rel_t, cand_factor)))
     fixed_f = fixed_f[:, None, :]
     if fixed_is_head:
-        return M.dbm_scores(model.kind, fixed_f, rel_t, cand_f, model.distance_p)
-    return M.dbm_scores(model.kind, cand_f, rel_t, fixed_f, model.distance_p)
+        return M.dbm_scores(model.kind, fixed_f, rel_t, cand_f, model.distance_p,
+                            ws=ws, out=out)
+    return M.dbm_scores(model.kind, cand_f, rel_t, fixed_f, model.distance_p,
+                        ws=ws, out=out)

@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rscf import evaluation, objectives
+from rscf import models as M
 from rscf import transforms as T
 from rscf.data import Dataset, build_filter_index, load_relation_groups
 from rscf.errors import EmptySplit, GoldOutOfRange, NumericalError
@@ -651,6 +653,91 @@ class TestDistanceBlockInvariance:
         assert checked == len(FILTER_KINDS) * 2 * 2 * 2
 
 
+    @pytest.mark.parametrize("kind", ["transe", "rotate"])
+    def test_scores_independent_of_candidate_chunks(self, kind, monkeypatch):
+        """A block scores its candidates in chunks that fit WORKSPACE_BYTES;
+        chunks of 1, 3, N - 1 and N candidates (N = 11, not a multiple of 3)
+        give one-query blocks the per-query scorer's bits, and larger blocks
+        its scores up to the rounding of their batched products."""
+        ds = _grid_dataset(np.random.default_rng(79), num_entities=11)
+        arr = ds.split_array("test")
+        num_e, num_r = ds.vocabulary.num_entities, ds.vocabulary.num_relations
+        assert num_e == 11
+        checked = 0
+        for filter_kind, rt, p, apply_to in itertools.product(
+                FILTER_KINDS, (False, True), (1, 2), ("head_and_tail", "head_only")):
+            # p is both the filter's normalization and the distance's norm
+            model = ModelSpec(kind, 4, distance_p=p, gamma=1.0)
+            filt = FilterSpec(filter_kind, p=p, rt_enabled=rt, apply_to=apply_to)
+            rng = Rng(checked)
+            store = build_store(model, filt, num_e, num_r, rng, init_scale=0.4)
+            for name, table in store.tables.items():
+                table += rng.derive(f"jitter:{name}").generator().normal(0.0, 0.05,
+                                                                         table.shape)
+            per_candidate = model.dim * store["entity"].itemsize
+            for direction, fixed in (("tail", arr[:, 0]), ("head", arr[:, 2])):
+                oracle = np.stack([
+                    _per_query_scores(store, model, filt, direction, f, r)
+                    for f, r in zip(fixed.tolist(), arr[:, 1].tolist())])
+                for rows, chunk in itertools.product((1, 3), (1, 3, num_e - 1, num_e)):
+                    monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES",
+                                        _block_bytes(store, model, rows))
+                    monkeypatch.setattr(M, "WORKSPACE_BYTES", chunk * rows * per_candidate)
+                    scorer = CandidateScorer(store, model, filt)
+                    got = np.concatenate(list(scorer.blocks(direction, fixed, arr[:, 1])))
+                    key = (filter_kind, rt, p, apply_to, rows, chunk)
+                    if rows == 1:
+                        assert np.array_equal(got, oracle), key
+                    else:
+                        assert all(_row_close(g, w) for g, w in zip(got, oracle)), key
+                checked += 1
+        assert checked == len(FILTER_KINDS) * 2 * 2 * 2 * 2
+
+    @pytest.mark.parametrize("chunk,calls", [(1, 11), (3, 4), (10, 2), (11, 1)])
+    def test_one_query_block_scores_in_chunks(self, chunk, calls, monkeypatch):
+        model = ModelSpec("transe", 4)
+        filt = FilterSpec("rscf", rt_enabled=True)
+        store = build_store(model, filt, 11, 2, Rng(3), init_scale=0.4)
+        seen = []
+        raw_dbm_scores = M.dbm_scores
+
+        def counting_dbm_scores(*args, **kwargs):
+            seen.append(kwargs["out"].shape)
+            return raw_dbm_scores(*args, **kwargs)
+
+        monkeypatch.setattr(M, "dbm_scores", counting_dbm_scores)
+        monkeypatch.setattr(M, "WORKSPACE_BYTES", chunk * model.dim * store["entity"].itemsize)
+        CandidateScorer(store, model, filt).tail_scores(0, 1)
+        assert len(seen) == calls
+        assert sum(shape[1] for shape in seen) == 11
+
+
+class TestScoreBlockMemory:
+    @pytest.mark.parametrize("kind", ["transe", "rotate"])
+    @pytest.mark.parametrize("filter_kind,rt", [("none", False), ("rscf", True),
+                                                ("rscf_linear2", False), ("sfbr_diag", True)])
+    def test_one_query_peak_is_its_scores_plus_workspace(self, kind, filter_kind, rt,
+                                                         monkeypatch):
+        """A one-query distance block at N = 2,000, d = 32 holds its (1, N)
+        scores and the workspace, whose arrays fit WORKSPACE_BYTES (32 KiB
+        here, against 512 KB for one (1, N, d) array)."""
+        monkeypatch.setattr(M, "WORKSPACE_BYTES", 1 << 15)
+        model = ModelSpec(kind, 32)
+        filt = FilterSpec(filter_kind, rt_enabled=rt)
+        store = build_store(model, filt, 2000, 3, Rng(5), init_scale=0.3)
+        for direction in ("tail", "head"):
+            scorer = CandidateScorer(store, model, filt)
+            if rt:  # the scorer's one (N, d_r) rt table per direction, built once
+                scorer._candidate_rt(T.dbm_direction(filt, direction == "tail")[3])
+            tracemalloc.start()
+            try:
+                scores = scorer.score_block(direction, np.array([7]), np.array([1]))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < scores.nbytes + 8 * M.WORKSPACE_BYTES, (direction, peak)
+
+
 class TestTrainingScoresEqualScorer:
     """Training and evaluation compose filter -> rt -> score through the same
     functions, so the scores the objective hands its loss equal the scorer's
@@ -670,9 +757,9 @@ class TestTrainingScoresEqualScorer:
         raw_loss = getattr(objectives, loss_name)
         captured = []
 
-        def capturing_loss(scores, *args):
+        def capturing_loss(scores, *args, **kwargs):
             captured.append(scores.copy())
-            return raw_loss(scores, *args)
+            return raw_loss(scores, *args, **kwargs)
 
         monkeypatch.setattr(objectives, loss_name, capturing_loss)
         apply_tos = ("head_only",) if model.is_tdm else ("head_and_tail", "head_only")

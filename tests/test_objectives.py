@@ -1,8 +1,11 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rscf import models as M
-from rscf import objectives
+from rscf import objectives, reference
 from rscf import transforms as T
 from rscf.errors import NonFiniteGradient, TargetOutOfRange, UnsupportedModel
 from rscf.gradcheck import check_combo
@@ -285,6 +288,60 @@ class TestOptimizerStep:
         with pytest.raises(NonFiniteGradient):
             optimizer_step(store, buf, "adagrad", lr=0.1)
 
+    @staticmethod
+    def _step_setup(dtype, subset, rows=100, dim=5, seed=0):
+        gen = np.random.default_rng(seed)
+        store = ParameterStore(dtype)
+        store.create("w", gen.normal(size=(rows, dim)), acc=gen.random((rows, dim)))
+        buf = GradientBuffer(store)
+        if subset:
+            picked = gen.choice(rows, rows // 3, replace=False)
+            buf.add_rows("w", picked, gen.normal(size=(picked.size, dim)).astype(dtype))
+        else:
+            buf.add_full("w", gen.normal(size=(rows, dim)).astype(dtype))
+        return store, buf
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("subset", [False, True])
+    @pytest.mark.parametrize("optimizer", ["adagrad", "sgd"])
+    def test_row_blocks_match_whole_table_formula(self, dtype, subset, optimizer,
+                                                  monkeypatch):
+        # blocks of 7 rows: the update runs in several blocks, the last one short
+        monkeypatch.setattr(M, "WORKSPACE_BYTES", 7 * 5 * np.dtype(dtype).itemsize)
+        store, buf = self._step_setup(dtype, subset)
+        want_table, want_acc = reference.optimizer_step(
+            store["w"], store.acc["w"], buf.dense_grads()["w"], buf.touched("w"),
+            optimizer, 0.05)
+        optimizer_step(store, buf, optimizer, lr=0.05)
+        assert store["w"].tobytes() == want_table.tobytes()
+        assert store.acc["w"].tobytes() == want_acc.tobytes()
+
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_non_finite_in_a_later_block_leaves_table_unchanged(self, subset, monkeypatch):
+        monkeypatch.setattr(M, "WORKSPACE_BYTES", 7 * 5 * 8)
+        store, buf = self._step_setup(np.float64, subset)
+        grad = buf.dense_grads()["w"]
+        grad[np.nonzero(buf.touched("w"))[0][-1], 2] = np.nan
+        before = store["w"].copy(), store.acc["w"].copy()
+        with pytest.raises(NonFiniteGradient):
+            optimizer_step(store, buf, "adagrad", lr=0.05)
+        assert store["w"].tobytes() == before[0].tobytes()
+        assert store.acc["w"].tobytes() == before[1].tobytes()
+
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_step_memory_is_a_few_row_blocks(self, subset):
+        # 40,000 x 16 f64: the whole-table formula's temporaries are 5 MB each
+        store, buf = self._step_setup(np.float64, subset, rows=40_000, dim=16)
+        touched = int(np.count_nonzero(buf.touched("w")))
+        tracemalloc.start()
+        try:
+            optimizer_step(store, buf, "adagrad", lr=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three scratch blocks and a finiteness mask, plus the touched-row ids
+        assert peak < 4 * M.WORKSPACE_BYTES + 8 * touched
+
 
 class TestGradCheckSpot:
     """A slice of the full grid (the acceptance suite runs all of it)."""
@@ -466,10 +523,71 @@ class TestDistinctCandidateObjective:
             kind, filter_kind, rt, 2, triples=7, negatives=3, num_relations=4)
         whole = total_objective(batch, store, model, filt, loss, negatives=negs)
         per_triple = 4 * model.dim * store["entity"].itemsize
-        monkeypatch.setattr(objectives, "OBJECTIVE_BLOCK_BYTES", 3 * per_triple)
+        monkeypatch.setattr(M, "WORKSPACE_BYTES", 3 * per_triple)
         assert [s.stop - s.start for s in objectives._triple_slices(7, per_triple)] == [3, 3, 1]
         sliced = total_objective(batch, store, model, filt, loss, negatives=negs)
         _assert_objectives_close(sliced, whole)
+
+
+class TestSliceBudget:
+    """The distance objective's triple slices fit models.WORKSPACE_BYTES; each
+    direction sums its per-row self-adversarial terms once, the relation
+    prediction its per-row terms, and every gradient reaches the buffer in
+    batch order, so the slicing changes no bit."""
+
+    @pytest.mark.parametrize("kind", ["transe", "rotate"])
+    def test_budgets_of_one_three_and_all_triples_agree(self, kind, monkeypatch):
+        seen = []
+        raw_self_adversarial = objectives.self_adversarial
+
+        def counting(scores, *args, **kwargs):
+            seen.append(scores.shape[0])
+            return raw_self_adversarial(scores, *args, **kwargs)
+
+        monkeypatch.setattr(objectives, "self_adversarial", counting)
+        checked = 0
+        for filter_kind, rt in itertools.product(T.FILTER_KINDS, (False, True)):
+            # K + 1 = R = 4 candidates, so both terms slice alike
+            model, filt, loss, store, batch, negs = _duplicate_heavy_setup(
+                kind, filter_kind, rt, 2, triples=7, negatives=3, num_relations=4)
+            per_triple = 4 * model.dim * store["entity"].itemsize
+            results = []
+            for triples, slices in ((1, [1] * 7), (3, [3, 3, 1]), (7, [7])):
+                monkeypatch.setattr(M, "WORKSPACE_BYTES", triples * per_triple)
+                seen.clear()
+                value, buf = total_objective(batch, store, model, filt, loss, negatives=negs)
+                assert seen == slices * 2  # tail, then head direction
+                value_only, _ = total_objective(batch, store, model, filt, loss,
+                                                negatives=negs, grad=False)
+                assert value_only == value
+                grads = buf.dense_grads(True)
+                results.append((float.hex(value),
+                                {name: g.tobytes() for name, g in grads.items()}))
+            assert results[0] == results[1] == results[2], (filter_kind, rt)
+            checked += 1
+        assert checked == 2 * len(T.FILTER_KINDS)
+
+    @pytest.mark.parametrize("kind", ["transe", "rotate"])
+    def test_peak_grows_less_than_one_candidate_array_with_the_batch(self, kind):
+        # 200 entities: the per-id tables of both batches hold nearly all of them
+        model = ModelSpec(kind, 32, gamma=2.0)
+        filt = FilterSpec("rscf", rt_enabled=True)
+        loss = LossConfig(rp_weight=0.1, negatives=64)
+        store = build_store(model, filt, 200, 3, Rng(4), init_scale=0.3)
+        gen = np.random.default_rng(4)
+        peaks = []
+        for b in (32, 64):
+            batch = np.stack([gen.integers(0, 200, b), gen.integers(0, 3, b),
+                              gen.integers(0, 200, b)], axis=1)
+            negs = sample_negatives(batch, 200, loss.negatives, Rng(b))
+            tracemalloc.start()
+            try:
+                total_objective(batch, store, model, filt, loss, negatives=negs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        added = 32 * (loss.negatives + 1) * model.dim * store["entity"].itemsize
+        assert peaks[1] - peaks[0] < added
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +666,9 @@ class TestTensorRowBlocks:
         rows_seen = []
         raw_cross_entropy = objectives.cross_entropy
 
-        def counting_cross_entropy(scores, targets):
+        def counting_cross_entropy(scores, targets, **kwargs):
             rows_seen.append(scores.shape[0])
-            return raw_cross_entropy(scores, targets)
+            return raw_cross_entropy(scores, targets, **kwargs)
 
         monkeypatch.setattr(objectives, "cross_entropy", counting_cross_entropy)
         blocked = total_objective(batch, store, model, filt, loss)
