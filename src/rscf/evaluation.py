@@ -15,7 +15,8 @@ from .errors import EmptySplit, GoldOutOfRange, NumericalError
 HITS = (1, 3, 10)  # the Hits@N every report and CSV carries
 # Target size of one score block, counting one array per block: the (queries, N)
 # scores of tensor models, one (queries, N, d) intermediate of distance models
-# (whose filter, rt and distance temporaries take a few times that). At
+# (whose filter, rt and distance temporaries take a few times that), and one
+# row block of a candidate rt table. At
 # FB15k-237 shape, 16 MiB tensor blocks ranked more slowly and left about 17 MB
 # more heap resident for the training that followed.
 SCORE_BLOCK_BYTES = 1 << 22
@@ -81,11 +82,18 @@ class CandidateScorer:
         self._ws = M.Workspace()
 
     def _candidate_rt(self, which: str) -> np.ndarray:
-        """(1, N, d_r) rt factor of every candidate entity, built on first use."""
+        """(1, N, d_r) rt factor of every candidate entity, built on first use in
+        row blocks of at most SCORE_BLOCK_BYTES, so its temporaries are a few
+        blocks instead of a few tables. Each row's factor depends on that row
+        alone."""
         if which not in self._cand_rt:
-            cand = self.store["entity"][None, :, :]
-            self._cand_rt[which] = T.rt_factor(self.store, which, cand,
-                                               self.filt.p).factor
+            ent, a = self.store["entity"], self.store[which]
+            table = np.empty((1, ent.shape[0], a.shape[1]), np.result_type(ent, a))
+            step = max(1, SCORE_BLOCK_BYTES // (a.shape[1] * table.itemsize))
+            for lo in range(0, ent.shape[0], step):
+                T.rt_factor(self.store, which, ent[None, lo:lo + step], self.filt.p,
+                            out=table[:, lo:lo + step])
+            self._cand_rt[which] = table
         return self._cand_rt[which]
 
     def tail_scores(self, head_id: int, rel_id: int) -> np.ndarray:

@@ -141,23 +141,25 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def cross_entropy(scores: np.ndarray, targets: np.ndarray, *, terms=None):
+def cross_entropy(scores: np.ndarray, targets: np.ndarray, *, terms=None, out=None):
     """Sum of -log softmax(scores)[target] over rows. Returns (value, d_scores);
-    terms, a (rows,) array when given, receives each row's term."""
+    terms, a (rows,) array when given, receives each row's term. d_scores is
+    written into out when given, which may be scores itself (then overwritten);
+    otherwise it is a new array and scores is left as it was."""
     scores = np.atleast_2d(scores)
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     q, c = scores.shape
     if targets.shape != (q,):
         raise ShapeMismatch(f"targets shape {targets.shape} != ({q},)")
     if q == 0:
-        return 0.0, np.empty_like(scores)
+        return 0.0, np.empty_like(scores) if out is None else out
     if targets.min() < 0 or targets.max() >= c:
         raise TargetOutOfRange(f"target outside [0, {c})")
     rows = np.arange(q)
     picked = scores[rows, targets]
     # one pass: the shifted scores become exp(s - m), then the softmax in place
     m = np.max(scores, axis=1, keepdims=True)
-    d = scores - m
+    d = np.subtract(scores, m, out=out)
     np.exp(d, out=d)
     total = d.sum(axis=1, keepdims=True)
     row = m[:, 0] + np.log(total[:, 0]) - picked
@@ -291,9 +293,11 @@ def total_objective(batch, store: ParameterStore, model: M.ModelSpec,
 def _tdm_objective(batch, store, model, eff, loss, buf) -> float:
     """1-vs-all cross-entropy over every entity for the B tail queries and the
     B reciprocal head queries, plus DURA. The 2B query rows are scored in row
-    slices under OBJECTIVE_BLOCK_BYTES, so one (rows, N) score block is the
-    largest array whatever the batch size; each block adds its entity-gradient
-    term to the buffer as it goes."""
+    slices under OBJECTIVE_BLOCK_BYTES into one reused (rows, N) score buffer,
+    which the softmax gradient then overwrites, so that buffer and one reused
+    (N, d) entity-gradient scratch are the largest arrays whatever the batch
+    size; each block adds its entity-gradient term to the buffer as it goes.
+    Both are released before DURA and the backward pass."""
     kind = model.kind
     ent = store["entity"]
     num_rel = store.meta["num_relations"]
@@ -305,14 +309,20 @@ def _tdm_objective(batch, store, model, eff, loss, buf) -> float:
     q, tape = T.tdm_forward(eff, store, model, lhs_ids, rel_rows)
     value = 0.0
     d_q = np.empty_like(q)
-    for sl in _triple_slices(q.shape[0], ent.shape[0] * ent.itemsize,
-                             OBJECTIVE_BLOCK_BYTES):
+    slices = _triple_slices(q.shape[0], ent.shape[0] * ent.itemsize,
+                            OBJECTIVE_BLOCK_BYTES)
+    dtype = np.result_type(q, ent)
+    score_buf = np.empty((slices[0].stop, ent.shape[0]), dtype)
+    scratch = None if buf is None else np.empty((ent.shape[0], q.shape[1]), dtype)
+    for sl in slices:
         q_blk = q[sl]
-        part, d_scores = cross_entropy(q_blk @ ent.T, tgt_ids[sl])
+        scores = np.matmul(q_blk, ent.T, out=score_buf[:sl.stop - sl.start])
+        part, d_scores = cross_entropy(scores, tgt_ids[sl], out=scores)
         value += part
         if buf is not None:
             np.matmul(d_scores, ent, out=d_q[sl])
-            buf.add_full("entity", d_scores.T @ q_blk)
+            buf.add_full("entity", np.matmul(d_scores.T, q_blk, out=scratch))
+    del score_buf, scratch, scores, d_scores
 
     d_lhs_f, d_rel = None, np.zeros_like(tape.rel)
     if loss.dura_weight > 0:

@@ -74,7 +74,8 @@ def normalize_rows(x: np.ndarray, p: int):
     norms = M.p_norm(x, p)
     live = norms >= DEFAULT_ZERO_EPS
     safe = np.where(live, norms, 1.0)
-    unit = np.where(live[..., None], x / safe[..., None], 0.0)
+    unit = x / safe[..., None]
+    unit[~live] = 0.0  # in place: one (..., d) temporary, not two
     return unit, safe, live
 
 
@@ -281,10 +282,11 @@ class RtFactor:
     cache: dict
 
 
-def rt_factor(store, which: str, x: np.ndarray, p: int) -> RtFactor:
-    """(N_p(x A) + 1) for A in {a2, a3}; x is a batch of base entity embeddings."""
+def rt_factor(store, which: str, x: np.ndarray, p: int, *, out=None) -> RtFactor:
+    """(N_p(x A) + 1) for A in {a2, a3}; x is a batch of base entity embeddings.
+    The factor is written into out when given."""
     unit, cache = _rooted_change(store, which, x, p)
-    return RtFactor(unit + 1.0, cache)
+    return RtFactor(np.add(unit, 1.0, out=out), cache)
 
 
 def rt_factor_vjp(rt: RtFactor, d_factor: np.ndarray, buf, p: int) -> np.ndarray:

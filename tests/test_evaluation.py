@@ -737,6 +737,29 @@ class TestScoreBlockMemory:
                 tracemalloc.stop()
             assert peak < scores.nbytes + 8 * M.WORKSPACE_BYTES, (direction, peak)
 
+    @pytest.mark.parametrize("kind", ["transe", "rotate"])
+    def test_candidate_rt_table_is_built_in_row_blocks(self, kind, monkeypatch):
+        """At N = 20,000 the (1, N, d_r) rt table takes 40 or 20 blocks of
+        64 KiB; building it holds the table and a few blocks, where the whole
+        table at once holds about two more tables, and the bits are the same."""
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 1 << 16)
+        model = ModelSpec(kind, 16)
+        filt = FilterSpec("rscf", rt_enabled=True)
+        store = build_store(model, filt, 20_000, 3, Rng(5), init_scale=0.3)
+        for which in ("a2", "a3"):
+            scorer = CandidateScorer(store, model, filt)
+            tracemalloc.start()
+            try:
+                table = scorer._candidate_rt(which)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert table.nbytes > 19 * evaluation.SCORE_BLOCK_BYTES
+            assert peak < table.nbytes + 5 * evaluation.SCORE_BLOCK_BYTES, (which, peak)
+            whole = T.rt_factor(store, which, store["entity"][None], filt.p).factor
+            assert table.dtype == whole.dtype
+            assert table.tobytes() == whole.tobytes()
+
 
 class TestTrainingScoresEqualScorer:
     """Training and evaluation compose filter -> rt -> score through the same

@@ -639,11 +639,20 @@ class TestFusedCrossEntropy:
             assert grad.dtype == want_grad.dtype
             assert grad.tobytes() == want_grad.tobytes()
 
+            # in place: the gradient overwrites the scores it was computed from
+            value, grad = cross_entropy(scores, targets, out=scores)
+            assert grad is scores
+            assert value == want_value
+            assert grad.tobytes() == want_grad.tobytes()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_zero_rows(self, dtype):
-        value, grad = cross_entropy(np.zeros((0, 7), dtype), np.zeros(0, dtype=np.int64))
-        assert value == 0.0
-        assert grad.shape == (0, 7) and grad.dtype == dtype
+        for out in (None, np.zeros((0, 7), dtype)):
+            value, grad = cross_entropy(np.zeros((0, 7), dtype),
+                                        np.zeros(0, dtype=np.int64), out=out)
+            assert value == 0.0
+            assert grad.shape == (0, 7) and grad.dtype == dtype
+            assert out is None or grad is out
 
 
 class TestTensorRowBlocks:
@@ -675,6 +684,32 @@ class TestTensorRowBlocks:
         _assert_objectives_close(blocked, whole)
         b = batch.shape[0]  # 2b = 10 query rows
         assert rows_seen == [3, 3, 3, 1] + ([b] if rp > 0 else [])
+
+    def test_blocks_reuse_one_score_buffer_and_one_entity_scratch(self, monkeypatch):
+        """192 query rows in three 64-row blocks of 2 MB at N = 4,000, d = 8:
+        the call holds one score block and one (N, d) entity-gradient scratch
+        at a time, plus the gradient buffer's dense tables and per-row arrays
+        (the slack), where a fresh score, softmax and scratch array per block
+        would hold about three blocks."""
+        model = ModelSpec("complex", 8)
+        filt = FilterSpec("rscf", rt_enabled=True, apply_to="head_only")
+        loss = LossConfig(rp_weight=0.1, dura_weight=0.05)
+        store = build_store(model, filt, 4000, 3, Rng(2), init_scale=0.3)
+        ent = store["entity"]
+        gen = np.random.default_rng(2)
+        b = 96
+        batch = np.stack([gen.integers(0, 4000, b), gen.integers(0, 3, b),
+                          gen.integers(0, 4000, b)], axis=1)
+        block = 64 * ent.shape[0] * ent.itemsize
+        monkeypatch.setattr(objectives, "OBJECTIVE_BLOCK_BYTES", block)
+        tracemalloc.start()
+        try:
+            total_objective(batch, store, model, filt, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch, slack = ent.nbytes, 4 * ent.nbytes
+        assert peak < block + scratch + slack, peak
 
 
 class TestAddRows:

@@ -274,6 +274,17 @@ class TestNormalizeRowsVjp:
                 fd = np.sum((up - down) * d_unit) / (2 * eps)
                 assert abs(fd - dx[i, j]) < 1e-6
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_dead_rows_are_positive_zero_and_live_rows_divided(self, p):
+        gen = np.random.default_rng(14)
+        x = gen.normal(size=(2, 4, 5))
+        x[0, 1] = -1e-30  # below DEFAULT_ZERO_EPS: a dead row of negative values
+        x[1, 3] = 0.0
+        unit, norms, live = normalize_rows(x, p)
+        assert live.tolist() == [[True, False, True, True], [True, True, True, False]]
+        want = np.where(live[..., None], x / norms[..., None], 0.0)
+        assert unit.tobytes() == want.tobytes()
+
     def test_dead_rows_zero_gradient(self):
         x = np.zeros((2, 3))
         unit, norms, live = normalize_rows(x, 2)
