@@ -148,33 +148,34 @@ def telemetry_sample(train_arr: np.ndarray, seed: int, size: int) -> np.ndarray:
 
 
 def scale_trace(store, model: M.ModelSpec, filt: T.FilterSpec,
-                triples) -> ScaleRecord:
+                triples, *, ws=None) -> ScaleRecord:
     """Mean normalized factor norms and transformed-head norms over a triple
-    sample (Fig-style concentration diagnostics)."""
+    sample (Fig-style concentration diagnostics). ws, a models.Workspace,
+    holds the sample's arrays; a training run passes its own between epochs."""
     if filt.kind == "none" and not filt.rt_enabled:
         raise NoFilter("no transformation is active")
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    heads = store["entity"][triples[:, 0]]
+    heads = M.gather(ws, "trace.heads", store["entity"], triples[:, 0])
     rel_rows = triples[:, 1]
-    rel = store["relation"][rel_rows]
+    rel = M.gather(ws, "trace.rel", store["relation"], rel_rows)
     transformation = None
     emb_vectors = heads
     if filt.kind != "none":
-        op = T.et_build(filt, store, rel, rel_rows, model.dim)
+        op = T.et_build(filt, store, rel, rel_rows, model.dim, ws=ws)
         factors = op.factor_vectors()
         transformation = float(
-            np.mean(M.p_norm(factors, filt.p)) / _reference_norm(filt, model.dim))
-        emb_vectors = T.et_apply(op, heads)
+            np.mean(M.p_norm(factors, filt.p, ws=ws)) / _reference_norm(filt, model.dim))
+        emb_vectors = T.et_apply(op, heads, ws=ws)
     rt = None
     if filt.rt_enabled:
-        combined = T.rt_factor(store, "a2", heads, filt.p).factor
+        combined = T.rt_factor(store, "a2", heads, filt.p, ws=ws).factor
         if model.is_dbm:
             tails = store["entity"][triples[:, 2]]
             combined = combined * T.rt_factor(store, "a3", tails, filt.p).factor
-        rt = float(np.mean(M.p_norm(combined, filt.p))
+        rt = float(np.mean(M.p_norm(combined, filt.p, ws=ws))
                    / M.p_norm(np.ones(model.relation_dim), filt.p))
     return ScaleRecord(transformation, rt,
-                       float(np.mean(M.p_norm(emb_vectors, filt.p))))
+                       float(np.mean(M.p_norm(emb_vectors, filt.p, ws=ws))))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,13 @@ import numpy as np
 
 from . import models as M
 from . import transforms as T
-from .data import Dataset, RelationGroups, build_filter_index, relation_frequency_buckets
+from .data import (
+    Dataset,
+    FilterIndex,
+    RelationGroups,
+    build_filter_index,
+    relation_frequency_buckets,
+)
 from .errors import EmptySplit, GoldOutOfRange, NumericalError
 
 HITS = (1, 3, 10)  # the Hits@N every report and CSV carries
@@ -203,11 +209,12 @@ def aggregate(ranks: np.ndarray, relations: np.ndarray, vocabulary) -> EvalRepor
     return EvalReport(mrr, hits, int(ranks.size), per_relation)
 
 
-def collect_ranks(checkpoint, dataset: Dataset, split: str,
-                  directions: str = "both") -> tuple[np.ndarray, np.ndarray]:
+def collect_ranks(checkpoint, dataset: Dataset, split: str, directions: str = "both",
+                  index: FilterIndex | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Filtered rank of every query in the split: (ranks, relations), float64
     ranks and their int64 relation ids, triple by triple in split order with
-    the tail query before the head query.
+    the tail query before the head query. index is the dataset's filter
+    index, built here when not given.
 
     Queries are scored through CandidateScorer.blocks, which raises
     NumericalError when any score is not finite, and ranked by rank_block. A
@@ -218,7 +225,8 @@ def collect_ranks(checkpoint, dataset: Dataset, split: str,
     arr = dataset.split_array(split)
     if not arr.size:
         raise EmptySplit(split)
-    index = build_filter_index(dataset)
+    if index is None:
+        index = build_filter_index(dataset)
     scorer = CandidateScorer(checkpoint.store, checkpoint.model, checkpoint.filter)
     ent = checkpoint.store["entity"]
     n = ent.shape[0]
@@ -253,9 +261,9 @@ def collect_ranks(checkpoint, dataset: Dataset, split: str,
     return ranks.ravel(), np.repeat(rels, len(wanted))
 
 
-def evaluate_split(checkpoint, dataset: Dataset, split: str,
-                   directions: str = "both") -> EvalReport:
-    return aggregate(*collect_ranks(checkpoint, dataset, split, directions),
+def evaluate_split(checkpoint, dataset: Dataset, split: str, directions: str = "both",
+                   index: FilterIndex | None = None) -> EvalReport:
+    return aggregate(*collect_ranks(checkpoint, dataset, split, directions, index),
                      dataset.vocabulary)
 
 

@@ -24,10 +24,21 @@ WORKSPACE_BYTES = 1 << 18
 
 
 class Workspace(dict):
-    """Scratch arrays reused from one slice to the next. Each name keeps one
-    flat buffer, replaced by a larger one when a slice needs more; a request
-    returns a C-contiguous view of the asked shape, so it overwrites what the
-    name held before."""
+    """Scratch arrays reused from one call to the next. A training run keeps
+    one workspace for all its batches (trainer.TrainState.ws) and a scorer one
+    for all its blocks, so a buffer lives as long as its workspace. Each name
+    keeps one flat buffer, replaced by a larger one when a call needs more; a
+    request returns a C-contiguous view of the asked shape, so it overwrites
+    what the name held before. Hence the rule every caller keeps: no name may
+    back two arrays that are live at once.
+
+    Names are the kernels' own ("et", "a1.c", "dbm.diff", ...), except three
+    kinds that several kernels share because their arrays never overlap:
+    "tmp", a leaf temporary that dies inside the kernel that asks for it;
+    "scores", the score block of one objective term; and "phase.0" to
+    "phase.3", the arrays that live within one phase of the tensor objective
+    (DURA, the backward pass, relation prediction), each phase reusing them
+    once the one before is done."""
 
     def __call__(self, name: str, shape: tuple, dtype) -> np.ndarray:
         size = math.prod(shape)
@@ -40,6 +51,18 @@ class Workspace(dict):
 def scratch(ws: Workspace | None, name: str, shape: tuple, dtype) -> np.ndarray:
     """The workspace's `name` buffer, or a new array without a workspace."""
     return np.empty(shape, dtype) if ws is None else ws(name, shape, dtype)
+
+
+def gather(ws: Workspace | None, name: str, table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """table[ids], in the workspace's `name` buffer when there is one. Ids
+    outside [-n, n) raise IndexError, as they do under fancy indexing."""
+    if ws is None:
+        return table[ids]
+    n = table.shape[0]
+    if ids.size and not (-n <= ids.min() and ids.max() < n):
+        raise IndexError(f"row ids outside [{-n}, {n})")
+    return np.take(table, ids, axis=0, mode="wrap",
+                   out=ws(name, ids.shape + table.shape[1:], table.dtype))
 
 
 @dataclass
@@ -83,12 +106,14 @@ def _halves(v: np.ndarray):
     return v[..., :half], v[..., half:]
 
 
-def p_norm(v: np.ndarray, p: int) -> np.ndarray:
-    if p == 2:
-        return np.sqrt(np.sum(v * v, axis=-1))
-    if p == 1:
-        return np.sum(np.abs(v), axis=-1)
-    raise ValueError("p must be 1 or 2")
+def p_norm(v: np.ndarray, p: int, *, ws=None) -> np.ndarray:
+    """Row p-norms; the (..., d) temporary is the workspace's "tmp"."""
+    if p not in (1, 2):
+        raise ValueError("p must be 1 or 2")
+    tmp = scratch(ws, "tmp", v.shape, v.dtype)
+    terms = np.multiply(v, v, out=tmp) if p == 2 else np.abs(v, out=tmp)
+    norms = np.sum(terms, axis=-1)
+    return np.sqrt(norms) if p == 2 else norms
 
 
 # ---------------------------------------------------------------------------
@@ -102,62 +127,88 @@ def _rescal_matrix(x: np.ndarray, rel: np.ndarray) -> np.ndarray:
     return rel.reshape(rel.shape[:-1] + (n, n))
 
 
-def _contract_t(kind: str, h: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """q(h, r) = h R, with score = q . t."""
+def _result(out, a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
+    """out, or a new array of a and b's broadcast rows and `width` columns."""
+    if out is not None:
+        return out
+    return np.empty(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (width,),
+                    np.result_type(a, b))
+
+
+def _complex_pairs(out, first, second, ws):
+    """The two halves of a complex product, each (a b + c d) or (a b - c d):
+    first and second are (a, b, c, d, add) for the front and back half."""
+    halves = _halves(out)
+    tmp = scratch(ws, "tmp", halves[0].shape, out.dtype)
+    for o, (a, b, c, d, add) in zip(halves, (first, second)):
+        np.multiply(a, b, out=o)
+        (np.add if add else np.subtract)(o, np.multiply(c, d, out=tmp), out=o)
+    return out
+
+
+def _contract_t(kind: str, h: np.ndarray, r: np.ndarray, out=None, ws=None) -> np.ndarray:
+    """q(h, r) = h R, with score = q . t; written to out when given."""
+    out = _result(out, h, r, h.shape[-1])
     if kind == "cp":
-        return h * r
+        return np.multiply(h, r, out=out)
     if kind == "complex":
-        h1, h2 = _halves(h)
-        r1, r2 = _halves(r)
-        return np.concatenate([h1 * r1 - h2 * r2, h1 * r2 + h2 * r1], axis=-1)
+        (h1, h2), (r1, r2) = _halves(h), _halves(r)
+        return _complex_pairs(out, (h1, r1, h2, r2, False), (h1, r2, h2, r1, True), ws)
     if kind == "rescal":
-        return np.einsum("...i,...ij->...j", h, _rescal_matrix(h, r))
+        return np.einsum("...i,...ij->...j", h, _rescal_matrix(h, r), out=out)
     raise ValueError(f"not a tensor-decomposition kind: {kind}")
 
 
-def _contract_h(kind: str, t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """q'(t, r) = t R^T, with score = q' . h."""
+def _contract_h(kind: str, t: np.ndarray, r: np.ndarray, out=None, ws=None) -> np.ndarray:
+    """q'(t, r) = t R^T, with score = q' . h; written to out when given."""
+    out = _result(out, t, r, t.shape[-1])
     if kind == "cp":
-        return t * r
+        return np.multiply(t, r, out=out)
     if kind == "complex":
-        t1, t2 = _halves(t)
-        r1, r2 = _halves(r)
-        return np.concatenate([t1 * r1 + t2 * r2, t2 * r1 - t1 * r2], axis=-1)
+        (t1, t2), (r1, r2) = _halves(t), _halves(r)
+        return _complex_pairs(out, (t1, r1, t2, r2, True), (t2, r1, t1, r2, False), ws)
     if kind == "rescal":
-        return np.einsum("...j,...ij->...i", t, _rescal_matrix(t, r))
+        return np.einsum("...j,...ij->...i", t, _rescal_matrix(t, r), out=out)
     raise ValueError(f"not a tensor-decomposition kind: {kind}")
 
 
-def _contract_r(kind: str, h: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """m(h, t), with score = m . r."""
+def _contract_r(kind: str, h: np.ndarray, t: np.ndarray, out=None, ws=None) -> np.ndarray:
+    """m(h, t), with score = m . r; written to out when given."""
+    n = h.shape[-1]
+    out = _result(out, h, t, n * n if kind == "rescal" else n)
     if kind == "cp":
-        return h * t
+        return np.multiply(h, t, out=out)
     if kind == "complex":
-        h1, h2 = _halves(h)
-        t1, t2 = _halves(t)
-        return np.concatenate([h1 * t1 + h2 * t2, h1 * t2 - h2 * t1], axis=-1)
+        (h1, h2), (t1, t2) = _halves(h), _halves(t)
+        return _complex_pairs(out, (h1, t1, h2, t2, True), (h1, t2, h2, t1, False), ws)
     if kind == "rescal":
-        return np.einsum("...i,...j->...ij", h, t).reshape(h.shape[:-1] + (-1,))
+        np.einsum("...i,...j->...ij", h, t, out=out.reshape(out.shape[:-1] + (n, n)))
+        return out
     raise ValueError(f"not a tensor-decomposition kind: {kind}")
 
 
-def tdm_query(kind: str, lhs: np.ndarray, rel: np.ndarray):
+# The four entry points, kept apart from the contractions so perfbench/tracer.py
+# can time them by name. Each writes its results to out (one array, or a pair
+# for the VJPs) when given; ws holds the complex kinds' "tmp".
+
+
+def tdm_query(kind: str, lhs: np.ndarray, rel: np.ndarray, *, out=None, ws=None):
     """Query vector q with score = q . t."""
-    return _contract_t(kind, lhs, rel)
+    return _contract_t(kind, lhs, rel, out, ws)
 
 
-def tdm_query_vjp(kind: str, lhs, rel, dq):
-    return _contract_h(kind, dq, rel), _contract_r(kind, lhs, dq)
+def tdm_query_vjp(kind: str, lhs, rel, dq, *, out=(None, None), ws=None):
+    return _contract_h(kind, dq, rel, out[0], ws), _contract_r(kind, lhs, dq, out[1], ws)
 
 
-def tdm_query_t(kind: str, rhs: np.ndarray, rel: np.ndarray):
+def tdm_query_t(kind: str, rhs: np.ndarray, rel: np.ndarray, *, out=None, ws=None):
     """Transposed query q' = rhs R^T (head-prediction dual used by the
     duality regularizer)."""
-    return _contract_h(kind, rhs, rel)
+    return _contract_h(kind, rhs, rel, out, ws)
 
 
-def tdm_query_t_vjp(kind: str, rhs, rel, dq):
-    return _contract_t(kind, dq, rel), _contract_r(kind, dq, rhs)
+def tdm_query_t_vjp(kind: str, rhs, rel, dq, *, out=(None, None), ws=None):
+    return _contract_t(kind, dq, rel, out[0], ws), _contract_r(kind, dq, rhs, out[1], ws)
 
 
 # ---------------------------------------------------------------------------
@@ -256,31 +307,35 @@ def dbm_scores_vjp(kind: str, cache, d_scores, p: int, *, ws=None):
 
 
 def relation_scores(model: ModelSpec, h: np.ndarray, t: np.ndarray,
-                    relation_table: np.ndarray, *, ws=None):
-    """Scores (Q, R) of every candidate relation for fixed (h, t) pairs."""
+                    relation_table: np.ndarray, *, ws=None, out=None):
+    """Scores (Q, R) of every candidate relation for fixed (h, t) pairs,
+    written to out when given."""
     kind = model.kind
     if kind in TDM_KINDS:
-        m = _contract_r(kind, h, t)
-        return m @ relation_table.T, {"m": m}
+        m = _contract_r(kind, h, t, scratch(ws, "rp.m", h.shape[:-1] + relation_table.shape[1:],
+                                            np.result_type(h, t)), ws)
+        return np.matmul(m, relation_table.T, out=out), {"m": m}
     if kind in DBM_KINDS:
         return dbm_scores(kind, h[:, None, :], relation_table[None, :, :],
-                          t[:, None, :], model.distance_p, ws=ws)
+                          t[:, None, :], model.distance_p, ws=ws, out=out)
     raise ValueError(kind)
 
 
 def relation_scores_vjp(model: ModelSpec, h, t, relation_table, cache, d_scores, *,
-                        ws=None, d_table=None):
-    """Returns (d_h, d_t, d_relation_table). d_table, when given, is the
-    relation-table cotangent of earlier rows: this call's rows are added to it
-    in place, one at a time, so rows scored in slices sum exactly as one call
-    over all of them does."""
+                        ws=None, d_table=None, out=(None, None)):
+    """Returns (d_h, d_t, d_relation_table), d_h and d_t written to out when
+    given. d_table, when given, is the relation-table cotangent of earlier
+    rows: this call's rows are added to it in place, one at a time, so rows
+    scored in slices sum exactly as one call over all of them does."""
     kind = model.kind
     if kind in TDM_KINDS:
-        dm = d_scores @ relation_table
+        dm = np.matmul(d_scores, relation_table,
+                       out=scratch(ws, "rp.dm", d_scores.shape[:1] + relation_table.shape[1:],
+                                   np.result_type(d_scores, relation_table)))
         d_rel = d_scores.T @ cache["m"]
         if d_table is not None:
             d_table += d_rel
-        return (_contract_h(kind, t, dm), _contract_t(kind, h, dm),
+        return (_contract_h(kind, t, dm, out[0], ws), _contract_t(kind, h, dm, out[1], ws),
                 d_rel if d_table is None else d_table)
     d_h3, d_rel3, d_t3 = dbm_scores_vjp(kind, cache, d_scores, model.distance_p, ws=ws)
     if d_table is None:
@@ -288,4 +343,4 @@ def relation_scores_vjp(model: ModelSpec, h, t, relation_table, cache, d_scores,
     else:
         for row in d_rel3:
             d_table += row
-    return d_h3.sum(axis=1), d_t3.sum(axis=1), d_table
+    return np.sum(d_h3, axis=1, out=out[0]), np.sum(d_t3, axis=1, out=out[1]), d_table

@@ -56,11 +56,13 @@ class LossConfig:
             raise ValueError("need at least one negative sample")
 
 
-def scatter_rows(out: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
+def scatter_rows(out: np.ndarray, rows: np.ndarray, vals: np.ndarray, *, ws=None) -> None:
     """out[rows[i]] += vals[i] for every i in order, as np.add.at(out, rows, vals)
     does and with the same result bit for bit, through 1-D flat indices, which
     the ufunc handles several times faster. out is a C-contiguous (n, d) array;
-    vals holds one length-d row per entry of rows, in any shape."""
+    vals holds one length-d row per entry of rows, in any shape. The flat
+    indices of each chunk go to one index buffer, the workspace's
+    "scatter.idx" when there is one."""
     if not out.flags.c_contiguous:
         raise ValueError("scatter_rows needs a C-contiguous output array")
     d = out.shape[1]
@@ -68,17 +70,20 @@ def scatter_rows(out: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
     vals = vals.reshape(rows.shape[0], d)
     cols = np.arange(d, dtype=np.intp)
     step = max(1, SCATTER_CHUNK_ELEMENTS // d)
+    idx = M.scratch(ws, "scatter.idx", (min(step, rows.shape[0]), d), np.intp)
     for start in range(0, rows.shape[0], step):
         chunk = rows[start:start + step].astype(np.intp)
-        np.add.at(flat, (chunk[:, None] * d + cols).reshape(-1),
-                  vals[start:start + step].reshape(-1))
+        flat_idx = np.add((chunk * d)[:, None], cols, out=idx[:chunk.shape[0]])
+        np.add.at(flat, flat_idx.reshape(-1), vals[start:start + step].reshape(-1))
 
 
 class GradientBuffer:
-    """Per-table gradient accumulators with touched-row tracking."""
+    """Per-table gradient accumulators with touched-row tracking; add_rows
+    scatters through the workspace, when given, for its index buffer."""
 
-    def __init__(self, store: ParameterStore):
+    def __init__(self, store: ParameterStore, ws: M.Workspace | None = None):
         self.store = store
+        self.ws = ws
         self._dense: dict[str, np.ndarray] = {}
         self._touched: dict[str, np.ndarray] = {}
 
@@ -93,7 +98,7 @@ class GradientBuffer:
         buf = self._ensure(name)
         rows = np.asarray(rows).reshape(-1)
         grads = np.asarray(grads).reshape(rows.shape[0], buf.shape[1])
-        scatter_rows(buf, rows, grads)
+        scatter_rows(buf, rows, grads, ws=self.ws)
         self._touched[name][rows] = True
 
     def add_full(self, name: str, arr) -> None:
@@ -263,22 +268,25 @@ def sample_negatives(batch: np.ndarray, num_entities: int, k: int, rng: Rng):
 
 def total_objective(batch, store: ParameterStore, model: M.ModelSpec,
                     filt: T.FilterSpec, loss: LossConfig, negatives=None,
-                    filter_active: bool = True, grad: bool = True):
+                    filter_active: bool = True, grad: bool = True, ws=None):
     """Objective value and gradients for a batch of (head, relation, tail) rows.
 
     negatives: (tail_negs, head_negs) index arrays, required for distance
     models (sampled by the caller so the objective itself is deterministic).
     grad=False stops each term after its value and returns (value, None); the
-    value is the same, bit for bit.
+    value is the same, bit for bit. ws, a models.Workspace, holds every
+    batch-sized array of the call; a training run passes the same one to
+    every batch so that none is allocated again. Without it the call makes a
+    fresh one. Nothing returned is a view of it.
     """
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
-    buf = GradientBuffer(store) if grad else None
+    ws = M.Workspace() if ws is None else ws
+    buf = GradientBuffer(store, ws) if grad else None
     if batch.shape[0] == 0:
         return 0.0, buf
     eff = filt if filter_active else T.INERT_FILTER
-    ws = M.Workspace()  # the distance terms' slice buffers
     if model.is_tdm:
-        value = _tdm_objective(batch, store, model, eff, loss, buf)
+        value = _tdm_objective(batch, store, model, eff, loss, buf, ws)
     else:
         if loss.dura_weight > 0:
             raise UnsupportedModel("duality regularizer is tensor-model only")
@@ -290,14 +298,16 @@ def total_objective(batch, store: ParameterStore, model: M.ModelSpec,
     return value, buf
 
 
-def _tdm_objective(batch, store, model, eff, loss, buf) -> float:
+def _tdm_objective(batch, store, model, eff, loss, buf, ws) -> float:
     """1-vs-all cross-entropy over every entity for the B tail queries and the
-    B reciprocal head queries, plus DURA. The 2B query rows are scored in row
-    slices under OBJECTIVE_BLOCK_BYTES into one reused (rows, N) score buffer,
-    which the softmax gradient then overwrites, so that buffer and one reused
-    (N, d) entity-gradient scratch are the largest arrays whatever the batch
-    size; each block adds its entity-gradient term to the buffer as it goes.
-    Both are released before DURA and the backward pass."""
+    B reciprocal head queries, plus DURA.
+
+    Every batch-sized array of the call is a workspace view. The 2B query
+    rows are scored in row slices under OBJECTIVE_BLOCK_BYTES into one
+    (rows, N) score block, which the softmax gradient then overwrites; each
+    slice adds its entity-gradient term through one (N, d) scratch and
+    writes d_q over its rows of q, which nothing reads again. DURA and the
+    backward pass then reuse the "phase" buffers one after the other."""
     kind = model.kind
     ent = store["entity"]
     num_rel = store.meta["num_relations"]
@@ -306,44 +316,58 @@ def _tdm_objective(batch, store, model, eff, loss, buf) -> float:
     rel_rows = np.concatenate([batch[:, 1], batch[:, 1] + num_rel])
     tgt_ids = np.concatenate([batch[:, 2], batch[:, 0]])
 
-    q, tape = T.tdm_forward(eff, store, model, lhs_ids, rel_rows)
+    q, tape = T.tdm_forward(eff, store, model, lhs_ids, rel_rows, ws=ws)
     value = 0.0
-    d_q = np.empty_like(q)
     slices = _triple_slices(q.shape[0], ent.shape[0] * ent.itemsize,
                             OBJECTIVE_BLOCK_BYTES)
     dtype = np.result_type(q, ent)
-    score_buf = np.empty((slices[0].stop, ent.shape[0]), dtype)
-    scratch = None if buf is None else np.empty((ent.shape[0], q.shape[1]), dtype)
+    score_buf = ws("scores", (slices[0].stop, ent.shape[0]), dtype)
     for sl in slices:
         q_blk = q[sl]
         scores = np.matmul(q_blk, ent.T, out=score_buf[:sl.stop - sl.start])
         part, d_scores = cross_entropy(scores, tgt_ids[sl], out=scores)
         value += part
         if buf is not None:
-            np.matmul(d_scores, ent, out=d_q[sl])
-            buf.add_full("entity", np.matmul(d_scores.T, q_blk, out=scratch))
-    del score_buf, scratch, scores, d_scores
+            buf.add_full("entity", np.matmul(d_scores.T, q_blk, out=ws(
+                "tdm.ent_grad", ent.shape, dtype)))
+            np.matmul(d_scores, ent, out=q_blk)  # d_q of these rows
+    d_q = q
 
-    d_lhs_f, d_rel = None, np.zeros_like(tape.rel)
+    d_lhs_f, d_rel = None, ws("tdm.d_rel", tape.rel.shape, tape.rel.dtype)
     if loss.dura_weight > 0:
         w = loss.dura_weight
         lhs_f, rel = tape.lhs_f, tape.rel
-        tgt = ent[tgt_ids]
-        qd = M.tdm_query(kind, lhs_f, rel)
-        qt = M.tdm_query_t(kind, tgt, rel)
-        value += w * float(np.sum(qd * qd) + np.sum(lhs_f * lhs_f)
-                           + np.sum(tgt * tgt) + np.sum(qt * qt))
+
+        def phase(k, like):
+            return ws(f"phase.{k}", like.shape, like.dtype)
+
+        tgt = M.gather(ws, "phase.0", ent, tgt_ids)
+        qd = M.tdm_query(kind, lhs_f, rel, out=phase(1, lhs_f), ws=ws)
+        qt = M.tdm_query_t(kind, tgt, rel, out=phase(2, tgt), ws=ws)
+        sq = phase(3, qd)
+        value += w * float(np.sum(np.multiply(qd, qd, out=sq))
+                           + np.sum(np.multiply(lhs_f, lhs_f, out=sq))
+                           + np.sum(np.multiply(tgt, tgt, out=sq))
+                           + np.sum(np.multiply(qt, qt, out=sq)))
         if buf is None:
             return value
-        d_h1, d_r1 = M.tdm_query_vjp(kind, lhs_f, rel, 2.0 * w * qd)
-        d_t2, d_r2 = M.tdm_query_t_vjp(kind, tgt, rel, 2.0 * w * qt)
-        d_lhs_f = d_h1 + 2.0 * w * lhs_f
-        d_rel += d_r1 + d_r2
-        buf.add_rows("entity", tgt_ids, d_t2 + 2.0 * w * tgt)
+        # d_rel starts as d_r1 (the zeros it would be added to change no
+        # sum); d_t2 and d_r2 take the buffers of qd and sq once those are read
+        d_lhs_f, _ = M.tdm_query_vjp(kind, lhs_f, rel, np.multiply(qd, 2.0 * w, out=qd),
+                                     out=(ws("tdm.d_lhs_f", lhs_f.shape, lhs_f.dtype), d_rel),
+                                     ws=ws)
+        d_t2, d_r2 = M.tdm_query_t_vjp(kind, tgt, rel, np.multiply(qt, 2.0 * w, out=qt),
+                                       out=(qd, phase(3, rel)), ws=ws)
+        d_rel += d_r2
+        d_lhs_f += np.multiply(lhs_f, 2.0 * w, out=phase(3, lhs_f))
+        d_t2 += np.multiply(tgt, 2.0 * w, out=phase(3, tgt))
+        buf.add_rows("entity", tgt_ids, d_t2)
+    else:
+        d_rel.fill(0.0)
     if buf is None:
         return value
 
-    d_lhs, d_rel = T.tdm_backward(eff, model, tape, d_q, d_lhs_f, d_rel, buf)
+    d_lhs, d_rel = T.tdm_backward(eff, model, tape, d_q, d_lhs_f, d_rel, buf, ws=ws)
     buf.add_rows("entity", lhs_ids, d_lhs)
     buf.add_rows("relation", rel_rows, d_rel)
     return value
@@ -447,7 +471,8 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
                 d_fixed_factor[sl] = d_fixed_rel * rel[sl]
                 scatter_rows(d_cand_factor_u, inv_sl,
                              np.multiply(d_r3, fixed_rel[sl, None, :],
-                                         out=ws("d_cand_factor", d_r3.shape, d_r3.dtype)))
+                                         out=ws("d_cand_factor", d_r3.shape, d_r3.dtype)),
+                             ws=ws)
             else:
                 d_rel[sl] += d_r3.sum(axis=1)
 
@@ -456,7 +481,7 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
                 _accumulate_op(sl, d_mult, d_bias)
             else:
                 d_cand = d_cand_f
-            scatter_rows(d_cand_u, inv_sl, d_cand)
+            scatter_rows(d_cand_u, inv_sl, d_cand, ws=ws)
         value += float(np.sum(terms[0]) + np.sum(terms[1]))
 
         if buf is None:
@@ -487,7 +512,8 @@ def _rp_objective(batch, store, model, loss, buf, ws) -> float:
     relation rows. Distance models build (b, R, d) arrays, so they run in
     workspace-sized triple slices. The per-row terms are summed once and the
     gradients reach the buffer after the last slice, in one batch-wide order,
-    so the slicing changes no bit."""
+    so the slicing changes no bit. The heads and tails, the scores and their
+    cotangents are the workspace's "phase.0", "scores" and "phase.3"."""
     lam = loss.rp_weight
     ent = store["entity"]
     num_rel = store.meta["num_relations"]
@@ -498,18 +524,19 @@ def _rp_objective(batch, store, model, loss, buf, ws) -> float:
     else:
         slices = [slice(None)]
     terms = np.empty(b, dtype=ent.dtype)
-    d_heads, d_tails = np.empty((2, b, model.dim), dtype=ent.dtype)
+    d_heads, d_tails = ws("phase.3", (2, b, model.dim), ent.dtype)
     d_table = None
     for sl in slices:
-        h = ent[batch[sl, 0]]
-        t = ent[batch[sl, 2]]
-        scores, cache = M.relation_scores(model, h, t, base_rows, ws=ws)
-        _, d_scores = cross_entropy(scores, batch[sl, 1], terms=terms[sl])
+        h, t = M.gather(ws, "phase.0", ent, batch[sl][:, [0, 2]].T)
+        scores, cache = M.relation_scores(model, h, t, base_rows, ws=ws, out=ws(
+            "scores", (h.shape[0], num_rel), np.result_type(h, base_rows)))
+        _, d_scores = cross_entropy(scores, batch[sl, 1], terms=terms[sl], out=scores)
         if buf is None:
             continue
         d_scores *= lam
-        d_heads[sl], d_tails[sl], d_table = M.relation_scores_vjp(
-            model, h, t, base_rows, cache, d_scores, ws=ws, d_table=d_table)
+        _, _, d_table = M.relation_scores_vjp(model, h, t, base_rows, cache, d_scores,
+                                              ws=ws, d_table=d_table,
+                                              out=(d_heads[sl], d_tails[sl]))
     if buf is not None:
         buf.add_rows("entity", batch[:, 0], d_heads)
         buf.add_rows("entity", batch[:, 2], d_tails)

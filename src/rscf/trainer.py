@@ -24,7 +24,7 @@ from . import analysis
 from . import evaluation
 from .data import Dataset, Vocabulary
 from .errors import ChecksumMismatch, DivergedLoss, VersionMismatch
-from .models import ModelSpec
+from .models import ModelSpec, Workspace
 from .objectives import (
     LossConfig,
     build_store,
@@ -170,6 +170,8 @@ class TrainState:
     config: TrainConfig
     epoch: int
     train_arr: np.ndarray
+    # the objective's batch-sized arrays, reused by every batch of the run
+    ws: Workspace = field(default_factory=Workspace)
 
     @property
     def filter_active(self) -> bool:
@@ -195,7 +197,7 @@ def train_epoch(state: TrainState) -> EpochRecord:
                 ep_rng.derive("negatives").derive(batch_index))
         value, buf = total_objective(rows, state.store, cfg.model, cfg.filter,
                                      cfg.loss, negatives=negatives,
-                                     filter_active=active)
+                                     filter_active=active, ws=state.ws)
         if not np.isfinite(value):
             raise DivergedLoss(state.epoch)
         optimizer_step(state.store, buf, cfg.optimizer, cfg.lr)
@@ -232,6 +234,7 @@ def train(dataset: Dataset, config: TrainConfig,
     state = TrainState(store, dataset, config, start, train_arr)
     sample = analysis.telemetry_sample(train_arr, config.seed, config.telemetry_sample)
     report = TrainReport()
+    index = None  # the filter index of every validation, built at the first
     for _ in range(start, config.epochs):
         try:
             record = train_epoch(state)
@@ -248,7 +251,7 @@ def train(dataset: Dataset, config: TrainConfig,
                     state.store, config.filter.p, sample[:, 0])
             else:
                 trace = analysis.scale_trace(state.store, config.model,
-                                             config.filter, sample)
+                                             config.filter, sample, ws=state.ws)
                 record.transformation_scale = trace.transformation_scale
                 record.rt_scale = trace.rt_scale
                 record.embedding_scale = trace.embedding_scale
@@ -256,8 +259,10 @@ def train(dataset: Dataset, config: TrainConfig,
                 and state.epoch % config.validate_every == 0):
             ckpt = Checkpoint(CHECKPOINT_VERSION, config, dataset.vocabulary,
                               state.store, state.epoch)
+            if index is None:
+                index = evaluation.build_filter_index(dataset)
             record.valid_mrr = evaluation.evaluate_split(
-                ckpt, dataset, "valid").mrr
+                ckpt, dataset, "valid", index=index).mrr
         report.records.append(record)
     checkpoint = Checkpoint(CHECKPOINT_VERSION, config, dataset.vocabulary,
                             state.store, state.epoch)

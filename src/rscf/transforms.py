@@ -65,49 +65,61 @@ INERT_FILTER = FilterSpec()
 # normalization, and the rooted change built on it
 
 
-def normalize_rows(x: np.ndarray, p: int):
+def normalize_rows(x: np.ndarray, p: int, *, out=None, ws=None):
     """Rowwise p-normalization with degenerate rows zeroed.
 
     Returns (unit, norms, live): unit rows have ||.||_p = 1 where live, and are
-    exactly zero where the input norm fell below DEFAULT_ZERO_EPS.
+    exactly zero where the input norm fell below DEFAULT_ZERO_EPS. unit is
+    written to out when given, which may be x itself.
     """
-    norms = M.p_norm(x, p)
+    norms = M.p_norm(x, p, ws=ws)
     live = norms >= DEFAULT_ZERO_EPS
     safe = np.where(live, norms, 1.0)
-    unit = x / safe[..., None]
+    unit = np.divide(x, safe[..., None], out=out)
     unit[~live] = 0.0  # in place: one (..., d) temporary, not two
     return unit, safe, live
 
 
-def normalize_rows_vjp(x, unit, safe_norms, live, d_unit, p):
-    """Cotangent of normalize_rows wrt x. Dead rows get zero gradient."""
-    inner = np.sum(d_unit * unit, axis=-1, keepdims=True)
-    if p == 2:
-        dx = (d_unit - unit * inner) / safe_norms[..., None]
-    else:
-        dx = (d_unit - np.sign(x) * inner) / safe_norms[..., None]
-    return np.where(live[..., None], dx, 0.0)
+def normalize_rows_vjp(x, unit, safe_norms, live, d_unit, p, *, out=None):
+    """Cotangent of normalize_rows wrt x, written to out when given (which
+    must not be one of the inputs). Dead rows get zero gradient."""
+    dx = np.empty(d_unit.shape, np.result_type(d_unit, unit)) if out is None else out
+    inner = np.sum(np.multiply(d_unit, unit, out=dx), axis=-1, keepdims=True)
+    # dx = (d_unit - unit * inner) / norms, or sign(x) in place of unit for p = 1
+    np.multiply(unit if p == 2 else np.sign(x, out=dx), inner, out=dx)
+    np.subtract(d_unit, dx, out=dx)
+    dx /= safe_norms[..., None]
+    dx[~live] = 0.0
+    return dx
 
 
-def _rooted_change(store, which: str, x: np.ndarray, p: int):
+def _rooted_change(store, which: str, x: np.ndarray, p: int, ws=None):
     """The unit change N_p(x A), A = store[which], that the RSCF filter (A1)
-    and the relation transformation (A2, A3) shift by one. Returns (unit, cache)."""
-    c = x @ store[which]
-    unit, norms, live = normalize_rows(c, p)
+    and the relation transformation (A2, A3) shift by one. Returns (unit, cache).
+    For p = 2 the unit rows replace c = x A, which the backward pass then
+    does not read."""
+    a = store[which]
+    c = np.matmul(x, a, out=M.scratch(ws, which + ".c", x.shape[:-1] + a.shape[1:],
+                                      np.result_type(x, a)))
+    unit, norms, live = normalize_rows(
+        c, p, out=c if p == 2 else M.scratch(ws, which + ".unit", c.shape, c.dtype), ws=ws)
     return unit, {"which": which, "x": x, "c": c, "unit": unit,
                   "norms": norms, "live": live}
 
 
-def _rooted_change_vjp(cache: dict, d_unit: np.ndarray, buf, p: int) -> np.ndarray:
-    """Returns d_x; accumulates the affine-matrix gradient into the buffer."""
-    dc = normalize_rows_vjp(cache["c"], cache["unit"], cache["norms"],
-                            cache["live"], d_unit, p)
+def _rooted_change_vjp(cache: dict, d_unit: np.ndarray, buf, p: int, out=None,
+                       ws=None) -> np.ndarray:
+    """Returns d_x, written to out when given; accumulates the affine-matrix
+    gradient into the buffer."""
+    dc = normalize_rows_vjp(cache["c"], cache["unit"], cache["norms"], cache["live"],
+                            d_unit, p, out=M.scratch(ws, "tmp", d_unit.shape, d_unit.dtype))
     x = cache["x"]
     a = buf.store[cache["which"]]
     flat_x = x.reshape(-1, x.shape[-1])
     flat_dc = dc.reshape(-1, dc.shape[-1])
-    buf.add_full(cache["which"], flat_x.T @ flat_dc)
-    return dc @ a.T
+    buf.add_full(cache["which"], np.matmul(flat_x.T, flat_dc, out=M.scratch(
+        ws, "rooted.da", a.shape, np.result_type(x, dc))))
+    return np.matmul(dc, a.T, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +156,8 @@ class EtOp:
         return EtOp(self.kind, take(self.mult), take(self.bias), take(self.blocks))
 
 
-def _linear2_add_one(alpha: np.ndarray, mode: str) -> np.ndarray:
-    blocks = alpha.copy()
+def _linear2_add_one(alpha: np.ndarray, mode: str, blocks: np.ndarray) -> np.ndarray:
+    np.copyto(blocks, alpha)
     half = alpha.shape[-1] // 4
     blocks[..., :half] += 1.0
     blocks[..., 3 * half :] += 1.0
@@ -155,29 +167,39 @@ def _linear2_add_one(alpha: np.ndarray, mode: str) -> np.ndarray:
 
 
 def et_build(spec: FilterSpec, store, rel: np.ndarray, rel_rows: np.ndarray,
-             entity_dim: int) -> EtOp | None:
+             entity_dim: int, *, ws=None) -> EtOp | None:
     """Build the per-query entity filter from relation embeddings / parameter rows."""
     kind = spec.kind
     if kind == "none":
         return None
+
+    def factor(shape, dtype):
+        return M.scratch(ws, "et.factor", shape, dtype)
+
     if kind in ("rscf", "rscf_linear2"):
-        unit, cache = _rooted_change(store, "a1", rel, spec.p)
+        unit, cache = _rooted_change(store, "a1", rel, spec.p, ws)
         if kind == "rscf":
-            return EtOp(kind, mult=unit + 1.0, cache=cache)
+            return EtOp(kind, mult=np.add(unit, 1.0, out=factor(unit.shape, unit.dtype)),
+                        cache=cache)
         if unit.shape[-1] != 2 * entity_dim:
             raise ShapeMismatch("rscf_linear2 requires A1 with 2*dim output columns")
-        return EtOp(kind, blocks=_linear2_add_one(unit, spec.linear2_add_one), cache=cache)
+        return EtOp(kind, blocks=_linear2_add_one(unit, spec.linear2_add_one,
+                                                  factor(unit.shape, unit.dtype)),
+                    cache=cache)
     if kind == "sfbr_diag":
-        w = store["sfbr_w"][rel_rows]
-        b = store["sfbr_b"][rel_rows]
+        w = M.gather(ws, "et.factor", store["sfbr_w"], rel_rows)
+        b = M.gather(ws, "et.bias", store["sfbr_b"], rel_rows)
         return EtOp(kind, mult=w, bias=b, cache={"rows": rel_rows})
     if kind == "sfbr_n":
-        w = store["sfbr_w"][rel_rows]
-        unit, norms, live = normalize_rows(w, spec.p)
-        return EtOp(kind, mult=unit + 1.0,
+        w = M.gather(ws, "sfbr.w", store["sfbr_w"], rel_rows)
+        # p = 2 reads only the unit rows backward, so they may replace w
+        unit, norms, live = normalize_rows(
+            w, spec.p, out=w if spec.p == 2 else M.scratch(ws, "sfbr.unit", w.shape, w.dtype),
+            ws=ws)
+        return EtOp(kind, mult=np.add(unit, 1.0, out=factor(unit.shape, unit.dtype)),
                     cache={"rows": rel_rows, "w": w, "unit": unit, "norms": norms, "live": live})
     if kind == "sfbr_linear2":
-        w = store["sfbr_w"][rel_rows]
+        w = M.gather(ws, "et.factor", store["sfbr_w"], rel_rows)
         return EtOp(kind, blocks=w, cache={"rows": rel_rows})
     raise ValueError(f"unknown filter kind {kind!r}")
 
@@ -213,10 +235,12 @@ def et_apply(op: EtOp | None, ent: np.ndarray, *, ws=None) -> np.ndarray:
     return out
 
 
-def et_apply_vjp(op: EtOp | None, ent: np.ndarray, d_out: np.ndarray, *, ws=None):
+def et_apply_vjp(op: EtOp | None, ent: np.ndarray, d_out: np.ndarray, *, ws=None,
+                 out=None):
     """Returns (d_ent, d_mult_or_blocks (Q,*), d_bias or None), reducing over
-    any candidate axis; with a workspace, d_ent is a view of its "et_vjp"
-    buffer."""
+    any candidate axis. d_ent and the factor cotangent are written to out, a
+    pair, when given; else, with a workspace, to its "et_vjp" and
+    "et_vjp.factor" buffers."""
     if op is None:
         return d_out, None, None
     reduce_axes = tuple(range(1, ent.ndim - 1))  # candidate axes, if any
@@ -224,48 +248,55 @@ def et_apply_vjp(op: EtOp | None, ent: np.ndarray, d_out: np.ndarray, *, ws=None
     def _reduce(x):
         return x.sum(axis=reduce_axes) if reduce_axes else x
 
-    def _reduce_product(x, y):
+    def _reduce_product(x, y, dst):
         if not reduce_axes:
-            return x * y
-        return np.multiply(x, y, out=M.scratch(ws, "et_vjp.tmp", x.shape, x.dtype)
-                           ).sum(axis=reduce_axes)
+            return np.multiply(x, y, out=dst)
+        dst[...] = np.multiply(x, y, out=M.scratch(ws, "et_vjp.tmp", x.shape, x.dtype)
+                               ).sum(axis=reduce_axes)
+        return dst
 
     w = _expand(op.factor_vectors(), ent.ndim)
-    d_ent = M.scratch(ws, "et_vjp", d_out.shape, np.result_type(d_out, w))
+    if out is None:
+        out = (M.scratch(ws, "et_vjp", d_out.shape, np.result_type(d_out, w)),
+               M.scratch(ws, "et_vjp.factor", op.factor_vectors().shape,
+                         np.result_type(d_out, ent)))
+    d_ent, d_factor = out
     if op.blocks is not None:
         half = ent.shape[-1] // 2
         w1, w2, w3, w4 = np.split(w, 4, axis=-1)
         e1, e2 = ent[..., :half], ent[..., half:]
         d1, d2 = d_out[..., :half], d_out[..., half:]
-        d_blocks = np.concatenate([_reduce_product(d1, e1), _reduce_product(d1, e2),
-                                   _reduce_product(d2, e1), _reduce_product(d2, e2)],
-                                  axis=-1)
+        for dst, x, y in zip(np.split(d_factor, 4, axis=-1),
+                             (d1, d1, d2, d2), (e1, e2, e1, e2)):
+            _reduce_product(x, y, dst)
         o1, o2 = d_ent[..., :half], d_ent[..., half:]
         tmp = M.scratch(ws, "et_vjp.tmp", o1.shape, d_ent.dtype)
         np.multiply(d1, w1, out=o1)  # [d1 w1 + d2 w3, d1 w2 + d2 w4]
         o1 += np.multiply(d2, w3, out=tmp)
         np.multiply(d1, w2, out=o2)
         o2 += np.multiply(d2, w4, out=tmp)
-        return d_ent, d_blocks, None
+        return d_ent, d_factor, None
     np.multiply(d_out, w, out=d_ent)
-    d_mult = _reduce_product(d_out, ent)
+    d_mult = _reduce_product(d_out, ent, d_factor)
     d_bias = _reduce(d_out) if op.bias is not None else None
     return d_ent, d_mult, d_bias
 
 
 def et_param_vjp(spec: FilterSpec, op: EtOp, d_factor: np.ndarray,
-                 d_bias: np.ndarray | None, buf) -> np.ndarray | None:
-    """Push factor cotangents into filter parameters; returns d_rel for rscf kinds."""
+                 d_bias: np.ndarray | None, buf, *, out=None, ws=None) -> np.ndarray | None:
+    """Push factor cotangents into filter parameters; returns d_rel for rscf
+    kinds, written to out when given."""
     kind = op.kind
     cache = op.cache
     if kind in ("rscf", "rscf_linear2"):
         # the +1 shift and the block layout have derivative 1 in the unit change
-        return _rooted_change_vjp(cache, d_factor, buf, spec.p)
+        return _rooted_change_vjp(cache, d_factor, buf, spec.p, out, ws)
     if kind not in ("sfbr_diag", "sfbr_n", "sfbr_linear2"):
         raise ValueError(f"unknown filter kind {kind!r}")
     if kind == "sfbr_n":
         d_factor = normalize_rows_vjp(cache["w"], cache["unit"], cache["norms"],
-                                      cache["live"], d_factor, spec.p)
+                                      cache["live"], d_factor, spec.p,
+                                      out=M.scratch(ws, "tmp", d_factor.shape, d_factor.dtype))
     buf.add_rows("sfbr_w", cache["rows"], d_factor)
     if d_bias is not None:
         buf.add_rows("sfbr_b", cache["rows"], d_bias)
@@ -282,16 +313,21 @@ class RtFactor:
     cache: dict
 
 
-def rt_factor(store, which: str, x: np.ndarray, p: int, *, out=None) -> RtFactor:
+def rt_factor(store, which: str, x: np.ndarray, p: int, *, out=None, ws=None) -> RtFactor:
     """(N_p(x A) + 1) for A in {a2, a3}; x is a batch of base entity embeddings.
-    The factor is written into out when given."""
-    unit, cache = _rooted_change(store, which, x, p)
+    The factor is written into out when given, else into the workspace's
+    "<which>.factor" buffer when there is one."""
+    unit, cache = _rooted_change(store, which, x, p, ws)
+    if out is None:
+        out = M.scratch(ws, which + ".factor", unit.shape, unit.dtype)
     return RtFactor(np.add(unit, 1.0, out=out), cache)
 
 
-def rt_factor_vjp(rt: RtFactor, d_factor: np.ndarray, buf, p: int) -> np.ndarray:
-    """Returns d_x; accumulates the affine-matrix gradient into the buffer."""
-    return _rooted_change_vjp(rt.cache, d_factor, buf, p)
+def rt_factor_vjp(rt: RtFactor, d_factor: np.ndarray, buf, p: int, *, out=None,
+                  ws=None) -> np.ndarray:
+    """Returns d_x, written to out when given; accumulates the affine-matrix
+    gradient into the buffer."""
+    return _rooted_change_vjp(rt.cache, d_factor, buf, p, out, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -311,44 +347,63 @@ class TdmTape:
 
 
 def tdm_forward(spec: FilterSpec, store, model, lhs_ids: np.ndarray,
-                rel_rows: np.ndarray):
+                rel_rows: np.ndarray, *, ws=None):
     """Tensor-model query vectors q (Q, d), score(candidate e) = q . e: the
     entity filter acts on the lhs entity, the head rt factor on the relation
-    row. Returns (q, tape)."""
-    lhs = store["entity"][lhs_ids]
-    rel = store["relation"][rel_rows]
-    op = et_build(spec, store, rel, rel_rows, model.dim)
-    lhs_f = et_apply(op, lhs)
+    row. Returns (q, tape); with a workspace, q and the tape are views of
+    its buffers, valid until the next call."""
+    lhs = M.gather(ws, "tdm.lhs", store["entity"], lhs_ids)
+    rel = M.gather(ws, "tdm.rel", store["relation"], rel_rows)
+    op = et_build(spec, store, rel, rel_rows, model.dim, ws=ws)
+    lhs_f = et_apply(op, lhs, ws=ws)
     head_factor = None
     rel_t = rel
     if spec.rt_enabled:
-        head_factor = rt_factor(store, "a2", lhs, spec.p)
-        rel_t = head_factor.factor * rel
-    q = M.tdm_query(model.kind, lhs_f, rel_t)
+        head_factor = rt_factor(store, "a2", lhs, spec.p, ws=ws)
+        rel_t = np.multiply(head_factor.factor, rel,
+                            out=M.scratch(ws, "tdm.rel_t", rel.shape, rel.dtype))
+    q = M.tdm_query(model.kind, lhs_f, rel_t, ws=ws, out=M.scratch(
+        ws, "tdm.q", lhs_f.shape, np.result_type(lhs_f, rel_t)))
     return q, TdmTape(lhs, rel, lhs_f, rel_t, op, head_factor)
 
 
 def tdm_backward(spec: FilterSpec, model, tape: TdmTape, d_q: np.ndarray,
-                 d_lhs_f, d_rel: np.ndarray, buf):
+                 d_lhs_f, d_rel: np.ndarray, buf, *, ws=None):
     """VJP of tdm_forward. d_lhs_f is a further cotangent of the filtered lhs
     (or None); d_rel, the cotangent of the base relation rows so far, is
     accumulated in place. Accumulates the filter and rt parameter gradients
-    into buf; returns (d_lhs, d_rel) for the caller to scatter."""
-    d_lhs_fq, d_rel_t = M.tdm_query_vjp(model.kind, tape.lhs_f, tape.rel_t, d_q)
+    into buf; returns (d_lhs, d_rel) for the caller to scatter. Its own
+    arrays are the workspace's phase buffers: phase.0 holds the filtered-lhs
+    cotangent and then the filter's relation cotangent, phase.1 the rt'd
+    relation cotangent and then d_lhs, phase.2 a product and then the rt
+    factor's lhs cotangent, phase.3 the filter-factor cotangent."""
+    def phase(k, like):
+        return M.scratch(ws, f"phase.{k}", like.shape, like.dtype)
+
+    d_lhs_fq, d_rel_t = M.tdm_query_vjp(model.kind, tape.lhs_f, tape.rel_t, d_q, ws=ws,
+                                        out=(phase(0, tape.lhs_f), phase(1, tape.rel_t)))
     if d_lhs_f is not None:
         d_lhs_fq += d_lhs_f
-    d_lhs_rt = 0.0
+    d_lhs_rt = None
     if tape.head_factor is not None:
-        d_rel += d_rel_t * tape.head_factor.factor
-        d_lhs_rt = rt_factor_vjp(tape.head_factor, d_rel_t * tape.rel, buf, spec.p)
+        d_rel += np.multiply(d_rel_t, tape.head_factor.factor, out=phase(2, d_rel_t))
+        d_lhs_rt = rt_factor_vjp(tape.head_factor,
+                                 np.multiply(d_rel_t, tape.rel, out=d_rel_t), buf, spec.p,
+                                 out=phase(2, tape.lhs), ws=ws)
     else:
         d_rel += d_rel_t
-    d_lhs, d_mult, d_bias = et_apply_vjp(tape.op, tape.lhs, d_lhs_fq)
+    d_lhs, d_mult, d_bias = et_apply_vjp(
+        tape.op, tape.lhs, d_lhs_fq, ws=ws,
+        out=None if tape.op is None else (phase(1, d_lhs_fq),
+                                          phase(3, tape.op.factor_vectors())))
     if tape.op is not None:
-        d_rel_et = et_param_vjp(spec, tape.op, d_mult, d_bias, buf)
+        d_rel_et = et_param_vjp(spec, tape.op, d_mult, d_bias, buf, ws=ws,
+                                out=phase(0, tape.rel))
         if d_rel_et is not None:
             d_rel += d_rel_et
-    return d_lhs + d_lhs_rt, d_rel
+    if d_lhs_rt is not None:
+        d_lhs += d_lhs_rt
+    return d_lhs, d_rel
 
 
 def dbm_direction(spec: FilterSpec, fixed_is_head: bool):

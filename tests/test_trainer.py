@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rscf import evaluation as evaluation_module
 from rscf import trainer as trainer_module
 from rscf.cli import main as cli_main
 from rscf.config import RunConfig
 from rscf.data import Dataset
 from rscf.errors import ChecksumMismatch, DivergedLoss, VersionMismatch
-from rscf.evaluation import evaluate_split
+from rscf.evaluation import collect_ranks, evaluate_split
 from rscf.models import ModelSpec
 from rscf.objectives import (
     LossConfig,
@@ -178,6 +179,38 @@ class TestTrainLoop:
         _, report = train(ds, cfg)
         flags = [r.valid_mrr is not None for r in report.records]
         assert flags == [False, True, False, True]
+
+    def test_validations_share_one_filter_index(self, monkeypatch):
+        ds = toy_dataset()
+        cfg = toy_config(epochs=4, validate=True, validate_every=1)
+        built = []
+        build = evaluation_module.build_filter_index
+        monkeypatch.setattr(evaluation_module, "build_filter_index",
+                            lambda dataset: built.append(dataset) or build(dataset))
+        ckpt, report = train(ds, cfg)
+        assert len(built) == 1
+        monkeypatch.undo()
+        # an index built for the call gives the same ranks and MRR
+        assert report.records[-1].valid_mrr == evaluate_split(ckpt, ds, "valid").mrr
+        with_index = collect_ranks(ckpt, ds, "valid", index=build(ds))
+        for got, want in zip(with_index, collect_ranks(ckpt, ds, "valid")):
+            assert got.tobytes() == want.tobytes()
+
+    def test_epochs_reuse_one_workspace(self):
+        """Every batch draws its arrays from the state's workspace: after the
+        first epoch, later ones neither replace nor add a buffer."""
+        ds = toy_dataset(n_train=40)
+        cfg = toy_config(kind="complex", rt=True, epochs=3, batch_size=16)
+        store = build_store(cfg.model, cfg.filter, ds.vocabulary.num_entities,
+                            ds.vocabulary.num_relations, Rng(cfg.seed),
+                            cfg.init_scheme, cfg.init_scale, cfg.dtype)
+        state = TrainState(store, ds, cfg, 0, ds.split_array("train"))
+        train_epoch(state)
+        held = {name: id(buf) for name, buf in state.ws.items()}
+        assert "tdm.q" in held and "scores" in held
+        train_epoch(state)
+        train_epoch(state)
+        assert {name: id(buf) for name, buf in state.ws.items()} == held
 
 
 class TestCheckpointIO:
