@@ -183,12 +183,19 @@ def scale_trace(store, model: M.ModelSpec, filt: T.FilterSpec,
 
 
 def score_distribution(checkpoint, queries) -> np.ndarray:
-    """One row of candidate scores per (head, relation) query. Raises
-    NumericalError when any score is not finite."""
+    """One row of candidate scores per (head, relation) query, each score
+    block copied into its rows of one (Q, N) matrix before the next is drawn.
+    Raises NumericalError when any score is not finite."""
     scorer = CandidateScorer(checkpoint.store, checkpoint.model, checkpoint.filter)
     pairs = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
-    blocks = list(scorer.blocks("tail", pairs[:, 0], pairs[:, 1]))
-    return np.concatenate(blocks or [np.zeros((0, checkpoint.store["entity"].shape[0]))])
+    matrix = np.zeros((0, checkpoint.store["entity"].shape[0]))
+    lo = 0
+    for block in scorer.blocks("tail", pairs[:, 0], pairs[:, 1]):
+        if not lo:
+            matrix = np.empty((len(pairs), block.shape[1]), block.dtype)
+        matrix[lo:lo + block.shape[0]] = block
+        lo += block.shape[0]
+    return matrix
 
 
 def export_score_distribution(checkpoint, queries, path) -> np.ndarray:

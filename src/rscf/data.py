@@ -160,6 +160,15 @@ class Dataset:
         )
 
 
+def run_starts(x: np.ndarray) -> np.ndarray:
+    """Bool mask of the entries of sorted x that differ from the one before
+    (the first included): the first entry of each run of equal values."""
+    first = np.empty(x.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    return first
+
+
 class IdTable:
     """Read-only map (a, b) -> ids, stored as CSR arrays.
 
@@ -172,13 +181,15 @@ class IdTable:
     def __init__(self, a: np.ndarray, b: np.ndarray, ids: np.ndarray,
                  width: int, id_bound: int):
         self.width = width
-        codes = np.sort((a * width + b) * id_bound + ids)
-        codes = codes[np.diff(codes, prepend=-1) != 0]
-        key_of = codes // id_bound
-        self.ids = codes - key_of * id_bound
-        starts = np.flatnonzero(np.diff(key_of, prepend=-1))
+        codes = a * width
+        codes += b
+        codes *= id_bound
+        codes += ids
+        codes.sort()
+        key_of, self.ids = np.divmod(codes[run_starts(codes)], id_bound)
+        starts = np.flatnonzero(run_starts(key_of))
         self.key_codes = key_of[starts]
-        self.ptr = np.append(starts, codes.size)
+        self.ptr = np.append(starts, key_of.size)
 
     def slices(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(start, stop) arrays: the ids stored under key (a[i], b[i]) are
@@ -201,12 +212,38 @@ class FilterIndex:
     head_index: IdTable  # (relation, tail) -> heads
 
 
-def build_filter_index(dataset: Dataset) -> FilterIndex:
-    arr = dataset.all_triples()
-    h, r, t = arr.T
-    num_e = int(max(h.max(), t.max())) + 1 if arr.size else 1
-    num_r = int(r.max()) + 1 if arr.size else 1
-    return FilterIndex(IdTable(h, r, t, num_r, num_e), IdTable(r, t, h, num_e, num_e))
+def _rows_with_keys(parts, query: np.ndarray, cols: tuple[int, int],
+                    shape: tuple[int, int]) -> np.ndarray:
+    """The rows of the (n, 3) arrays in parts whose columns `cols` hold a key
+    that some row of query holds, concatenated in order. shape bounds the two
+    columns' ids; a bool key-presence table over the codes a * shape[1] + b
+    marks the query's keys."""
+    def codes(x):
+        return x[:, cols[0]] * shape[1] + x[:, cols[1]]
+
+    present = np.zeros(shape[0] * shape[1], dtype=bool)
+    present[codes(query)] = True
+    return np.concatenate([p[present[codes(p)]] for p in parts])
+
+
+def build_filter_index(dataset: Dataset, split: str | None = None) -> FilterIndex:
+    """The filter index over train+valid+test. With a split, only the
+    (head, relation) and (relation, tail) keys of that split's triples are
+    indexed: each holds the same ids as in the full index, and every other
+    key is empty. At FB15k-237 shape a 1,000-triple test split keys about 7%
+    of the triples, so the scoped index skips most of the sorting."""
+    parts = [dataset.split_array(name) for name in SPLITS]
+    filled = [p for p in parts if p.size]
+    num_e = max((int(p[:, ::2].max()) for p in filled), default=0) + 1
+    num_r = max((int(p[:, 1].max()) for p in filled), default=0) + 1
+    if split is None:
+        tails = heads = dataset.all_triples()
+    else:
+        query = dataset.split_array(split)
+        tails = _rows_with_keys(parts, query, (0, 1), (num_e, num_r))
+        heads = _rows_with_keys(parts, query, (1, 2), (num_r, num_e))
+    return FilterIndex(IdTable(tails[:, 0], tails[:, 1], tails[:, 2], num_r, num_e),
+                       IdTable(heads[:, 1], heads[:, 2], heads[:, 0], num_e, num_e))
 
 
 def relation_frequency_buckets(train: np.ndarray, num_relations: int,

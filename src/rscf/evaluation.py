@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +14,7 @@ from .data import (
     RelationGroups,
     build_filter_index,
     relation_frequency_buckets,
+    run_starts,
 )
 from .errors import EmptySplit, GoldOutOfRange, NumericalError
 
@@ -26,16 +26,32 @@ HITS = (1, 3, 10)  # the Hits@N every report and CSV carries
 # FB15k-237 shape, 16 MiB tensor blocks ranked more slowly and left about 17 MB
 # more heap resident for the training that followed.
 SCORE_BLOCK_BYTES = 1 << 22
+_BYTE_SUM = np.uint64(0x0101010101010101)
+
+
+def _row_counts(mask: np.ndarray, ws: M.Workspace | None) -> np.ndarray:
+    """int64 count of the True entries of each row of a C-contiguous (Q, W)
+    bool mask, W a multiple of 8. Each 8-byte word of a row holds 8 entries
+    of 0 or 1, and times 0x0101010101010101 its top byte is their sum. At
+    (72, 14,541) this takes about half the time of an int32 row sum of the
+    mask, and no more at (300, 200)."""
+    words = mask.view(np.uint64)
+    sums = np.multiply(words, _BYTE_SUM, out=M.scratch(ws, "rank.words", words.shape,
+                                                         np.uint64))
+    np.right_shift(sums, np.uint64(56), out=sums)
+    return sums.view(np.int64).sum(axis=1)
 
 
 def rank_block(scores: np.ndarray, gold: np.ndarray, ids: np.ndarray,
-               start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+               start: np.ndarray, stop: np.ndarray,
+               ws: M.Workspace | None = None) -> np.ndarray:
     """Filtered mid-ranks of the Q gold candidates of a (Q, N) score block.
 
     Row q ranks candidate gold[q] after removing its known-true ids,
     ids[start[q]:stop[q]] (the gold id, repeats and ids outside [0, N)
     ignored): rank = 1 + #{better survivors} + #{tied survivors != gold} / 2.
-    Scores are compared in their own dtype, which is exact.
+    Scores are compared in their own dtype, which is exact. Both comparisons
+    write the workspace's "rank.mask" buffer in turn when there is one.
     """
     q, n = scores.shape
     bad = (gold < 0) | (gold >= n)
@@ -43,16 +59,23 @@ def rank_block(scores: np.ndarray, gold: np.ndarray, ids: np.ndarray,
         raise GoldOutOfRange(f"gold {gold[bad][0]} outside [0, {n})")
     rows = np.arange(q)
     s_gold = scores[rows, gold]
-    # int32 row sums of the bool masks take about half the time of intp ones
-    better = (scores > s_gold[:, None]).sum(axis=1, dtype=np.int32)
-    tied = (scores == s_gold[:, None]).sum(axis=1, dtype=np.int32)
+    # rows padded with False to whole 8-byte words, for _row_counts
+    mask = M.scratch(ws, "rank.mask", (q, -(-n // 8) * 8), bool)
+    mask[:, n:] = False
+    np.greater(scores, s_gold[:, None], out=mask[:, :n])
+    better = _row_counts(mask, ws)
+    np.equal(scores, s_gold[:, None], out=mask[:, :n])
+    tied = _row_counts(mask, ws)
     # the known-true ids of every row, flattened, as (row, id) pairs
     lengths = stop - start
     row = np.repeat(rows, lengths)
     known = ids[np.arange(row.size) + np.repeat(start - (np.cumsum(lengths) - lengths),
                                                  lengths)]
     keep = (known != gold[row]) & (known >= 0) & (known < n)
-    row, known = np.divmod(np.unique(row[keep] * n + known[keep]), n)
+    # each distinct pair once: a sort, then the first of each run of equal codes
+    codes = row[keep] * n + known[keep]
+    codes.sort()
+    row, known = np.divmod(codes[run_starts(codes)], n)
     s_known, s_row_gold = scores[row, known], s_gold[row]
     better = better - np.bincount(row[s_known > s_row_gold], minlength=q)
     tied = tied - np.bincount(row[s_known == s_row_gold], minlength=q)
@@ -78,6 +101,11 @@ class CandidateScorer:
     store's tables as they are when it first needs them: the candidate rt
     factor tables of distance models are built once and reused, so the store
     must not change while the scorer is in use.
+
+    Tensor score blocks are written into the scorer's workspace, so a block
+    from score_block or blocks is valid only until the scorer's next block;
+    a caller that keeps one copies it. tail_scores and head_scores return
+    rows the caller owns.
     """
 
     def __init__(self, store, model: M.ModelSpec, filt: T.FilterSpec):
@@ -103,25 +131,27 @@ class CandidateScorer:
         return self._cand_rt[which]
 
     def tail_scores(self, head_id: int, rel_id: int) -> np.ndarray:
-        return self.score_block("tail", np.asarray([head_id]), np.asarray([rel_id]))[0]
+        return self.score_block("tail", np.asarray([head_id]), np.asarray([rel_id]))[0].copy()
 
     def head_scores(self, tail_id: int, rel_id: int) -> np.ndarray:
-        return self.score_block("head", np.asarray([tail_id]), np.asarray([rel_id]))[0]
+        return self.score_block("head", np.asarray([tail_id]), np.asarray([rel_id]))[0].copy()
 
     def score_block(self, direction: str, fixed_ids: np.ndarray,
                     rel_ids: np.ndarray) -> np.ndarray:
         """(Q, N) scores for Q queries of one direction ("tail": fixed_ids are
         heads; "head": they are tails). Tensor models score the block with one
-        (Q, d) @ (d, N) product. Distance models score it in chunks of
-        candidates whose (Q, C, d) arrays fit models.WORKSPACE_BYTES, each
-        written straight into its columns of the block; the chunking changes
-        no score."""
+        (Q, d) @ (d, N) product into the workspace's "eval.scores" buffer.
+        Distance models score it in chunks of candidates whose (Q, C, d)
+        arrays fit models.WORKSPACE_BYTES, each written straight into its
+        columns of a new block; the chunking changes no score."""
         store, model, filt = self.store, self.model, self.filt
         if model.is_tdm:
             if direction == "head":
                 rel_ids = rel_ids + store.meta["num_relations"]
-            q, _ = T.tdm_forward(filt, store, model, fixed_ids, rel_ids)
-            return q @ store["entity"].T
+            q, _ = T.tdm_forward(filt, store, model, fixed_ids, rel_ids, ws=self._ws)
+            ent = store["entity"]
+            return np.matmul(q, ent.T, out=self._ws("eval.scores", (len(q), ent.shape[0]),
+                                                    np.result_type(q, ent)))
         fixed_is_head = direction == "tail"
         rel = store["relation"][rel_ids]
         op = T.et_build(filt, store, rel, rel_ids, model.dim)
@@ -153,12 +183,14 @@ class CandidateScorer:
 
     def blocks(self, direction: str, fixed_ids: np.ndarray, rel_ids: np.ndarray):
         """Yields the queries' score blocks in order, each block_rows rows (the
-        last may hold fewer). Raises NumericalError on a non-finite score."""
+        last may hold fewer) and valid until the next block is drawn. Raises
+        NumericalError on a non-finite score."""
         rows = self.block_rows
         for lo in range(0, len(fixed_ids), rows):
             scores = self.score_block(direction, fixed_ids[lo:lo + rows],
                                       rel_ids[lo:lo + rows])
-            if not np.isfinite(scores).all():
+            finite = self._ws("eval.finite", scores.shape, bool)
+            if not np.isfinite(scores, out=finite).all():
                 raise NumericalError(f"non-finite {direction} scores among queries "
                                      f"{lo}..{lo + scores.shape[0] - 1}")
             yield scores
@@ -180,33 +212,59 @@ class EvalReport:
         }
 
 
-def _metrics(ranks: np.ndarray) -> tuple[float, dict[int, float]]:
-    mrr = float(np.mean(1.0 / ranks))
-    hits = {n: float(np.mean(ranks <= n)) for n in HITS}
-    return mrr, hits
-
-
 def aggregate(ranks: np.ndarray, relations: np.ndarray, vocabulary) -> EvalReport:
     """Metrics of float64 ranks, overall and per relation of the parallel
-    int64 relation ids."""
+    int64 relation ids.
+
+    Each MRR is np.mean's: one pairwise np.add.reduce over the reciprocal
+    ranks in query order, divided by their count. Hits are integer counts
+    divided by the count, which is what np.mean of a bool mask gives."""
     if not ranks.size:
         return EvalReport(0.0, {n: 0.0 for n in HITS}, 0, [])
-    mrr, hits = _metrics(ranks)
+    mrr = float(np.mean(1.0 / ranks))
+    hits = {n: float(np.mean(ranks <= n)) for n in HITS}
     # a stable sort keeps each relation's ranks in query order
     order = np.argsort(relations, kind="stable")
-    rel_ids, starts = np.unique(relations[order], return_index=True)
+    sorted_rels, sorted_ranks = relations[order], ranks[order]
+    first = run_starts(sorted_rels)
+    starts = np.flatnonzero(first)
+    bounds = np.append(starts, ranks.size).tolist()
+    segment = np.cumsum(first) - 1  # each sorted rank's relation, numbered from 0
+    recip = 1.0 / sorted_ranks
+    hit_counts = {n: np.bincount(segment[sorted_ranks <= n], minlength=starts.size).tolist()
+                  for n in HITS}
     per_relation = []
-    for rel_id, rel_ranks in zip(rel_ids.tolist(), np.split(ranks[order], starts[1:])):
-        rel_mrr, rel_hits = _metrics(rel_ranks)
+    for i, rel_id in enumerate(sorted_rels[starts].tolist()):
+        lo, hi = bounds[i], bounds[i + 1]
         row = {
             "relation": vocabulary.relation_names[rel_id],
             "relation_id": rel_id,
-            "queries": int(rel_ranks.size),
-            "mrr": rel_mrr,
+            "queries": hi - lo,
+            "mrr": float(np.add.reduce(recip[lo:hi]) / (hi - lo)),
         }
-        row.update({f"hits{n}": v for n, v in sorted(rel_hits.items())})
+        row.update({f"hits{n}": hit_counts[n][i] / (hi - lo) for n in HITS})
         per_relation.append(row)
     return EvalReport(mrr, hits, int(ranks.size), per_relation)
+
+
+def _stacked(blocks, stack: int, ws: M.Workspace):
+    """Each run of `stack` consecutive blocks as one array. A block is valid
+    only until the next is drawn, so a run of several is copied into the
+    workspace's "eval.stack" buffer, itself valid until the next run."""
+    if stack == 1:
+        yield from blocks
+        return
+    buf, lo = None, 0
+    for block in blocks:
+        if buf is None:  # every block but the last has the first one's rows
+            buf = ws("eval.stack", (stack * block.shape[0], block.shape[1]), block.dtype)
+        buf[lo:lo + block.shape[0]] = block
+        lo += block.shape[0]
+        if lo == buf.shape[0]:
+            yield buf
+            lo = 0
+    if lo:
+        yield buf[:lo]
 
 
 def collect_ranks(checkpoint, dataset: Dataset, split: str, directions: str = "both",
@@ -214,7 +272,8 @@ def collect_ranks(checkpoint, dataset: Dataset, split: str, directions: str = "b
     """Filtered rank of every query in the split: (ranks, relations), float64
     ranks and their int64 relation ids, triple by triple in split order with
     the tail query before the head query. index is the dataset's filter
-    index, built here when not given.
+    index; when not given, one that holds only this split's keys is built
+    here.
 
     Queries are scored through CandidateScorer.blocks, which raises
     NumericalError when any score is not finite, and ranked by rank_block. A
@@ -226,13 +285,16 @@ def collect_ranks(checkpoint, dataset: Dataset, split: str, directions: str = "b
     if not arr.size:
         raise EmptySplit(split)
     if index is None:
-        index = build_filter_index(dataset)
+        index = build_filter_index(dataset, split)
     scorer = CandidateScorer(checkpoint.store, checkpoint.model, checkpoint.filter)
+    ws = M.Workspace()  # the stacked blocks and rank_block's masks
     ent = checkpoint.store["entity"]
     n = ent.shape[0]
     # score blocks ranked together: distance blocks, often one query, are
-    # stacked up to SCORE_BLOCK_BYTES of scores; tensor blocks already fill it
-    stack = max(1, SCORE_BLOCK_BYTES // (n * ent.itemsize) // scorer.block_rows)
+    # stacked up to SCORE_BLOCK_BYTES of scores, or up to the whole split when
+    # that is less; tensor blocks already fill it
+    rows = scorer.block_rows
+    stack = max(1, min(SCORE_BLOCK_BYTES // (n * ent.itemsize) // rows, -(-len(arr) // rows)))
     heads, rels, tails = arr.T
     wanted = [d for d in ("tail", "head") if directions in (d, "both")]
     # one row per triple, one column per direction: raveled, the tail query
@@ -244,13 +306,11 @@ def collect_ranks(checkpoint, dataset: Dataset, split: str, directions: str = "b
                                     (index.head_index, tails, heads, (rels, tails)))
         start, stop = table.slices(*keys)
         lo = 0
-        blocks = scorer.blocks(d, fixed, rels)
         try:
-            while group := list(itertools.islice(blocks, stack)):
-                block = group[0] if len(group) == 1 else np.concatenate(group)
+            for block in _stacked(scorer.blocks(d, fixed, rels), stack, ws):
                 hi = lo + block.shape[0]
                 out[lo:hi] = rank_block(block, gold[lo:hi], table.ids,
-                                        start[lo:hi], stop[lo:hi])
+                                        start[lo:hi], stop[lo:hi], ws)
                 lo = hi
         except NumericalError as err:
             raise NumericalError(f"{err} of the {split} split") from None
@@ -292,6 +352,8 @@ def aggregate_groups(ranks: np.ndarray, relations: np.ndarray, dataset: Dataset,
         for rel_id, name in grouping.resolve(vocab)[0].items():
             group_of[rel_id] = index[name]
     elif isinstance(grouping, int):
+        if not 0 <= grouping < vocab.num_relations:
+            raise ValueError(f"relation id {grouping} outside [0, {vocab.num_relations})")
         names = [vocab.relation_names[grouping]]
         group_of = np.where(np.arange(vocab.num_relations) == grouping, 0, -1)
     else:

@@ -179,6 +179,27 @@ class TestScoreDistributionExport:
             want = _per_query_scores(ckpt.store, ckpt.model, ckpt.filter, "tail", h, r)
             assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["complex", "transe"])
+    def test_every_block_lands_in_its_rows(self, tmp_path, monkeypatch, kind, rows):
+        """Seven queries in blocks of `rows`, the last one shorter where 7 is
+        not a multiple: a block is valid only until the next is drawn, so the
+        matrix must hold a copy of each."""
+        ckpt, _ = _checkpoint(kind, "rscf", rt=kind == "transe", entities=7)
+        ent = ckpt.store["entity"]
+        per_row = ent.shape[0] if ckpt.model.is_tdm else ent.size
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", rows * per_row * ent.itemsize)
+        queries = [(0, 0), (3, 2), (5, 1), (6, 0), (1, 2), (2, 1), (4, 0)]
+        matrix = export_score_distribution(ckpt, queries, tmp_path / "scores.csv")
+        assert matrix.shape == (7, 7)
+        scorer = CandidateScorer(ckpt.store, ckpt.model, ckpt.filter)
+        for row, (h, r) in zip(matrix, queries):
+            want = scorer.tail_scores(h, r)
+            if rows == 1:
+                assert np.array_equal(row, want)
+            else:
+                assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_single_query_three_entities(self, tmp_path):
         ckpt, _ = _checkpoint("cp", "none", entities=3)
         matrix = export_score_distribution(ckpt, [(0, 0)], tmp_path / "s.csv")

@@ -206,6 +206,40 @@ class TestFilterIndex:
         start, stop = empty.slices(heads, rels)
         assert np.array_equal(start, stop)
 
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    @pytest.mark.parametrize("split", ["train", "valid", "test"])
+    def test_split_scoped_index_holds_the_split_keys(self, seed, split):
+        """An index built for one split gives each of that split's keys the
+        full index's ids, and every other key (absent from the graph, negative
+        or past the width included) an empty slice."""
+        gen = np.random.default_rng(seed)
+        raw = [(f"e{gen.integers(12)}", f"r{gen.integers(4)}", f"e{gen.integers(12)}")
+               for _ in range(90)]
+        ds = Dataset.from_raw(raw[:60], raw[60:72], raw[72:])
+        full, scoped = build_filter_index(ds), build_filter_index(ds, split)
+        arr = ds.split_array(split)
+        num_e = ds.vocabulary.num_entities
+        graph = ds.all_triples().tolist()
+        for full_table, table, queried, in_graph, bound in (
+                (full.tail_index, scoped.tail_index, {(h, r) for h, r, _ in arr.tolist()},
+                 {(h, r) for h, r, _ in graph}, num_e),
+                (full.head_index, scoped.head_index, {(r, t) for _, r, t in arr.tolist()},
+                 {(r, t) for _, r, t in graph}, full.tail_index.width)):
+            assert table.width == full_table.width
+            keys = [(a, b) for a in range(-1, bound + 1) for b in range(-1, table.width + 2)]
+            a, b = np.asarray(keys).T
+            start, stop = table.slices(a, b)
+            full_start, full_stop = full_table.slices(a, b)
+            absent = 0
+            for i, key in enumerate(keys):
+                got = table.ids[start[i]:stop[i]].tolist()
+                if key in queried:
+                    assert got == full_table.ids[full_start[i]:full_stop[i]].tolist() != []
+                else:
+                    assert got == [], key
+                absent += key not in in_graph
+            assert queried and absent
+
     def test_completeness_invariant(self):
         gen = np.random.default_rng(9)
         raw = [(f"e{gen.integers(6)}", f"r{gen.integers(2)}", f"e{gen.integers(6)}")

@@ -344,6 +344,13 @@ class TestEvaluateGrouped:
         grouped = aggregate_groups(*collect_ranks(ckpt, ds, "test"), ds, load_relation_groups(path))
         assert "_other" in grouped
 
+    @pytest.mark.parametrize("rel_id", [-1, 4])
+    def test_single_relation_id_out_of_range_raises(self, rel_id):
+        ds, ckpt = self._setup()
+        assert ds.vocabulary.num_relations == 4
+        with pytest.raises(ValueError, match=rf"relation id {rel_id} outside \[0, 4\)"):
+            aggregate_groups(*collect_ranks(ckpt, ds, "test"), ds, rel_id)
+
     def test_single_relation_mode_matches_report_filter(self):
         ds, ckpt = self._setup()
         overall = evaluate_split(ckpt, ds, "test")
@@ -470,6 +477,26 @@ class TestReportInvariants:
         got = aggregate(ranks, rels, vocab).per_relation
         assert got == want  # float equality: bit-identical
         assert [type(row["relation_id"]) for row in got] == [int] * len(want)
+
+    def test_per_relation_metrics_are_np_mean_bits(self):
+        """Relations of 1 to about 1,500 queries, so each pairwise-summation
+        size class occurs: every per-relation MRR and Hits is np.mean's over
+        that relation's ranks in query order."""
+        gen = np.random.default_rng(59)
+        for _ in range(40):
+            num_relations = int(gen.integers(1, 12))
+            sizes = gen.integers(1, 1500, num_relations) // gen.integers(1, 200, num_relations)
+            rels = gen.permutation(np.repeat(np.arange(num_relations), sizes + 1))
+            ranks = gen.integers(2, 2000, rels.size) / 2
+            vocab = Vocabulary(["e0"], [f"r{j}" for j in range(num_relations)])
+            got = aggregate(ranks, rels, vocab).per_relation
+            assert [row["relation_id"] for row in got] == list(range(num_relations))
+            for row in got:
+                rel_ranks = ranks[rels == row["relation_id"]]
+                assert row["queries"] == rel_ranks.size
+                assert row["mrr"] == float(np.mean(1.0 / rel_ranks))
+                for k in (1, 3, 10):
+                    assert row[f"hits{k}"] == float(np.mean(rel_ranks <= k))
 
 
 def _grid_dataset(gen, num_entities=9, num_relations=3):
@@ -607,6 +634,32 @@ class TestBlockRanking:
         with pytest.raises(NumericalError,
                            match=rf"{directions} ranks outside \[1, {num_e}\] .* of the test split"):
             collect_ranks(ckpt, ds, "test", directions)
+
+
+class TestSplitScopedIndex:
+    @pytest.mark.parametrize("kind", ["complex", "transe"])
+    def test_ranks_equal_those_of_the_full_index(self, kind, monkeypatch):
+        """Without index=, collect_ranks builds an index of its split's keys
+        only; the ranks are the full index's, bit for bit."""
+        ds = _grid_dataset(np.random.default_rng(81))
+        model = ModelSpec(kind, 4, gamma=1.0)
+        filt = FilterSpec("rscf", rt_enabled=True,
+                          apply_to="head_only" if model.is_tdm else "head_and_tail")
+        store = build_store(model, filt, ds.vocabulary.num_entities,
+                            ds.vocabulary.num_relations, Rng(4), init_scale=0.4)
+        ckpt = _fake_checkpoint(store, model, filt, ds.vocabulary)
+        full = build_filter_index(ds)
+        built = []
+        monkeypatch.setattr(evaluation, "build_filter_index",
+                            lambda *args: built.append(args[1:]) or build_filter_index(*args))
+        for split, directions in itertools.product(("train", "valid", "test"),
+                                                   ("tail", "head", "both")):
+            got = collect_ranks(ckpt, ds, split, directions)
+            assert built.pop() == (split,)
+            want = collect_ranks(ckpt, ds, split, directions, index=full)
+            assert not built
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (split, directions)
 
 
 def _row_close(got, want, rel=1e-12):
