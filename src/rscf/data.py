@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -14,25 +13,45 @@ from .errors import DuplicateRelation, MalformedLine, TooFewRelations
 SPLITS = ("train", "valid", "test")
 
 
-def load_triples(path, fmt: str = "tsv") -> list[tuple[str, str, str]]:
-    """Read raw (head, relation, tail) string triples, one per line, in file order.
-
-    fmt="tsv" splits on single tabs; fmt="whitespace" splits on any whitespace run
-    (hand-written fixtures). Empty lines are skipped. No deduplication.
-    """
-    if fmt not in ("tsv", "whitespace"):
-        raise ValueError(f"unknown triple format: {fmt!r}")
-    triples = []
+def _triple_names(path, fmt: str):
+    """The [head, relation, tail] names of each line of a triple file, in file
+    order, read one line at a time. fmt="tsv" splits on single tabs;
+    fmt="whitespace" on any whitespace run (hand-written fixtures). Blank and
+    whitespace-only lines are skipped but counted in MalformedLine's 1-based
+    line numbers."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split("\t") if fmt == "tsv" else line.split()
-            if len(fields) != 3:
+            # universal newlines leave no "\r"; only the "\n" ends a line
+            fields = line.split() if fmt == "whitespace" else line.rstrip("\n").split("\t")
+            if len(fields) != 3 or line.isspace():
+                if line.isspace():
+                    continue
                 raise MalformedLine(path, lineno, f"expected 3 fields, got {len(fields)}")
-            triples.append((fields[0], fields[1], fields[2]))
-    return triples
+            yield fields
+
+
+def _encode(rows, entities: dict, relations: dict) -> np.ndarray:
+    """(n, 3) int64 ids of the (head, relation, tail) name rows, in order. A
+    name new to `entities` (head before tail) or `relations` gets the next id
+    there. The ids go to one flat buffer as each row is read, so no row
+    outlives its turn."""
+    ids = array("q")
+    append = ids.append
+    entity_id, relation_id = entities.get, relations.get
+    for h, r, t in rows:
+        i = entity_id(h)
+        if i is None:
+            i = entities[h] = len(entities)
+        append(i)
+        i = relation_id(r)
+        if i is None:
+            i = relations[r] = len(relations)
+        append(i)
+        i = entity_id(t)
+        if i is None:
+            i = entities[t] = len(entities)
+        append(i)
+    return np.frombuffer(ids, dtype=np.int64).reshape(-1, 3)
 
 
 @dataclass
@@ -60,36 +79,12 @@ class Vocabulary:
     def num_relations(self) -> int:
         return len(self.relation_names)
 
-    def encode(self, raw: Sequence[tuple[str, str, str]]) -> np.ndarray:
-        """(n, 3) int64 (head, relation, tail) ids of name triples, in order.
-        An unknown name raises KeyError."""
-        out = np.empty((len(raw), 3), dtype=np.int64)
-        for col, ids in enumerate((self.entity_ids, self.relation_ids, self.entity_ids)):
-            out[:, col] = np.fromiter(map(ids.__getitem__, map(itemgetter(col), raw)),
-                                      dtype=np.int64, count=len(raw))
-        return out
-
     def to_dict(self) -> dict:
         return {"entities": self.entity_names, "relations": self.relation_names}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Vocabulary":
         return cls(list(d["entities"]), list(d["relations"]))
-
-
-def build_vocabulary(*splits: list[tuple[str, str, str]]) -> Vocabulary:
-    """Assign ids by first appearance across the splits in the order given."""
-    entities: dict[str, int] = {}
-    relations: dict[str, int] = {}
-    for split in splits:
-        for h, r, t in split:
-            if h not in entities:
-                entities[h] = len(entities)
-            if t not in entities:
-                entities[t] = len(entities)
-            if r not in relations:
-                relations[r] = len(relations)
-    return Vocabulary(list(entities), list(relations))
 
 
 def _read_only_rows(rows) -> np.ndarray:
@@ -131,20 +126,22 @@ class Dataset:
 
     @classmethod
     def from_raw(cls, train_raw, valid_raw, test_raw) -> "Dataset":
-        vocab = build_vocabulary(train_raw, valid_raw, test_raw)
-        return cls(
-            train=vocab.encode(train_raw),
-            valid=vocab.encode(valid_raw),
-            test=vocab.encode(test_raw),
-            vocabulary=vocab,
-        )
+        """Ids of (head, relation, tail) name triples, assigned by first
+        appearance across train, valid and test in that order, head before
+        tail; relations are numbered on their own."""
+        entities: dict[str, int] = {}
+        relations: dict[str, int] = {}
+        arrays = [_encode(raw, entities, relations) for raw in (train_raw, valid_raw, test_raw)]
+        return cls(*arrays, Vocabulary(list(entities), list(relations)))
 
     @classmethod
     def load(cls, train_path, valid_path=None, test_path=None, fmt: str = "tsv") -> "Dataset":
-        train_raw = load_triples(train_path, fmt)
-        valid_raw = load_triples(valid_path, fmt) if valid_path else []
-        test_raw = load_triples(test_path, fmt) if test_path else []
-        return cls.from_raw(train_raw, valid_raw, test_raw)
+        """from_raw over the lines of the split files, each read once, line by
+        line; a valid or test path of None gives an empty split."""
+        if fmt not in ("tsv", "whitespace"):
+            raise ValueError(f"unknown triple format: {fmt!r}")
+        return cls.from_raw(*(_triple_names(p, fmt) if p else ()
+                              for p in (train_path, valid_path, test_path)))
 
     @classmethod
     def load_dir(cls, directory, fmt: str = "tsv") -> "Dataset":

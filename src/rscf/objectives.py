@@ -128,12 +128,10 @@ class GradientBuffer:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, both
+    from e = exp(-|x|), which cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -431,14 +429,17 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
         fixed = ent[fixed_ids]
         fixed_f = T.et_apply(op, fixed) if fixed_side_on else fixed
         d_fixed_f = np.zeros_like(fixed)
-        d_cand_u = np.zeros((uniq.size, model.dim), dtype=ent.dtype)
+        d_cand_u = ws("d_cand_u", (uniq.size, model.dim), ent.dtype)
+        d_cand_u.fill(0)
         fixed_rel, cand_factor = rel, None
         if rt:
             fixed_rt = T.rt_factor(store, fixed_which, fixed, eff.p)
             cand_rt = T.rt_factor(store, cand_which, ent[uniq], eff.p)
             fixed_rel = fixed_rt.factor * rel
             d_fixed_factor = np.zeros_like(fixed_rel)
-            d_cand_factor_u = np.zeros_like(cand_rt.factor)
+            d_cand_factor_u = ws("d_cand_factor_u", cand_rt.factor.shape,
+                                 cand_rt.factor.dtype)
+            d_cand_factor_u.fill(0)
 
         k = cand_ids.shape[1]
         terms = np.empty((2, b), dtype=ent.dtype)

@@ -2,17 +2,21 @@
 (scores, filters, relation transformation, task loss, duality regularizer,
 relation prediction, the optimizer update, the filter-index lookup, the FNV-1a
 recurrence) for one vector, triple, table, key or byte, independently of the
-batched kernels. No production path imports this module; tests compare
-against it."""
+batched kernels, plus the three-pass triple-file loader (read, number, encode)
+that Dataset.load does in one. No production path imports this module; tests
+compare against it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from . import models as M
-from .errors import DataError, ShapeMismatch, TargetOutOfRange, UnsupportedModel
+from .data import Vocabulary
+from .errors import (DataError, MalformedLine, ShapeMismatch, TargetOutOfRange,
+                     UnsupportedModel)
 from .objectives import cross_entropy, self_adversarial
 from .transforms import DEFAULT_ZERO_EPS
 
@@ -322,3 +326,49 @@ def fnv1a_bytewise(data, h: int = 0xCBF29CE484222325) -> int:
     for byte in data:
         h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
     return h
+
+
+def load_triples(path, fmt: str = "tsv") -> list[tuple[str, str, str]]:
+    """Read raw (head, relation, tail) string triples, one per line, in file order.
+
+    fmt="tsv" splits on single tabs; fmt="whitespace" splits on any whitespace run
+    (hand-written fixtures). Empty lines are skipped. No deduplication.
+    """
+    if fmt not in ("tsv", "whitespace"):
+        raise ValueError(f"unknown triple format: {fmt!r}")
+    triples = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            fields = line.split("\t") if fmt == "tsv" else line.split()
+            if len(fields) != 3:
+                raise MalformedLine(path, lineno, f"expected 3 fields, got {len(fields)}")
+            triples.append((fields[0], fields[1], fields[2]))
+    return triples
+
+
+def build_vocabulary(*splits: list[tuple[str, str, str]]) -> Vocabulary:
+    """Assign ids by first appearance across the splits in the order given."""
+    entities: dict[str, int] = {}
+    relations: dict[str, int] = {}
+    for split in splits:
+        for h, r, t in split:
+            if h not in entities:
+                entities[h] = len(entities)
+            if t not in entities:
+                entities[t] = len(entities)
+            if r not in relations:
+                relations[r] = len(relations)
+    return Vocabulary(list(entities), list(relations))
+
+
+def encode(vocab: Vocabulary, raw) -> np.ndarray:
+    """(n, 3) int64 (head, relation, tail) ids of name triples, in order, one
+    np.fromiter per name column. An unknown name raises KeyError."""
+    out = np.empty((len(raw), 3), dtype=np.int64)
+    for col, ids in enumerate((vocab.entity_ids, vocab.relation_ids, vocab.entity_ids)):
+        out[:, col] = np.fromiter(map(ids.__getitem__, map(itemgetter(col), raw)),
+                                  dtype=np.int64, count=len(raw))
+    return out

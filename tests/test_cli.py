@@ -63,6 +63,20 @@ class TestTrainCommand:
         report = json.loads((out / "train_report.json").read_text())
         assert len(report["epochs"]) == 3
 
+    def test_malformed_triple_file_exit_code(self, tiny_data, tmp_path, capsys):
+        train = tmp_path / "train.txt"
+        train.write_text((tiny_data / "train.txt").read_text(encoding="utf-8")
+                         + "\n e1\tr1\n", encoding="utf-8")
+        bad_line = len(train.read_text(encoding="utf-8").splitlines())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(d=tiny_data).replace(
+            f"{tiny_data}/train.txt", str(train)), encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--deterministic"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"data error: {train}:{bad_line}: ")
+        assert not (tmp_path / "o" / "checkpoint.rscfckp").exists()
+
     def test_usage_error_exit_code(self):
         assert main(["train", "--out", "/tmp/x"]) == 1
 

@@ -1,6 +1,8 @@
 import gc
 import json
 import os
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,16 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rscf.data import (
+    SPLITS,
     Dataset,
     Vocabulary,
     build_filter_index,
-    build_vocabulary,
     load_relation_groups,
-    load_triples,
     relation_frequency_buckets,
 )
 from rscf.errors import DuplicateRelation, MalformedLine, TooFewRelations
-from rscf.reference import ids_of
+from rscf.reference import build_vocabulary, encode, ids_of, load_triples
 
 BENCH_DIR = os.environ.get("RSCF_BENCH_DIR", "")
 
@@ -110,12 +111,12 @@ class TestDatasetArrays:
 
     def test_encode_rejects_unknown_names(self):
         vocab = build_vocabulary([("a", "r", "b")])
-        assert vocab.encode([("b", "r", "a")]).tolist() == [[1, 0, 0]]
-        assert vocab.encode([]).shape == (0, 3)
+        assert encode(vocab, [("b", "r", "a")]).tolist() == [[1, 0, 0]]
+        assert encode(vocab, []).shape == (0, 3)
         with pytest.raises(KeyError):
-            vocab.encode([("a", "r", "zz")])
+            encode(vocab, [("a", "r", "zz")])
         with pytest.raises(KeyError):
-            vocab.encode([("a", "q", "b")])
+            encode(vocab, [("a", "q", "b")])
 
     def test_load_keeps_no_python_object_per_triple(self, tmp_path):
         gen = np.random.default_rng(12)
@@ -137,6 +138,155 @@ class TestDatasetArrays:
         growth = len(gc.get_objects()) - before
         assert len(ds.train) == n
         assert growth < 0.01 * n, growth
+
+
+def _oracle_load(paths, fmt="tsv"):
+    """Vocabulary and split arrays of the three-pass reference loader; a None
+    path is an empty split."""
+    raws = [load_triples(p, fmt) if p else [] for p in paths]
+    vocab = build_vocabulary(*raws)
+    return vocab, [encode(vocab, raw) for raw in raws]
+
+
+def _assert_matches_oracle(ds, paths, fmt="tsv"):
+    vocab, arrays = _oracle_load(paths, fmt)
+    assert ds.vocabulary.entity_names == vocab.entity_names
+    assert ds.vocabulary.relation_names == vocab.relation_names
+    for name, want in zip(SPLITS, arrays):
+        got = ds.split_array(name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _write_bytes(tmp_path, name, text):
+    """Write text as UTF-8 bytes, line endings as given."""
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+class TestStreamingLoad:
+    """Dataset.load against the three-pass oracle (read every line into
+    tuples, number the names, encode): the same vocabulary, the same array
+    bytes and the same errors."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_graphs(self, tmp_path, seed):
+        gen = np.random.default_rng(seed)
+        ents, rels = int(gen.integers(1, 40)), int(gen.integers(1, 8))
+        pool = [f"/m/\u00e9{i}" for i in range(ents)]
+        paths = []
+        for name in SPLITS:
+            n = int(gen.integers(0, 120))
+            lines = [f"{pool[gen.integers(ents)]}\tr{gen.integers(rels)}\t"
+                     f"{pool[gen.integers(ents)]}" for _ in range(n)]
+            lines += lines[: int(gen.integers(0, 4))]  # duplicate triples
+            paths.append(_write_bytes(tmp_path, f"{name}.txt", "".join(
+                line + ("\n", "\r\n", "\r")[gen.integers(3)] for line in lines)))
+        ds = Dataset.load(*paths)
+        _assert_matches_oracle(ds, paths)
+        again = Dataset.from_raw(*(load_triples(p) for p in paths))
+        assert again.vocabulary.to_dict() == ds.vocabulary.to_dict()
+        assert all(again.split_array(s).tobytes() == ds.split_array(s).tobytes()
+                   for s in SPLITS)
+
+    @pytest.mark.parametrize("text", [
+        "a\tr\tb\r\nb\ts\tc\r\n",  # CRLF
+        "a\tr\tb\rb\ts\tc\r",  # lone CR
+        "a\tr\tb\r\nb\ts\tc\rc\tr\ta\n",  # mixed
+        "\n\na\tr\tb\n \n\t\n \t \t \nb\ts\tc\n\n",  # blank and whitespace-only lines
+        "a\tr\tb\nb\ts\tc",  # no trailing newline
+        " a\tr \t b \n",  # spaces around names belong to the names
+        "a\tr\tb\n \t \t ",  # whitespace-only last line with two tabs, no newline
+        "a\tr\tb\n\u3000\n\xa0\t\u2003\t\u3000\nb\t \tc\n",  # non-ASCII blank lines; a " " name
+        "",
+    ])
+    def test_tsv_edge_cases(self, tmp_path, text):
+        path = _write_bytes(tmp_path, "train.txt", text)
+        _assert_matches_oracle(Dataset.load(path), (path, None, None))
+
+    @pytest.mark.parametrize("text", [
+        "a   r1\tb\n\n x y z\n",
+        "a\xa0r\u3000b\n\u2003\nc\u2028s\u2029a\n",  # non-ASCII whitespace splits fields
+        "a\x85r\x1cb\r\nb\x0br\x0cc",  # NEL and separators split fields, not lines
+        " \t \t \n\u3000\n",
+    ])
+    def test_whitespace_format_edge_cases(self, tmp_path, text):
+        path = _write_bytes(tmp_path, "train.txt", text)
+        _assert_matches_oracle(Dataset.load(path, fmt="whitespace"), (path, None, None),
+                               "whitespace")
+
+    def test_duplicates_and_names_shared_across_splits(self, tmp_path):
+        paths = [_write(tmp_path, "train.txt", "a\tr\tb\na\tr\tb\n"),
+                 _write(tmp_path, "valid.txt", "c\ts\ta\nb\tr\ta\n"),
+                 _write(tmp_path, "test.txt", "d\tt\tc\na\tr\tb\nd\ts\td\n")]
+        ds = Dataset.load(*paths)
+        _assert_matches_oracle(ds, paths)
+        assert ds.vocabulary.entity_names == ["a", "b", "c", "d"]
+        assert ds.vocabulary.relation_names == ["r", "s", "t"]
+        assert ds.test.tolist() == [[3, 2, 2], [0, 0, 1], [3, 1, 3]]
+
+    def test_missing_valid_and_test(self, tmp_path):
+        train = _write(tmp_path, "train.txt", "a\tr\tb\nb\ts\tc\n")
+        for paths in ((train, None, None), (train, "", None),
+                      (train, None, _write(tmp_path, "test.txt", "c\tr\td\n"))):
+            _assert_matches_oracle(Dataset.load(*paths), paths)
+        (tmp_path / "test.txt").unlink()
+        _write(tmp_path, "valid.txt", "c\tq\ta\n")
+        _assert_matches_oracle(Dataset.load_dir(tmp_path),
+                               (train, tmp_path / "valid.txt", None))
+
+    @pytest.mark.parametrize("bad", SPLITS)
+    def test_malformed_line_numbers_in_each_split(self, tmp_path, bad):
+        paths = []
+        for name in SPLITS:
+            text = "a\tr\tb\n"
+            if name == bad:
+                text += "\r\n \t \t \n\nb\ts\tc\r\nc\ts\n"  # line 6 has two fields
+            paths.append(_write_bytes(tmp_path, f"{name}.txt", text))
+        with pytest.raises(MalformedLine) as want:
+            _oracle_load(paths)
+        with pytest.raises(MalformedLine) as got:
+            Dataset.load(*paths)
+        assert got.value.path == want.value.path == paths[SPLITS.index(bad)]
+        assert got.value.line_number == want.value.line_number == 6
+        assert str(got.value) == str(want.value)
+
+    def test_unknown_format_before_any_file_is_opened(self, tmp_path):
+        missing = tmp_path / "nope.txt"
+        with pytest.raises(ValueError, match="unknown triple format"):
+            load_triples(missing, fmt="csv")
+        with pytest.raises(ValueError, match="unknown triple format"):
+            Dataset.load(missing, missing, missing, fmt="csv")
+        with pytest.raises(OSError):
+            Dataset.load(missing)
+
+    def test_peak_memory_is_bounded_by_the_output(self, tmp_path):
+        """tracemalloc's peak while loading about 30k lines stays under twice
+        the bytes of the split arrays and the vocabulary it returns: nothing
+        per line is kept while the file is read (a load that keeps a list of
+        name tuples peaks at about 8.4 MB here, four times the bound)."""
+        gen = np.random.default_rng(3)
+        n = 30_000
+        rows = np.stack([gen.integers(0, 3_000, n), gen.integers(0, 50, n),
+                         gen.integers(0, 3_000, n)], axis=1).tolist()
+        _write(tmp_path, "train.txt",
+               "".join(f"/m/e{h:05d}\t/r/rel_{r:03d}\t/m/e{t:05d}\n" for h, r, t in rows))
+        Dataset.load_dir(tmp_path)  # imports and caches the first load makes
+        tracemalloc.start()
+        try:
+            ds = Dataset.load_dir(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        vocab = ds.vocabulary
+        names = vocab.entity_names + vocab.relation_names
+        output = (sum(ds.split_array(s).nbytes for s in SPLITS)
+                  + sum(map(sys.getsizeof, names))
+                  + sum(map(sys.getsizeof, (vocab.entity_names, vocab.relation_names,
+                                            vocab.entity_ids, vocab.relation_ids))))
+        assert len(ds.train) == n
+        assert peak < 2 * output, (peak, output)
 
 
 class TestFilterIndex:
