@@ -148,7 +148,7 @@ def telemetry_sample(train_arr: np.ndarray, seed: int, size: int) -> np.ndarray:
 
 
 def scale_trace(store, model: M.ModelSpec, filt: T.FilterSpec,
-                triples, *, ws=None) -> ScaleRecord:
+                triples, *, ws=M.FRESH) -> ScaleRecord:
     """Mean normalized factor norms and transformed-head norms over a triple
     sample (Fig-style concentration diagnostics). ws, a models.Workspace,
     holds the sample's arrays; a training run passes its own between epochs."""

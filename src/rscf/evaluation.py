@@ -19,39 +19,37 @@ from .data import (
 from .errors import EmptySplit, GoldOutOfRange, NumericalError
 
 HITS = (1, 3, 10)  # the Hits@N every report and CSV carries
-# Target size of one score block, counting one array per block: the (queries, N)
-# scores of tensor models, one (queries, N, d) intermediate of distance models
-# (whose filter, rt and distance temporaries take a few times that), and one
-# row block of a candidate rt table. At
-# FB15k-237 shape, 16 MiB tensor blocks ranked more slowly and left about 17 MB
-# more heap resident for the training that followed.
+# Target size of one score block's (queries, N) scores, and of one row block of
+# a candidate rt table; a distance block's filter, rt and distance temporaries
+# are candidate chunks that fit models.WORKSPACE_BYTES. At FB15k-237 shape,
+# 16 MiB tensor blocks ranked more slowly and left about 17 MB more heap
+# resident for the training that followed.
 SCORE_BLOCK_BYTES = 1 << 22
 _BYTE_SUM = np.uint64(0x0101010101010101)
 
 
-def _row_counts(mask: np.ndarray, ws: M.Workspace | None) -> np.ndarray:
+def _row_counts(mask: np.ndarray, ws: M.Workspace) -> np.ndarray:
     """int64 count of the True entries of each row of a C-contiguous (Q, W)
     bool mask, W a multiple of 8. Each 8-byte word of a row holds 8 entries
     of 0 or 1, and times 0x0101010101010101 its top byte is their sum. At
     (72, 14,541) this takes about half the time of an int32 row sum of the
     mask, and no more at (300, 200)."""
     words = mask.view(np.uint64)
-    sums = np.multiply(words, _BYTE_SUM, out=M.scratch(ws, "rank.words", words.shape,
-                                                         np.uint64))
+    sums = np.multiply(words, _BYTE_SUM, out=ws("rank.words", words.shape, np.uint64))
     np.right_shift(sums, np.uint64(56), out=sums)
     return sums.view(np.int64).sum(axis=1)
 
 
 def rank_block(scores: np.ndarray, gold: np.ndarray, ids: np.ndarray,
                start: np.ndarray, stop: np.ndarray,
-               ws: M.Workspace | None = None) -> np.ndarray:
+               ws: M.Workspace = M.FRESH) -> np.ndarray:
     """Filtered mid-ranks of the Q gold candidates of a (Q, N) score block.
 
     Row q ranks candidate gold[q] after removing its known-true ids,
     ids[start[q]:stop[q]] (the gold id, repeats and ids outside [0, N)
     ignored): rank = 1 + #{better survivors} + #{tied survivors != gold} / 2.
     Scores are compared in their own dtype, which is exact. Both comparisons
-    write the workspace's "rank.mask" buffer in turn when there is one.
+    write the workspace's "rank.mask" buffer in turn.
     """
     q, n = scores.shape
     bad = (gold < 0) | (gold >= n)
@@ -60,7 +58,7 @@ def rank_block(scores: np.ndarray, gold: np.ndarray, ids: np.ndarray,
     rows = np.arange(q)
     s_gold = scores[rows, gold]
     # rows padded with False to whole 8-byte words, for _row_counts
-    mask = M.scratch(ws, "rank.mask", (q, -(-n // 8) * 8), bool)
+    mask = ws("rank.mask", (q, -(-n // 8) * 8), bool)
     mask[:, n:] = False
     np.greater(scores, s_gold[:, None], out=mask[:, :n])
     better = _row_counts(mask, ws)
@@ -95,12 +93,12 @@ class CandidateScorer:
     run's filter exactly as in training.
 
     Tensor models answer head queries through the reciprocal relation row and
-    never transform candidates; distance models broadcast a block's fixed side
-    against chunks of the candidate table with the candidate-side filter
-    active, computing each chunk in the scorer's workspace. A scorer reads the
-    store's tables as they are when it first needs them: the candidate rt
-    factor tables of distance models are built once and reused, so the store
-    must not change while the scorer is in use.
+    never transform candidates; distance models broadcast each group of a
+    block's fixed side against chunks of the candidate table with the
+    candidate-side filter active, computing each chunk in the scorer's
+    workspace. A scorer reads the store's tables as they are when it first
+    needs them: the candidate rt factor tables of distance models are built
+    once and reused, so the store must not change while the scorer is in use.
 
     Tensor score blocks are written into the scorer's workspace, so a block
     from score_block or blocks is valid only until the scorer's next block;
@@ -123,10 +121,9 @@ class CandidateScorer:
         if which not in self._cand_rt:
             ent, a = self.store["entity"], self.store[which]
             table = np.empty((1, ent.shape[0], a.shape[1]), np.result_type(ent, a))
-            step = max(1, SCORE_BLOCK_BYTES // (a.shape[1] * table.itemsize))
-            for lo in range(0, ent.shape[0], step):
-                T.rt_factor(self.store, which, ent[None, lo:lo + step], self.filt.p,
-                            out=table[:, lo:lo + step])
+            for sl in M.row_blocks(ent.shape[0], a.shape[1] * table.itemsize,
+                                   SCORE_BLOCK_BYTES):
+                T.rt_factor(self.store, which, ent[None, sl], self.filt.p, out=table[:, sl])
             self._cand_rt[which] = table
         return self._cand_rt[which]
 
@@ -139,47 +136,57 @@ class CandidateScorer:
     def score_block(self, direction: str, fixed_ids: np.ndarray,
                     rel_ids: np.ndarray) -> np.ndarray:
         """(Q, N) scores for Q queries of one direction ("tail": fixed_ids are
-        heads; "head": they are tails). Tensor models score the block with one
-        (Q, d) @ (d, N) product into the workspace's "eval.scores" buffer.
-        Distance models score it in chunks of candidates whose (Q, C, d)
-        arrays fit models.WORKSPACE_BYTES, each written straight into its
-        columns of a new block; the chunking changes no score."""
+        heads; "head": they are tails). Tensor models score the block with
+        one (Q, d) @ (d, N) product into the workspace's "eval.scores"
+        buffer. Distance models score it into a new array, in groups of as
+        many queries as one (queries, N, d) array fits SCORE_BLOCK_BYTES:
+        each group builds its filter and fixed-side rt once, then scores
+        chunks of candidates whose (group, C, d) arrays fit
+        models.WORKSPACE_BYTES straight into its rows and columns of the
+        block. The chunking changes no score, and a group scores as a block
+        of its queries alone would; larger groups would round their batched
+        fixed-side products differently."""
         store, model, filt = self.store, self.model, self.filt
+        ent = store["entity"]
         if model.is_tdm:
             if direction == "head":
                 rel_ids = rel_ids + store.meta["num_relations"]
             q, _ = T.tdm_forward(filt, store, model, fixed_ids, rel_ids, ws=self._ws)
-            ent = store["entity"]
             return np.matmul(q, ent.T, out=self._ws("eval.scores", (len(q), ent.shape[0]),
                                                     np.result_type(q, ent)))
-        fixed_is_head = direction == "tail"
-        rel = store["relation"][rel_ids]
-        op = T.et_build(filt, store, rel, rel_ids, model.dim)
-        fixed_on, cand_on, fixed_which, cand_which = T.dbm_direction(filt, fixed_is_head)
-        ent = store["entity"]
-        fixed = ent[fixed_ids]
-        fixed_f = T.et_apply(op, fixed) if fixed_on else fixed
-        fixed_rel, cand_rt = rel, None
-        if filt.rt_enabled:
-            fixed_rel = T.rt_factor(store, fixed_which, fixed, filt.p).factor * rel
-            cand_rt = self._candidate_rt(cand_which)
         scores = np.empty((len(fixed_ids), ent.shape[0]), dtype=ent.dtype)
-        step = max(1, M.WORKSPACE_BYTES // (max(1, len(fixed_ids)) * model.dim * ent.itemsize))
-        for lo in range(0, ent.shape[0], step):
-            chunk = slice(lo, lo + step)
-            cand = ent[None, chunk]
-            cand_f = T.et_apply(op, cand, ws=self._ws) if cand_on else cand
-            cand_factor = None if cand_rt is None else cand_rt[:, chunk]
-            T.dbm_direction_scores(model, fixed_is_head, fixed_f, fixed_rel, cand_f,
-                                   cand_factor, ws=self._ws, out=scores[:, chunk])
+        fixed_is_head = direction == "tail"
+        fixed_on, cand_on, fixed_which, cand_which = T.dbm_direction(filt, fixed_is_head)
+        cand_rt = self._candidate_rt(cand_which) if filt.rt_enabled else None
+        for group in M.row_blocks(len(fixed_ids), ent.nbytes, SCORE_BLOCK_BYTES):
+            rel_rows = rel_ids[group]
+            rel = store["relation"][rel_rows]
+            op = T.et_build(filt, store, rel, rel_rows, model.dim)
+            fixed = ent[fixed_ids[group]]
+            fixed_f = T.et_apply(op, fixed) if fixed_on else fixed
+            fixed_rel = rel
+            if filt.rt_enabled:
+                fixed_rel = T.rt_factor(store, fixed_which, fixed, filt.p).factor * rel
+            for chunk in M.row_blocks(ent.shape[0], len(fixed) * model.dim * ent.itemsize,
+                                      M.WORKSPACE_BYTES):
+                cand = ent[None, chunk]
+                cand_f = T.et_apply(op, cand, ws=self._ws) if cand_on else cand
+                cand_factor = None if cand_rt is None else cand_rt[:, chunk]
+                T.dbm_direction_scores(model, fixed_is_head, fixed_f, fixed_rel, cand_f,
+                                       cand_factor, ws=self._ws, out=scores[group, chunk])
         return scores
 
     @property
     def block_rows(self) -> int:
-        """Queries per score block: as many as fit SCORE_BLOCK_BYTES, at least one."""
+        """Queries per score block: as many (N,) score rows as fit
+        SCORE_BLOCK_BYTES, at least one; for distance models, rounded down to
+        whole groups of score_block, at least one group."""
         ent = self.store["entity"]
-        per_row = ent.shape[0] if self.model.is_tdm else ent.size
-        return max(1, SCORE_BLOCK_BYTES // (per_row * ent.itemsize))
+        rows = M.rows_per_block(ent.shape[0] * ent.itemsize, SCORE_BLOCK_BYTES)
+        if self.model.is_tdm:
+            return rows
+        group = M.rows_per_block(ent.nbytes, SCORE_BLOCK_BYTES)
+        return max(1, rows // group) * group
 
     def blocks(self, direction: str, fixed_ids: np.ndarray, rel_ids: np.ndarray):
         """Yields the queries' score blocks in order, each block_rows rows (the
@@ -247,26 +254,6 @@ def aggregate(ranks: np.ndarray, relations: np.ndarray, vocabulary) -> EvalRepor
     return EvalReport(mrr, hits, int(ranks.size), per_relation)
 
 
-def _stacked(blocks, stack: int, ws: M.Workspace):
-    """Each run of `stack` consecutive blocks as one array. A block is valid
-    only until the next is drawn, so a run of several is copied into the
-    workspace's "eval.stack" buffer, itself valid until the next run."""
-    if stack == 1:
-        yield from blocks
-        return
-    buf, lo = None, 0
-    for block in blocks:
-        if buf is None:  # every block but the last has the first one's rows
-            buf = ws("eval.stack", (stack * block.shape[0], block.shape[1]), block.dtype)
-        buf[lo:lo + block.shape[0]] = block
-        lo += block.shape[0]
-        if lo == buf.shape[0]:
-            yield buf
-            lo = 0
-    if lo:
-        yield buf[:lo]
-
-
 def collect_ranks(checkpoint, dataset: Dataset, split: str, directions: str = "both",
                   index: FilterIndex | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Filtered rank of every query in the split: (ranks, relations), float64
@@ -287,14 +274,8 @@ def collect_ranks(checkpoint, dataset: Dataset, split: str, directions: str = "b
     if index is None:
         index = build_filter_index(dataset, split)
     scorer = CandidateScorer(checkpoint.store, checkpoint.model, checkpoint.filter)
-    ws = M.Workspace()  # the stacked blocks and rank_block's masks
-    ent = checkpoint.store["entity"]
-    n = ent.shape[0]
-    # score blocks ranked together: distance blocks, often one query, are
-    # stacked up to SCORE_BLOCK_BYTES of scores, or up to the whole split when
-    # that is less; tensor blocks already fill it
-    rows = scorer.block_rows
-    stack = max(1, min(SCORE_BLOCK_BYTES // (n * ent.itemsize) // rows, -(-len(arr) // rows)))
+    ws = M.Workspace()  # rank_block's masks
+    n = checkpoint.store["entity"].shape[0]
     heads, rels, tails = arr.T
     wanted = [d for d in ("tail", "head") if directions in (d, "both")]
     # one row per triple, one column per direction: raveled, the tail query
@@ -307,7 +288,7 @@ def collect_ranks(checkpoint, dataset: Dataset, split: str, directions: str = "b
         start, stop = table.slices(*keys)
         lo = 0
         try:
-            for block in _stacked(scorer.blocks(d, fixed, rels), stack, ws):
+            for block in scorer.blocks(d, fixed, rels):
                 hi = lo + block.shape[0]
                 out[lo:hi] = rank_block(block, gold[lo:hi], table.ids,
                                         start[lo:hi], stop[lo:hi], ws)

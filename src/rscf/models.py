@@ -23,6 +23,19 @@ MODEL_KINDS = DBM_KINDS + TDM_KINDS
 WORKSPACE_BYTES = 1 << 18
 
 
+def rows_per_block(row_size: int, budget: int) -> int:
+    """The package's one blocking rule: as many rows of row_size as fit the
+    budget (both in bytes, or both in elements), at least one."""
+    return max(1, budget // row_size)
+
+
+def row_blocks(n: int, row_size: int, budget: int) -> list[slice]:
+    """Consecutive slices of n rows, each rows_per_block rows (the last may
+    hold fewer); none for n = 0."""
+    step = rows_per_block(row_size, budget)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 class Workspace(dict):
     """Scratch arrays reused from one call to the next. A training run keeps
     one workspace for all its batches (trainer.TrainState.ws) and a scorer one
@@ -30,7 +43,8 @@ class Workspace(dict):
     keeps one flat buffer, replaced by a larger one when a call needs more; a
     request returns a C-contiguous view of the asked shape, so it overwrites
     what the name held before. Hence the rule every caller keeps: no name may
-    back two arrays that are live at once.
+    back two arrays that are live at once. FRESH, the kernels' default, keeps
+    nothing and returns a new array for every request.
 
     Names are the kernels' own ("et", "a1.c", "dbm.diff", ...), except three
     kinds that several kernels share because their arrays never overlap:
@@ -48,16 +62,17 @@ class Workspace(dict):
         return flat[:size].reshape(shape)
 
 
-def scratch(ws: Workspace | None, name: str, shape: tuple, dtype) -> np.ndarray:
-    """The workspace's `name` buffer, or a new array without a workspace."""
-    return np.empty(shape, dtype) if ws is None else ws(name, shape, dtype)
+class _Fresh(Workspace):
+    def __call__(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        return np.empty(shape, dtype)
 
 
-def gather(ws: Workspace | None, name: str, table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """table[ids], in the workspace's `name` buffer when there is one. Ids
-    outside [-n, n) raise IndexError, as they do under fancy indexing."""
-    if ws is None:
-        return table[ids]
+FRESH = _Fresh()
+
+
+def gather(ws: Workspace, name: str, table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """table[ids] in the workspace's `name` buffer. Ids outside [-n, n) raise
+    IndexError, as they do under fancy indexing."""
     n = table.shape[0]
     if ids.size and not (-n <= ids.min() and ids.max() < n):
         raise IndexError(f"row ids outside [{-n}, {n})")
@@ -106,11 +121,11 @@ def _halves(v: np.ndarray):
     return v[..., :half], v[..., half:]
 
 
-def p_norm(v: np.ndarray, p: int, *, ws=None) -> np.ndarray:
+def p_norm(v: np.ndarray, p: int, *, ws=FRESH) -> np.ndarray:
     """Row p-norms; the (..., d) temporary is the workspace's "tmp"."""
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
-    tmp = scratch(ws, "tmp", v.shape, v.dtype)
+    tmp = ws("tmp", v.shape, v.dtype)
     terms = np.multiply(v, v, out=tmp) if p == 2 else np.abs(v, out=tmp)
     norms = np.sum(terms, axis=-1)
     return np.sqrt(norms) if p == 2 else norms
@@ -139,14 +154,14 @@ def _complex_pairs(out, first, second, ws):
     """The two halves of a complex product, each (a b + c d) or (a b - c d):
     first and second are (a, b, c, d, add) for the front and back half."""
     halves = _halves(out)
-    tmp = scratch(ws, "tmp", halves[0].shape, out.dtype)
+    tmp = ws("tmp", halves[0].shape, out.dtype)
     for o, (a, b, c, d, add) in zip(halves, (first, second)):
         np.multiply(a, b, out=o)
         (np.add if add else np.subtract)(o, np.multiply(c, d, out=tmp), out=o)
     return out
 
 
-def _contract_t(kind: str, h: np.ndarray, r: np.ndarray, out=None, ws=None) -> np.ndarray:
+def _contract_t(kind: str, h: np.ndarray, r: np.ndarray, out, ws) -> np.ndarray:
     """q(h, r) = h R, with score = q . t; written to out when given."""
     out = _result(out, h, r, h.shape[-1])
     if kind == "cp":
@@ -159,7 +174,7 @@ def _contract_t(kind: str, h: np.ndarray, r: np.ndarray, out=None, ws=None) -> n
     raise ValueError(f"not a tensor-decomposition kind: {kind}")
 
 
-def _contract_h(kind: str, t: np.ndarray, r: np.ndarray, out=None, ws=None) -> np.ndarray:
+def _contract_h(kind: str, t: np.ndarray, r: np.ndarray, out, ws) -> np.ndarray:
     """q'(t, r) = t R^T, with score = q' . h; written to out when given."""
     out = _result(out, t, r, t.shape[-1])
     if kind == "cp":
@@ -172,7 +187,7 @@ def _contract_h(kind: str, t: np.ndarray, r: np.ndarray, out=None, ws=None) -> n
     raise ValueError(f"not a tensor-decomposition kind: {kind}")
 
 
-def _contract_r(kind: str, h: np.ndarray, t: np.ndarray, out=None, ws=None) -> np.ndarray:
+def _contract_r(kind: str, h: np.ndarray, t: np.ndarray, out, ws) -> np.ndarray:
     """m(h, t), with score = m . r; written to out when given."""
     n = h.shape[-1]
     out = _result(out, h, t, n * n if kind == "rescal" else n)
@@ -192,41 +207,41 @@ def _contract_r(kind: str, h: np.ndarray, t: np.ndarray, out=None, ws=None) -> n
 # for the VJPs) when given; ws holds the complex kinds' "tmp".
 
 
-def tdm_query(kind: str, lhs: np.ndarray, rel: np.ndarray, *, out=None, ws=None):
+def tdm_query(kind: str, lhs: np.ndarray, rel: np.ndarray, *, out=None, ws=FRESH):
     """Query vector q with score = q . t."""
     return _contract_t(kind, lhs, rel, out, ws)
 
 
-def tdm_query_vjp(kind: str, lhs, rel, dq, *, out=(None, None), ws=None):
+def tdm_query_vjp(kind: str, lhs, rel, dq, *, out=(None, None), ws=FRESH):
     return _contract_h(kind, dq, rel, out[0], ws), _contract_r(kind, lhs, dq, out[1], ws)
 
 
-def tdm_query_t(kind: str, rhs: np.ndarray, rel: np.ndarray, *, out=None, ws=None):
+def tdm_query_t(kind: str, rhs: np.ndarray, rel: np.ndarray, *, out=None, ws=FRESH):
     """Transposed query q' = rhs R^T (head-prediction dual used by the
     duality regularizer)."""
     return _contract_h(kind, rhs, rel, out, ws)
 
 
-def tdm_query_t_vjp(kind: str, rhs, rel, dq, *, out=(None, None), ws=None):
+def tdm_query_t_vjp(kind: str, rhs, rel, dq, *, out=(None, None), ws=FRESH):
     return _contract_t(kind, dq, rel, out[0], ws), _contract_r(kind, dq, rhs, out[1], ws)
 
 
 # ---------------------------------------------------------------------------
-# distance-model kernels. Each takes a trailing workspace: with one, every
-# (rows, candidates, d) array it makes is a workspace view, overwritten by the
-# next call; without one, they are new arrays.
+# distance-model kernels. Every (rows, candidates, d) array they make is a
+# view of the trailing workspace, overwritten by the next call; under FRESH,
+# the default, they are new arrays.
 
 
-def _complex_rotate(h: np.ndarray, phases: np.ndarray, trig=None, ws=None):
+def _complex_rotate(h: np.ndarray, phases: np.ndarray, trig=None, ws=FRESH):
     """h rotated by the phases, as complex numbers [re, im]; trig is the
     phases' (cos, sin) when the caller has them."""
     c, s = (np.cos(phases), np.sin(phases)) if trig is None else trig
     shape = np.broadcast_shapes(h.shape[:-1], phases.shape[:-1]) + h.shape[-1:]
     dtype = np.result_type(h, c)
-    out = scratch(ws, "dbm.pred", shape, dtype)
+    out = ws("dbm.pred", shape, dtype)
     a, b = _halves(h)
     re, im = _halves(out)
-    tmp = scratch(ws, "dbm.tmp", re.shape, dtype)
+    tmp = ws("dbm.tmp", re.shape, dtype)
     np.multiply(a, c, out=re)  # re = a c - b s, im = a s + b c
     re -= np.multiply(b, s, out=tmp)
     np.multiply(a, s, out=im)
@@ -234,27 +249,27 @@ def _complex_rotate(h: np.ndarray, phases: np.ndarray, trig=None, ws=None):
     return out
 
 
-def _dbm_predict(kind: str, h: np.ndarray, rel: np.ndarray, trig=None, ws=None):
+def _dbm_predict(kind: str, h: np.ndarray, rel: np.ndarray, trig=None, ws=FRESH):
     if kind == "transe":
         shape = np.broadcast_shapes(h.shape, rel.shape)
-        return np.add(h, rel, out=scratch(ws, "dbm.pred", shape, np.result_type(h, rel)))
+        return np.add(h, rel, out=ws("dbm.pred", shape, np.result_type(h, rel)))
     if kind == "rotate":
         return _complex_rotate(h, rel, trig, ws)
     raise ValueError(f"not a distance kind: {kind}")
 
 
-def dbm_scores(kind: str, h, rel, t, p: int, *, ws=None, out=None):
+def dbm_scores(kind: str, h, rel, t, p: int, *, ws=FRESH, out=None):
     """score = -||predict(h, rel) - t||_p along the last axis, written to out
     when given. Returns (scores, cache)."""
     trig = None
     if kind == "rotate":
-        trig = (np.cos(rel, out=scratch(ws, "dbm.cos", rel.shape, rel.dtype)),
-                np.sin(rel, out=scratch(ws, "dbm.sin", rel.shape, rel.dtype)))
+        trig = (np.cos(rel, out=ws("dbm.cos", rel.shape, rel.dtype)),
+                np.sin(rel, out=ws("dbm.sin", rel.shape, rel.dtype)))
     pred = _dbm_predict(kind, h, rel, trig, ws)
     shape = np.broadcast_shapes(pred.shape, t.shape)
-    diff = np.subtract(pred, t, out=scratch(ws, "dbm.diff", shape, pred.dtype))
-    terms = scratch(ws, "dbm.terms", shape, pred.dtype)
-    norms = scratch(ws, "dbm.norms", shape[:-1], pred.dtype)
+    diff = np.subtract(pred, t, out=ws("dbm.diff", shape, pred.dtype))
+    terms = ws("dbm.terms", shape, pred.dtype)
+    norms = ws("dbm.norms", shape[:-1], pred.dtype)
     if p == 2:
         np.add.reduce(np.multiply(diff, diff, out=terms), axis=-1, out=norms)
         np.sqrt(norms, out=norms)
@@ -266,13 +281,12 @@ def dbm_scores(kind: str, h, rel, t, p: int, *, ws=None, out=None):
     return scores, {"pred": pred, "diff": diff, "norms": norms, "trig": trig}
 
 
-def dbm_scores_vjp(kind: str, cache, d_scores, p: int, *, ws=None):
+def dbm_scores_vjp(kind: str, cache, d_scores, p: int, *, ws=FRESH):
     """Returns (d_h, d_rel, d_t). They are d_diff, d_diff and -d_diff for
     transe, where the first two are one array."""
     diff = cache["diff"]
     # d_diff lands in the d_h buffer for transe; rotate keeps it in d_t's
-    d_diff = scratch(ws, "dbm_vjp.d_h" if kind == "transe" else "dbm_vjp.d_t",
-                     diff.shape, diff.dtype)
+    d_diff = ws("dbm_vjp.d_h" if kind == "transe" else "dbm_vjp.d_t", diff.shape, diff.dtype)
     if p == 2:
         norms = cache["norms"]
         safe = np.where(norms > 0, norms, 1.0)
@@ -280,23 +294,22 @@ def dbm_scores_vjp(kind: str, cache, d_scores, p: int, *, ws=None):
     else:
         np.multiply(-d_scores[..., None], np.sign(diff, out=d_diff), out=d_diff)
     if kind == "transe":
-        d_t = np.negative(d_diff, out=scratch(ws, "dbm_vjp.d_t", diff.shape, diff.dtype))
+        d_t = np.negative(d_diff, out=ws("dbm_vjp.d_t", diff.shape, diff.dtype))
         return d_diff, d_diff, d_t
     if kind != "rotate":
         raise ValueError(kind)
     c, s = cache["trig"]
     d_re, d_im = _halves(d_diff)
-    d_h = scratch(ws, "dbm_vjp.d_h", diff.shape, diff.dtype)
+    d_h = ws("dbm_vjp.d_h", diff.shape, diff.dtype)
     d_a, d_b = _halves(d_h)
-    tmp = scratch(ws, "dbm_vjp.tmp", d_re.shape, diff.dtype)
+    tmp = ws("dbm_vjp.tmp", d_re.shape, diff.dtype)
     np.multiply(d_re, c, out=d_a)  # d_a = d_re c + d_im s
     d_a += np.multiply(d_im, s, out=tmp)
     np.multiply(np.negative(d_re, out=d_b), s, out=d_b)  # d_b = -d_re s + d_im c
     d_b += np.multiply(d_im, c, out=tmp)
     pre_re, pre_im = _halves(cache["pred"])
     # d_phase = -pre_im d_re + pre_re d_im; -(x y) is (-x) y exactly
-    d_phase = np.multiply(pre_im, d_re, out=scratch(ws, "dbm_vjp.d_rel", d_re.shape,
-                                                    diff.dtype))
+    d_phase = np.multiply(pre_im, d_re, out=ws("dbm_vjp.d_rel", d_re.shape, diff.dtype))
     np.negative(d_phase, out=d_phase)
     d_phase += np.multiply(pre_re, d_im, out=tmp)
     return d_h, d_phase, np.negative(d_diff, out=d_diff)
@@ -307,13 +320,13 @@ def dbm_scores_vjp(kind: str, cache, d_scores, p: int, *, ws=None):
 
 
 def relation_scores(model: ModelSpec, h: np.ndarray, t: np.ndarray,
-                    relation_table: np.ndarray, *, ws=None, out=None):
+                    relation_table: np.ndarray, *, ws=FRESH, out=None):
     """Scores (Q, R) of every candidate relation for fixed (h, t) pairs,
     written to out when given."""
     kind = model.kind
     if kind in TDM_KINDS:
-        m = _contract_r(kind, h, t, scratch(ws, "rp.m", h.shape[:-1] + relation_table.shape[1:],
-                                            np.result_type(h, t)), ws)
+        m = _contract_r(kind, h, t, ws("rp.m", h.shape[:-1] + relation_table.shape[1:],
+                                       np.result_type(h, t)), ws)
         return np.matmul(m, relation_table.T, out=out), {"m": m}
     if kind in DBM_KINDS:
         return dbm_scores(kind, h[:, None, :], relation_table[None, :, :],
@@ -322,7 +335,7 @@ def relation_scores(model: ModelSpec, h: np.ndarray, t: np.ndarray,
 
 
 def relation_scores_vjp(model: ModelSpec, h, t, relation_table, cache, d_scores, *,
-                        ws=None, d_table=None, out=(None, None)):
+                        ws=FRESH, d_table=None, out=(None, None)):
     """Returns (d_h, d_t, d_relation_table), d_h and d_t written to out when
     given. d_table, when given, is the relation-table cotangent of earlier
     rows: this call's rows are added to it in place, one at a time, so rows
@@ -330,8 +343,8 @@ def relation_scores_vjp(model: ModelSpec, h, t, relation_table, cache, d_scores,
     kind = model.kind
     if kind in TDM_KINDS:
         dm = np.matmul(d_scores, relation_table,
-                       out=scratch(ws, "rp.dm", d_scores.shape[:1] + relation_table.shape[1:],
-                                   np.result_type(d_scores, relation_table)))
+                       out=ws("rp.dm", d_scores.shape[:1] + relation_table.shape[1:],
+                              np.result_type(d_scores, relation_table)))
         d_rel = d_scores.T @ cache["m"]
         if d_table is not None:
             d_table += d_rel

@@ -56,32 +56,30 @@ class LossConfig:
             raise ValueError("need at least one negative sample")
 
 
-def scatter_rows(out: np.ndarray, rows: np.ndarray, vals: np.ndarray, *, ws=None) -> None:
+def scatter_rows(out: np.ndarray, rows: np.ndarray, vals: np.ndarray, *, ws=M.FRESH) -> None:
     """out[rows[i]] += vals[i] for every i in order, as np.add.at(out, rows, vals)
     does and with the same result bit for bit, through 1-D flat indices, which
     the ufunc handles several times faster. out is a C-contiguous (n, d) array;
     vals holds one length-d row per entry of rows, in any shape. The flat
-    indices of each chunk go to one index buffer, the workspace's
-    "scatter.idx" when there is one."""
+    indices of each chunk go to the workspace's "scatter.idx" buffer."""
     if not out.flags.c_contiguous:
         raise ValueError("scatter_rows needs a C-contiguous output array")
     d = out.shape[1]
     flat = out.reshape(-1)
     vals = vals.reshape(rows.shape[0], d)
     cols = np.arange(d, dtype=np.intp)
-    step = max(1, SCATTER_CHUNK_ELEMENTS // d)
-    idx = M.scratch(ws, "scatter.idx", (min(step, rows.shape[0]), d), np.intp)
-    for start in range(0, rows.shape[0], step):
-        chunk = rows[start:start + step].astype(np.intp)
-        flat_idx = np.add((chunk * d)[:, None], cols, out=idx[:chunk.shape[0]])
-        np.add.at(flat, flat_idx.reshape(-1), vals[start:start + step].reshape(-1))
+    for sl in M.row_blocks(rows.shape[0], d, SCATTER_CHUNK_ELEMENTS):
+        chunk = rows[sl].astype(np.intp)
+        flat_idx = np.add((chunk * d)[:, None], cols,
+                          out=ws("scatter.idx", (chunk.shape[0], d), np.intp))
+        np.add.at(flat, flat_idx.reshape(-1), vals[sl].reshape(-1))
 
 
 class GradientBuffer:
     """Per-table gradient accumulators with touched-row tracking; add_rows
-    scatters through the workspace, when given, for its index buffer."""
+    scatters through the workspace for its index buffer."""
 
-    def __init__(self, store: ParameterStore, ws: M.Workspace | None = None):
+    def __init__(self, store: ParameterStore, ws: M.Workspace = M.FRESH):
         self.store = store
         self.ws = ws
         self._dense: dict[str, np.ndarray] = {}
@@ -316,8 +314,7 @@ def _tdm_objective(batch, store, model, eff, loss, buf, ws) -> float:
 
     q, tape = T.tdm_forward(eff, store, model, lhs_ids, rel_rows, ws=ws)
     value = 0.0
-    slices = _triple_slices(q.shape[0], ent.shape[0] * ent.itemsize,
-                            OBJECTIVE_BLOCK_BYTES)
+    slices = M.row_blocks(q.shape[0], ent.shape[0] * ent.itemsize, OBJECTIVE_BLOCK_BYTES)
     dtype = np.result_type(q, ent)
     score_buf = ws("scores", (slices[0].stop, ent.shape[0]), dtype)
     for sl in slices:
@@ -369,15 +366,6 @@ def _tdm_objective(batch, store, model, eff, loss, buf, ws) -> float:
     buf.add_rows("entity", lhs_ids, d_lhs)
     buf.add_rows("relation", rel_rows, d_rel)
     return value
-
-
-def _triple_slices(b: int, bytes_per_row: int, budget: int | None = None) -> list[slice]:
-    """Consecutive slices of b rows (triples, or the tensor objective's query
-    rows), each holding as many rows as fit the budget (at least one); the
-    budget is models.WORKSPACE_BYTES unless given."""
-    budget = M.WORKSPACE_BYTES if budget is None else budget
-    step = max(1, budget // bytes_per_row)
-    return [slice(s, min(s + step, b)) for s in range(0, b, step)]
 
 
 def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
@@ -443,7 +431,7 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
 
         k = cand_ids.shape[1]
         terms = np.empty((2, b), dtype=ent.dtype)
-        for sl in _triple_slices(b, k * model.dim * ent.itemsize):
+        for sl in M.row_blocks(b, k * model.dim * ent.itemsize, M.WORKSPACE_BYTES):
             n = sl.stop - sl.start
             op_sl = op.rows(sl) if cand_side_on else None
             cand = np.take(ent, cand_ids[sl], axis=0, mode="clip",
@@ -521,7 +509,7 @@ def _rp_objective(batch, store, model, loss, buf, ws) -> float:
     base_rows = store["relation"][:num_rel]
     b = batch.shape[0]
     if model.is_dbm:
-        slices = _triple_slices(b, num_rel * model.dim * ent.itemsize)
+        slices = M.row_blocks(b, num_rel * model.dim * ent.itemsize, M.WORKSPACE_BYTES)
     else:
         slices = [slice(None)]
     terms = np.empty(b, dtype=ent.dtype)
@@ -573,8 +561,9 @@ def optimizer_step(store: ParameterStore, buf: GradientBuffer,
         acc = store.acc[name]
         rows = None if mask.all() else np.nonzero(mask)[0]
         count = table.shape[0] if rows is None else rows.size
-        step = max(1, M.WORKSPACE_BYTES // (table.shape[1] * table.itemsize))
-        scratch = np.empty((3, min(step, count), table.shape[1]), table.dtype)
+        blocks = [(sl.start, sl.stop) for sl in
+                  M.row_blocks(count, table.shape[1] * table.itemsize, M.WORKSPACE_BYTES)]
+        scratch = np.empty((3, blocks[0][1], table.shape[1]), table.dtype)
         finite = np.empty(scratch.shape[1:], dtype=bool)
 
         def block(lo, hi, src, k):
@@ -584,7 +573,6 @@ def optimizer_step(store: ParameterStore, buf: GradientBuffer,
                 return src[lo:hi]
             return np.take(src, rows[lo:hi], axis=0, mode="clip", out=scratch[k, :hi - lo])
 
-        blocks = [(lo, min(lo + step, count)) for lo in range(0, count, step)]
         for lo, hi in blocks:
             if not np.isfinite(block(lo, hi, grad, 0), out=finite[:hi - lo]).all():
                 raise NonFiniteGradient(name)

@@ -65,7 +65,7 @@ INERT_FILTER = FilterSpec()
 # normalization, and the rooted change built on it
 
 
-def normalize_rows(x: np.ndarray, p: int, *, out=None, ws=None):
+def normalize_rows(x: np.ndarray, p: int, *, out=None, ws=M.FRESH):
     """Rowwise p-normalization with degenerate rows zeroed.
 
     Returns (unit, norms, live): unit rows have ||.||_p = 1 where live, and are
@@ -93,32 +93,30 @@ def normalize_rows_vjp(x, unit, safe_norms, live, d_unit, p, *, out=None):
     return dx
 
 
-def _rooted_change(store, which: str, x: np.ndarray, p: int, ws=None):
+def _rooted_change(store, which: str, x: np.ndarray, p: int, ws):
     """The unit change N_p(x A), A = store[which], that the RSCF filter (A1)
     and the relation transformation (A2, A3) shift by one. Returns (unit, cache).
     For p = 2 the unit rows replace c = x A, which the backward pass then
     does not read."""
     a = store[which]
-    c = np.matmul(x, a, out=M.scratch(ws, which + ".c", x.shape[:-1] + a.shape[1:],
-                                      np.result_type(x, a)))
+    c = np.matmul(x, a, out=ws(which + ".c", x.shape[:-1] + a.shape[1:], np.result_type(x, a)))
     unit, norms, live = normalize_rows(
-        c, p, out=c if p == 2 else M.scratch(ws, which + ".unit", c.shape, c.dtype), ws=ws)
+        c, p, out=c if p == 2 else ws(which + ".unit", c.shape, c.dtype), ws=ws)
     return unit, {"which": which, "x": x, "c": c, "unit": unit,
                   "norms": norms, "live": live}
 
 
-def _rooted_change_vjp(cache: dict, d_unit: np.ndarray, buf, p: int, out=None,
-                       ws=None) -> np.ndarray:
+def _rooted_change_vjp(cache: dict, d_unit: np.ndarray, buf, p: int, out, ws) -> np.ndarray:
     """Returns d_x, written to out when given; accumulates the affine-matrix
     gradient into the buffer."""
     dc = normalize_rows_vjp(cache["c"], cache["unit"], cache["norms"], cache["live"],
-                            d_unit, p, out=M.scratch(ws, "tmp", d_unit.shape, d_unit.dtype))
+                            d_unit, p, out=ws("tmp", d_unit.shape, d_unit.dtype))
     x = cache["x"]
     a = buf.store[cache["which"]]
     flat_x = x.reshape(-1, x.shape[-1])
     flat_dc = dc.reshape(-1, dc.shape[-1])
-    buf.add_full(cache["which"], np.matmul(flat_x.T, flat_dc, out=M.scratch(
-        ws, "rooted.da", a.shape, np.result_type(x, dc))))
+    buf.add_full(cache["which"], np.matmul(flat_x.T, flat_dc,
+                                           out=ws("rooted.da", a.shape, np.result_type(x, dc))))
     return np.matmul(dc, a.T, out=out)
 
 
@@ -167,14 +165,14 @@ def _linear2_add_one(alpha: np.ndarray, mode: str, blocks: np.ndarray) -> np.nda
 
 
 def et_build(spec: FilterSpec, store, rel: np.ndarray, rel_rows: np.ndarray,
-             entity_dim: int, *, ws=None) -> EtOp | None:
+             entity_dim: int, *, ws=M.FRESH) -> EtOp | None:
     """Build the per-query entity filter from relation embeddings / parameter rows."""
     kind = spec.kind
     if kind == "none":
         return None
 
     def factor(shape, dtype):
-        return M.scratch(ws, "et.factor", shape, dtype)
+        return ws("et.factor", shape, dtype)
 
     if kind in ("rscf", "rscf_linear2"):
         unit, cache = _rooted_change(store, "a1", rel, spec.p, ws)
@@ -194,7 +192,7 @@ def et_build(spec: FilterSpec, store, rel: np.ndarray, rel_rows: np.ndarray,
         w = M.gather(ws, "sfbr.w", store["sfbr_w"], rel_rows)
         # p = 2 reads only the unit rows backward, so they may replace w
         unit, norms, live = normalize_rows(
-            w, spec.p, out=w if spec.p == 2 else M.scratch(ws, "sfbr.unit", w.shape, w.dtype),
+            w, spec.p, out=w if spec.p == 2 else ws("sfbr.unit", w.shape, w.dtype),
             ws=ws)
         return EtOp(kind, mult=np.add(unit, 1.0, out=factor(unit.shape, unit.dtype)),
                     cache={"rows": rel_rows, "w": w, "unit": unit, "norms": norms, "live": live})
@@ -211,19 +209,19 @@ def _expand(op_arr: np.ndarray, target_ndim: int) -> np.ndarray:
     return op_arr
 
 
-def et_apply(op: EtOp | None, ent: np.ndarray, *, ws=None) -> np.ndarray:
-    """The filtered entities; with a workspace, a view of its "et" buffer."""
+def et_apply(op: EtOp | None, ent: np.ndarray, *, ws=M.FRESH) -> np.ndarray:
+    """The filtered entities, a view of the workspace's "et" buffer."""
     if op is None:
         return ent
     w = _expand(op.factor_vectors(), ent.ndim)
     shape = np.broadcast_shapes(w.shape[:-1], ent.shape[:-1]) + ent.shape[-1:]
-    out = M.scratch(ws, "et", shape, np.result_type(w, ent))
+    out = ws("et", shape, np.result_type(w, ent))
     if op.blocks is not None:
         half = ent.shape[-1] // 2
         w1, w2, w3, w4 = np.split(w, 4, axis=-1)
         e1, e2 = ent[..., :half], ent[..., half:]
         o1, o2 = out[..., :half], out[..., half:]
-        tmp = M.scratch(ws, "et.tmp", o1.shape, out.dtype)
+        tmp = ws("et.tmp", o1.shape, out.dtype)
         np.multiply(w1, e1, out=o1)  # [w1 e1 + w2 e2, w3 e1 + w4 e2]
         o1 += np.multiply(w2, e2, out=tmp)
         np.multiply(w3, e1, out=o2)
@@ -235,12 +233,12 @@ def et_apply(op: EtOp | None, ent: np.ndarray, *, ws=None) -> np.ndarray:
     return out
 
 
-def et_apply_vjp(op: EtOp | None, ent: np.ndarray, d_out: np.ndarray, *, ws=None,
+def et_apply_vjp(op: EtOp | None, ent: np.ndarray, d_out: np.ndarray, *, ws=M.FRESH,
                  out=None):
     """Returns (d_ent, d_mult_or_blocks (Q,*), d_bias or None), reducing over
     any candidate axis. d_ent and the factor cotangent are written to out, a
-    pair, when given; else, with a workspace, to its "et_vjp" and
-    "et_vjp.factor" buffers."""
+    pair, when given; else to the workspace's "et_vjp" and "et_vjp.factor"
+    buffers."""
     if op is None:
         return d_out, None, None
     reduce_axes = tuple(range(1, ent.ndim - 1))  # candidate axes, if any
@@ -251,15 +249,14 @@ def et_apply_vjp(op: EtOp | None, ent: np.ndarray, d_out: np.ndarray, *, ws=None
     def _reduce_product(x, y, dst):
         if not reduce_axes:
             return np.multiply(x, y, out=dst)
-        dst[...] = np.multiply(x, y, out=M.scratch(ws, "et_vjp.tmp", x.shape, x.dtype)
-                               ).sum(axis=reduce_axes)
+        dst[...] = np.multiply(x, y, out=ws("et_vjp.tmp", x.shape, x.dtype)).sum(
+            axis=reduce_axes)
         return dst
 
     w = _expand(op.factor_vectors(), ent.ndim)
     if out is None:
-        out = (M.scratch(ws, "et_vjp", d_out.shape, np.result_type(d_out, w)),
-               M.scratch(ws, "et_vjp.factor", op.factor_vectors().shape,
-                         np.result_type(d_out, ent)))
+        out = (ws("et_vjp", d_out.shape, np.result_type(d_out, w)),
+               ws("et_vjp.factor", op.factor_vectors().shape, np.result_type(d_out, ent)))
     d_ent, d_factor = out
     if op.blocks is not None:
         half = ent.shape[-1] // 2
@@ -270,7 +267,7 @@ def et_apply_vjp(op: EtOp | None, ent: np.ndarray, d_out: np.ndarray, *, ws=None
                              (d1, d1, d2, d2), (e1, e2, e1, e2)):
             _reduce_product(x, y, dst)
         o1, o2 = d_ent[..., :half], d_ent[..., half:]
-        tmp = M.scratch(ws, "et_vjp.tmp", o1.shape, d_ent.dtype)
+        tmp = ws("et_vjp.tmp", o1.shape, d_ent.dtype)
         np.multiply(d1, w1, out=o1)  # [d1 w1 + d2 w3, d1 w2 + d2 w4]
         o1 += np.multiply(d2, w3, out=tmp)
         np.multiply(d1, w2, out=o2)
@@ -283,7 +280,7 @@ def et_apply_vjp(op: EtOp | None, ent: np.ndarray, d_out: np.ndarray, *, ws=None
 
 
 def et_param_vjp(spec: FilterSpec, op: EtOp, d_factor: np.ndarray,
-                 d_bias: np.ndarray | None, buf, *, out=None, ws=None) -> np.ndarray | None:
+                 d_bias: np.ndarray | None, buf, *, out=None, ws=M.FRESH) -> np.ndarray | None:
     """Push factor cotangents into filter parameters; returns d_rel for rscf
     kinds, written to out when given."""
     kind = op.kind
@@ -296,7 +293,7 @@ def et_param_vjp(spec: FilterSpec, op: EtOp, d_factor: np.ndarray,
     if kind == "sfbr_n":
         d_factor = normalize_rows_vjp(cache["w"], cache["unit"], cache["norms"],
                                       cache["live"], d_factor, spec.p,
-                                      out=M.scratch(ws, "tmp", d_factor.shape, d_factor.dtype))
+                                      out=ws("tmp", d_factor.shape, d_factor.dtype))
     buf.add_rows("sfbr_w", cache["rows"], d_factor)
     if d_bias is not None:
         buf.add_rows("sfbr_b", cache["rows"], d_bias)
@@ -313,18 +310,18 @@ class RtFactor:
     cache: dict
 
 
-def rt_factor(store, which: str, x: np.ndarray, p: int, *, out=None, ws=None) -> RtFactor:
+def rt_factor(store, which: str, x: np.ndarray, p: int, *, out=None, ws=M.FRESH) -> RtFactor:
     """(N_p(x A) + 1) for A in {a2, a3}; x is a batch of base entity embeddings.
     The factor is written into out when given, else into the workspace's
-    "<which>.factor" buffer when there is one."""
+    "<which>.factor" buffer."""
     unit, cache = _rooted_change(store, which, x, p, ws)
     if out is None:
-        out = M.scratch(ws, which + ".factor", unit.shape, unit.dtype)
+        out = ws(which + ".factor", unit.shape, unit.dtype)
     return RtFactor(np.add(unit, 1.0, out=out), cache)
 
 
 def rt_factor_vjp(rt: RtFactor, d_factor: np.ndarray, buf, p: int, *, out=None,
-                  ws=None) -> np.ndarray:
+                  ws=M.FRESH) -> np.ndarray:
     """Returns d_x, written to out when given; accumulates the affine-matrix
     gradient into the buffer."""
     return _rooted_change_vjp(rt.cache, d_factor, buf, p, out, ws)
@@ -347,11 +344,11 @@ class TdmTape:
 
 
 def tdm_forward(spec: FilterSpec, store, model, lhs_ids: np.ndarray,
-                rel_rows: np.ndarray, *, ws=None):
+                rel_rows: np.ndarray, *, ws=M.FRESH):
     """Tensor-model query vectors q (Q, d), score(candidate e) = q . e: the
     entity filter acts on the lhs entity, the head rt factor on the relation
-    row. Returns (q, tape); with a workspace, q and the tape are views of
-    its buffers, valid until the next call."""
+    row. Returns (q, tape); q and the tape's arrays are views of the
+    workspace's buffers, valid until the next call."""
     lhs = M.gather(ws, "tdm.lhs", store["entity"], lhs_ids)
     rel = M.gather(ws, "tdm.rel", store["relation"], rel_rows)
     op = et_build(spec, store, rel, rel_rows, model.dim, ws=ws)
@@ -361,14 +358,14 @@ def tdm_forward(spec: FilterSpec, store, model, lhs_ids: np.ndarray,
     if spec.rt_enabled:
         head_factor = rt_factor(store, "a2", lhs, spec.p, ws=ws)
         rel_t = np.multiply(head_factor.factor, rel,
-                            out=M.scratch(ws, "tdm.rel_t", rel.shape, rel.dtype))
-    q = M.tdm_query(model.kind, lhs_f, rel_t, ws=ws, out=M.scratch(
-        ws, "tdm.q", lhs_f.shape, np.result_type(lhs_f, rel_t)))
+                            out=ws("tdm.rel_t", rel.shape, rel.dtype))
+    q = M.tdm_query(model.kind, lhs_f, rel_t, ws=ws,
+                    out=ws("tdm.q", lhs_f.shape, np.result_type(lhs_f, rel_t)))
     return q, TdmTape(lhs, rel, lhs_f, rel_t, op, head_factor)
 
 
 def tdm_backward(spec: FilterSpec, model, tape: TdmTape, d_q: np.ndarray,
-                 d_lhs_f, d_rel: np.ndarray, buf, *, ws=None):
+                 d_lhs_f, d_rel: np.ndarray, buf, *, ws=M.FRESH):
     """VJP of tdm_forward. d_lhs_f is a further cotangent of the filtered lhs
     (or None); d_rel, the cotangent of the base relation rows so far, is
     accumulated in place. Accumulates the filter and rt parameter gradients
@@ -378,7 +375,7 @@ def tdm_backward(spec: FilterSpec, model, tape: TdmTape, d_q: np.ndarray,
     relation cotangent and then d_lhs, phase.2 a product and then the rt
     factor's lhs cotangent, phase.3 the filter-factor cotangent."""
     def phase(k, like):
-        return M.scratch(ws, f"phase.{k}", like.shape, like.dtype)
+        return ws(f"phase.{k}", like.shape, like.dtype)
 
     d_lhs_fq, d_rel_t = M.tdm_query_vjp(model.kind, tape.lhs_f, tape.rel_t, d_q, ws=ws,
                                         out=(phase(0, tape.lhs_f), phase(1, tape.rel_t)))
@@ -421,7 +418,7 @@ def dbm_direction(spec: FilterSpec, fixed_is_head: bool):
 
 def dbm_direction_scores(model, fixed_is_head: bool, fixed_f: np.ndarray,
                          fixed_rel: np.ndarray, cand_f: np.ndarray, cand_factor, *,
-                         ws=None, out=None):
+                         ws=M.FRESH, out=None):
     """Distance scores (Q, K) of Q fixed entities against K candidates each.
 
     fixed_f (Q, d) and cand_f (Q, K, d) are the (possibly filtered) entities;
@@ -436,7 +433,7 @@ def dbm_direction_scores(model, fixed_is_head: bool, fixed_f: np.ndarray,
     if cand_factor is not None:
         shape = np.broadcast_shapes(rel_t.shape, cand_factor.shape)
         rel_t = np.multiply(rel_t, cand_factor,
-                            out=M.scratch(ws, "rel_t", shape, np.result_type(rel_t, cand_factor)))
+                            out=ws("rel_t", shape, np.result_type(rel_t, cand_factor)))
     fixed_f = fixed_f[:, None, :]
     if fixed_is_head:
         return M.dbm_scores(model.kind, fixed_f, rel_t, cand_f, model.distance_p,

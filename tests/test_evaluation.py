@@ -577,7 +577,9 @@ class TestCollectRanksGrid:
                     block_rows.clear()
                     got = _rank_pairs(*collect_ranks(ckpt, ds, "test", directions))
                     assert got == want, (filter_kind, rt, directions, rows)
-                    per_direction = [min(rows, n - lo) for lo in range(0, n, rows)]
+                    # distance blocks hold model.dim groups of `rows` queries
+                    block = rows if model.is_tdm else rows * model.dim
+                    per_direction = [min(block, n - lo) for lo in range(0, n, block)]
                     ways = 1 + (directions == "both")
                     assert block_rows == per_direction * ways, (directions, rows)
                 checked += 1
@@ -695,7 +697,8 @@ class TestDistanceBlockInvariance:
                                         _block_bytes(store, model, rows))
                     scorer = CandidateScorer(store, model, filt)
                     blocks = list(scorer.blocks(direction, fixed, arr[:, 1]))
-                    assert [b.shape[0] for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+                    assert [b.shape[0] for b in blocks[:-1]] == \
+                        [rows * model.dim] * (len(blocks) - 1)
                     got = np.concatenate(blocks)
                     if rows == 1:
                         assert np.array_equal(got, oracle), (filter_kind, rt, apply_to)
@@ -705,6 +708,19 @@ class TestDistanceBlockInvariance:
                 checked += 1
         assert checked == len(FILTER_KINDS) * 2 * 2 * 2
 
+
+    @pytest.mark.parametrize("num_entities,dtype,want", [(14_541, np.float32, 72),
+                                                         (200, np.float64, 2_600)])
+    def test_block_is_whole_groups_of_the_fixed_side(self, num_entities, dtype, want):
+        """A d = 64 distance block holds `stack` groups of `rows` queries:
+        rows as many as one (rows, N, d) array fits SCORE_BLOCK_BYTES, stack
+        as many groups as their (rows, N) scores fit it (FB15k-237 shape in
+        f32, the synthetic graph's in f64)."""
+        ent = np.empty((num_entities, 64), dtype)
+        scorer = CandidateScorer({"entity": ent}, ModelSpec("transe", 64), FilterSpec())
+        rows = max(1, evaluation.SCORE_BLOCK_BYTES // ent.nbytes)
+        stack = max(1, evaluation.SCORE_BLOCK_BYTES // (num_entities * ent.itemsize) // rows)
+        assert scorer.block_rows == rows * stack == want
 
     @pytest.mark.parametrize("kind", ["transe", "rotate"])
     def test_scores_independent_of_candidate_chunks(self, kind, monkeypatch):

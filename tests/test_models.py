@@ -3,9 +3,12 @@ import pytest
 
 from rscf.errors import ShapeMismatch
 from rscf.models import (
+    FRESH,
     ModelSpec,
+    Workspace,
     dbm_scores,
     dbm_scores_vjp,
+    gather,
     relation_scores,
     relation_scores_vjp,
     tdm_query,
@@ -205,6 +208,20 @@ class TestScoreGradients:
                 flat[idx] = orig
                 fd = (up - down) / (2 * eps)
                 assert abs(fd - grad.reshape(-1)[idx]) < 1e-5 * max(1, abs(fd))
+
+
+class TestGather:
+    """gather takes rows with np.take(mode="wrap"), so its range check is what
+    makes ids outside [-n, n) raise IndexError as fancy indexing does."""
+
+    @pytest.mark.parametrize("ws", [Workspace(), FRESH], ids=["workspace", "fresh"])
+    def test_ids_behave_as_under_fancy_indexing(self, ws):
+        table = np.arange(12.0).reshape(4, 3)
+        for bad in (4, -5):
+            with pytest.raises(IndexError):
+                gather(ws, "rows", table, np.array([0, bad]))
+        ids = np.array([[-1, 0], [3, -4]])
+        assert np.array_equal(gather(ws, "rows", table, ids), table[ids])
 
 
 class TestModelProperties:

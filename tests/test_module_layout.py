@@ -160,3 +160,42 @@ def test_hot_path_module_has_no_test_only_names(module):
 @pytest.mark.parametrize("module", SCANNED)
 def test_hot_path_module_has_no_unread_methods(module):
     assert _unread_methods(module, _trees()) == set()
+
+
+def _budget_divisions(tree: ast.Module) -> list[int]:
+    """Lines that floor-divide a *_BYTES or *_ELEMENTS budget constant."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+            and any(name.endswith(("_BYTES", "_ELEMENTS")) for name in _names(node.left))]
+
+
+def _ws_none_defaults(tree: ast.Module) -> set[str]:
+    """Functions with a `ws` parameter that defaults to None."""
+    out = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        pairs = (list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+                 + list(zip(args.kwonlyargs, args.kw_defaults)))
+        if any(arg.arg == "ws" and isinstance(default, ast.Constant) and default.value is None
+               for arg, default in pairs):
+            out.add(fn.name)
+    return out
+
+
+def test_block_sizes_come_from_the_one_blocking_rule():
+    """Only rscf.models divides a budget into rows (rows_per_block,
+    row_blocks); every other module asks it."""
+    offenders = {name: lines for name, tree in _trees().items()
+                 if name != "models" and (lines := _budget_divisions(tree))}
+    assert offenders == {}
+
+
+def test_kernels_default_to_the_fresh_workspace():
+    """Kernels default ws to models.FRESH; only total_objective, the entry
+    point that makes a per-call Workspace, defaults it to None."""
+    offenders = {(name, fn) for name, tree in _trees().items()
+                 for fn in _ws_none_defaults(tree)}
+    assert offenders == {("objectives", "total_objective")}

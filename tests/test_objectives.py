@@ -209,6 +209,23 @@ class TestTotalObjective:
         with pytest.raises(UnsupportedModel):
             total_objective(batch, store, model, filt, loss, negatives=negs)
 
+    def test_entity_ids_outside_the_table_raise(self):
+        """A tensor head id of N and distance negatives of N or -1 raise
+        IndexError. grad=False, so no gradient scatter can raise in place of
+        the objective's own range checks."""
+        model, filt, loss, store, batch, _ = _toy_setup(kind="complex", filter_kind="rscf")
+        batch[0, 0] = store["entity"].shape[0]
+        with pytest.raises(IndexError):
+            total_objective(batch, store, model, filt, loss, grad=False)
+        model, filt, loss, store, batch, negs = _toy_setup(kind="transe", filter_kind="rscf")
+        for bad in (store["entity"].shape[0], -1):
+            for side in range(2):
+                bad_negs = [negs[0].copy(), negs[1].copy()]
+                bad_negs[side][0, 0] = bad
+                with pytest.raises(IndexError):
+                    total_objective(batch, store, model, filt, loss, negatives=bad_negs,
+                                    grad=False)
+
     def test_inert_filter_matches_none(self):
         model, filt, loss, store, batch, negs = _toy_setup(
             kind="cp", filter_kind="rscf", rt=True)
@@ -524,7 +541,12 @@ class TestDistinctCandidateObjective:
         whole = total_objective(batch, store, model, filt, loss, negatives=negs)
         per_triple = 4 * model.dim * store["entity"].itemsize
         monkeypatch.setattr(M, "WORKSPACE_BYTES", 3 * per_triple)
-        assert [s.stop - s.start for s in objectives._triple_slices(7, per_triple)] == [3, 3, 1]
+        assert [s.stop - s.start
+                for s in M.row_blocks(7, per_triple, M.WORKSPACE_BYTES)] == [3, 3, 1]
+        # no rows; rows larger than the budget, one a block; an exact fit
+        assert M.row_blocks(0, per_triple, M.WORKSPACE_BYTES) == []
+        assert M.row_blocks(2, 10, 9) == [slice(0, 1), slice(1, 2)]
+        assert M.row_blocks(6, 10, 30) == [slice(0, 3), slice(3, 6)]
         sliced = total_objective(batch, store, model, filt, loss, negatives=negs)
         _assert_objectives_close(sliced, whole)
 
