@@ -17,6 +17,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,8 @@ from .objectives import (
 from .tensor import ParameterStore, Rng, fnv1a
 from .transforms import DEFAULT_ZERO_EPS, FilterSpec
 
-CHECKPOINT_MAGIC = b"RSCFCKP2"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_MAGIC = b"RSCFCKP3"
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -272,15 +273,36 @@ def train(dataset: Dataset, config: TrainConfig,
 # ---------------------------------------------------------------------------
 # checkpoint serialization
 #
-# layout (v2): 8-byte magic, 8-byte little-endian metadata length, UTF-8 JSON
-# metadata (version, config, vocab, epoch, rng, table manifest with a blake2b
-# digest per table), 8-byte FNV-1a checksum of those header bytes, then the
-# raw little-endian arrays in manifest order (parameters, then `acc:`
-# accumulators). v1 files (read only) hold the same metadata without digests,
-# the arrays right after it and an FNV-1a checksum of the whole file at the end.
+# layout (v3): 8-byte magic, 8-byte little-endian metadata length, UTF-8 JSON
+# metadata (version, config, vocab, epoch, rng, table manifest with a sha256
+# digest per table), the 8-byte FNV-1a of those header bytes, then the raw
+# little-endian arrays in manifest order (parameters, then `acc:`
+# accumulators). v2 files (read only) have the same layout with blake2b table
+# digests. v1 files (read only) hold the same metadata without digests, the
+# arrays right after it and an FNV-1a checksum of the whole file at the end.
 
 _V1_MAGIC = b"RSCFCKP1"
 _DTYPES = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
+_META_KEYS = ("config", "vocab", "epoch", "store_meta", "tables")
+
+
+class _Format(NamedTuple):
+    version: int
+    digest: str  # the hashlib name of each table's digest, and its manifest key
+
+
+_CHECK_LEN = 8
+
+
+def _header_check(header: bytes) -> bytes:
+    return struct.pack("<Q", fnv1a(header))
+
+
+# the formats with a header check, by magic
+_FORMATS = {
+    CHECKPOINT_MAGIC: _Format(CHECKPOINT_VERSION, "sha256"),
+    b"RSCFCKP2": _Format(2, "blake2b"),
+}
 
 
 def _dtype_tag(dtype) -> str:
@@ -293,9 +315,10 @@ def _byte_view(arr: np.ndarray) -> memoryview:
 
 
 def save_checkpoint(path, checkpoint: Checkpoint) -> None:
-    """Write format v2 to `<path>.tmp` in the same directory, then rename it
+    """Write format v3 to `<path>.tmp` in the same directory, then rename it
     over `path`, so a failed or killed save leaves the previous file intact.
     Nothing is fsynced: this does not protect against power loss."""
+    fmt = _FORMATS[CHECKPOINT_MAGIC]
     store = checkpoint.store
     entries = [(name, store.tables[name], store.trainable[name])
                for name in sorted(store.tables)]
@@ -311,12 +334,12 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
             "cols": int(arr.shape[1]),
             "dtype": tag,
             "trainable": trainable,
-            "blake2b": hashlib.blake2b(view).hexdigest(),
+            fmt.digest: hashlib.new(fmt.digest, view).hexdigest(),
         })
         views.append(view)
 
     meta = {
-        "version": CHECKPOINT_VERSION,
+        "version": fmt.version,
         "config": checkpoint.config.to_dict(),
         "vocab": checkpoint.vocabulary.to_dict(),
         "epoch": checkpoint.epoch,
@@ -330,7 +353,7 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
-            fh.write(struct.pack("<Q", fnv1a(header)))
+            fh.write(_header_check(header))
             for view in views:
                 fh.write(view)
         os.replace(tmp, path)
@@ -340,19 +363,41 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
         raise
 
 
-def _table_nbytes(entry: dict) -> int:
-    rows, cols = entry["rows"], entry["cols"]
-    if not (type(rows) is int and type(cols) is int and rows >= 0 and cols >= 0
-            and entry["dtype"] in _DTYPES):
-        raise ChecksumMismatch(f"malformed manifest entry {entry.get('name')!r}")
-    return rows * cols * _DTYPES[entry["dtype"]].itemsize
+def _manifest_nbytes(meta, digest: str) -> int:
+    """Byte total of a v2/v3 table manifest. Metadata that passed the header
+    check but is not what a save writes raises ChecksumMismatch, so it never
+    reaches the parameter store as a KeyError or ValueError."""
+    missing = [k for k in _META_KEYS if k not in meta]
+    if missing:
+        raise ChecksumMismatch(f"metadata lacks {', '.join(missing)}")
+    if not isinstance(meta["tables"], list):
+        raise ChecksumMismatch("table manifest is not a list")
+    names: set[str] = set()
+    total = 0
+    for entry in meta["tables"]:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not (type(name) is str
+                and all(type(entry.get(k)) is int and entry[k] >= 0 for k in ("rows", "cols"))
+                and entry.get("dtype") in tuple(_DTYPES)
+                and type(entry.get("trainable")) is bool
+                and type(entry.get(digest)) is str):
+            raise ChecksumMismatch(f"malformed manifest entry {name!r}")
+        if name in names:
+            raise ChecksumMismatch(f"table {name!r} appears twice in the manifest")
+        names.add(name)
+        total += entry["rows"] * entry["cols"] * _DTYPES[entry["dtype"]].itemsize
+    tables = {name for name in names if not name.startswith("acc:")}
+    orphans = sorted(name for name in names - tables if name[4:] not in tables)
+    if orphans:
+        raise ChecksumMismatch(f"accumulator {orphans[0]!r} has no table in the manifest")
+    return total
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a v2 (or v1) checkpoint; every checksum and digest is verified.
+    """Read a v3, v2 or v1 checkpoint; every checksum and digest is verified.
 
-    v2 sizes are checked against the file size before anything is allocated,
-    and each table is read straight into its own array."""
+    v2 and v3 sizes are checked against the file size before anything is
+    allocated, and each table is read straight into its own array."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < len(CHECKPOINT_MAGIC) + 16:
@@ -361,19 +406,24 @@ def load_checkpoint(path) -> Checkpoint:
         magic = prefix[:len(CHECKPOINT_MAGIC)]
         if magic == _V1_MAGIC:
             return _load_v1(prefix + fh.read())
-        if magic != CHECKPOINT_MAGIC:
+        fmt = _FORMATS.get(magic)
+        if fmt is None:
             raise VersionMismatch("bad magic; not a checkpoint file")
         (meta_len,) = struct.unpack_from("<Q", prefix, len(CHECKPOINT_MAGIC))
-        if meta_len > size - len(prefix) - 8:
+        if meta_len > size - len(prefix) - _CHECK_LEN:
             raise ChecksumMismatch("metadata length points past the end of the file")
         header = prefix + fh.read(meta_len)
-        (stored,) = struct.unpack("<Q", fh.read(8))
-        if fnv1a(header) != stored:
+        if _header_check(header) != fh.read(_CHECK_LEN):
             raise ChecksumMismatch("header checksum mismatch (corrupt or truncated file)")
-        meta = json.loads(header[len(prefix):].decode("utf-8"))
-        if meta.get("version") != CHECKPOINT_VERSION:
+        try:
+            meta = json.loads(header[len(prefix):].decode("utf-8"))
+        except ValueError as exc:
+            raise ChecksumMismatch(f"metadata is not UTF-8 JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ChecksumMismatch("metadata is not a JSON object")
+        if meta.get("version") != fmt.version:
             raise VersionMismatch(f"unsupported checkpoint version {meta.get('version')}")
-        if sum(_table_nbytes(e) for e in meta["tables"]) != size - len(header) - 8:
+        if _manifest_nbytes(meta, fmt.digest) != size - len(header) - _CHECK_LEN:
             raise ChecksumMismatch("table sizes do not match the file size "
                                    "(truncated or trailing bytes)")
         arrays: dict[str, np.ndarray] = {}
@@ -382,7 +432,7 @@ def load_checkpoint(path) -> Checkpoint:
             view = _byte_view(arr)
             if fh.readinto(view) != view.nbytes:
                 raise ChecksumMismatch("array data truncated")
-            if hashlib.blake2b(view).hexdigest() != entry["blake2b"]:
+            if hashlib.new(fmt.digest, view).hexdigest() != entry[fmt.digest]:
                 raise ChecksumMismatch(f"table {entry['name']!r} digest mismatch")
             arrays[entry["name"]] = arr
     return _checkpoint_from(meta, arrays)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -265,13 +267,36 @@ class TestCheckpointIO:
         assert before.hits == after.hits
 
 
-def v2_regions(blob: bytes) -> list[tuple[str, int, int]]:
-    """(name, start, end) of every region of a v2 file, tables in manifest order."""
+DATA = Path(__file__).parent / "data"
+MAGICS = (b"RSCFCKP2", b"RSCFCKP3")
+
+
+def header_check(header: bytes) -> bytes:
+    """What a v2 or v3 file stores after its header: the FNV-1a of it."""
+    return struct.pack("<Q", fnv1a(header))
+
+
+def read_meta(blob: bytes) -> tuple[dict, int]:
+    """The metadata of a v2/v3 file and the offset where its header ends."""
     (meta_len,) = struct.unpack_from("<Q", blob, 8)
-    meta = json.loads(blob[16 : 16 + meta_len])
-    regions = [("magic", 0, 8), ("meta_len", 8, 16), ("meta", 16, 16 + meta_len),
-               ("header_fnv", 16 + meta_len, 24 + meta_len)]
-    offset = 24 + meta_len
+    return json.loads(blob[16 : 16 + meta_len]), 16 + meta_len
+
+
+def with_meta(blob: bytes, meta) -> bytes:
+    """`blob` with its metadata replaced by `meta` (JSON-encoded unless it is
+    bytes) and its header check redone."""
+    _, meta_end = read_meta(blob)
+    meta_bytes = meta if isinstance(meta, bytes) else json.dumps(meta, sort_keys=True).encode()
+    header = blob[:8] + struct.pack("<Q", len(meta_bytes)) + meta_bytes
+    return header + header_check(header) + blob[meta_end + 8 :]
+
+
+def ckpt_regions(blob: bytes) -> list[tuple[str, int, int]]:
+    """(name, start, end) of every region of a v2/v3 file, tables in manifest order."""
+    meta, meta_end = read_meta(blob)
+    offset = meta_end + 8
+    regions = [("magic", 0, 8), ("meta_len", 8, 16), ("meta", 16, meta_end),
+               ("header_check", meta_end, offset)]
     for entry in meta["tables"]:
         nbytes = entry["rows"] * entry["cols"] * np.dtype(entry["dtype"]).itemsize
         regions.append((entry["name"], offset, offset + nbytes))
@@ -281,11 +306,19 @@ def v2_regions(blob: bytes) -> list[tuple[str, int, int]]:
 
 
 @pytest.fixture(scope="module")
-def v2_blob(tmp_path_factory):
+def v3_blob(tmp_path_factory):
     ckpt, _ = train(toy_dataset(), toy_config(epochs=1, filter_kind="rscf", rt=True))
-    path = tmp_path_factory.mktemp("v2") / "run.rscfckp"
+    path = tmp_path_factory.mktemp("v3") / "run.rscfckp"
     save_checkpoint(path, ckpt)
     return path.read_bytes()
+
+
+@pytest.fixture(params=["v2", "v3"])
+def ckpt_blob(request, v3_blob):
+    """The committed v2 fixture, or a v3 file saved from a fresh toy run."""
+    if request.param == "v2":
+        return (DATA / "v2_checkpoint.rscfckp").read_bytes()
+    return v3_blob
 
 
 @pytest.fixture
@@ -302,77 +335,138 @@ def allocations(monkeypatch):
     return shapes
 
 
-class TestCheckpointV2:
-    def test_regions_and_single_header_checksum(self, v2_blob, tmp_path, monkeypatch):
-        regions = v2_regions(v2_blob)
-        assert v2_blob[:8] == b"RSCFCKP2"
-        meta_end = regions[2][2]
-        assert struct.unpack_from("<Q", v2_blob, meta_end)[0] == fnv1a(v2_blob[:meta_end])
+class TestCheckpointFormat:
+    """The v2 and v3 layouts: header, header check, then the tables."""
+
+    def test_regions_and_single_header_check(self, ckpt_blob):
+        regions = ckpt_regions(ckpt_blob)
+        assert ckpt_blob[:8] in MAGICS
+        meta_end, check_end = regions[3][1:]
+        assert ckpt_blob[meta_end:check_end] == header_check(ckpt_blob[:meta_end])
         assert [name for name, *_ in regions[4:]] == [
             "a1", "a2", "a3", "entity", "relation",
             "acc:a1", "acc:a2", "acc:a3", "acc:entity", "acc:relation"]
+
+    def test_one_hash_per_header_and_table(self, ckpt_blob, tmp_path, monkeypatch):
+        """Loading hashes the header once and each table once, and so does
+        the save, which always writes v3 (FNV-1a header, sha256 tables)."""
         hashed = []
 
         def counting_fnv1a(data):
-            hashed.append(len(data))
+            hashed.append(("fnv1a", len(data)))
             return fnv1a(data)
 
+        def counting_new(name, data):
+            hashed.append((name, len(data)))
+            return hashlib.new(name, data)
+
         monkeypatch.setattr(trainer_module, "fnv1a", counting_fnv1a)
+        monkeypatch.setattr(trainer_module, "hashlib", SimpleNamespace(new=counting_new))
         path = tmp_path / "run.rscfckp"
-        path.write_bytes(v2_blob)
+        path.write_bytes(ckpt_blob)
         save_checkpoint(tmp_path / "again.rscfckp", load_checkpoint(path))
-        assert hashed == [meta_end, meta_end]  # one load, one save, header only
+        old = ckpt_regions(ckpt_blob)
+        new = ckpt_regions((tmp_path / "again.rscfckp").read_bytes())
+        digest = "blake2b" if ckpt_blob[:8] == b"RSCFCKP2" else "sha256"
+        assert hashed == ([("fnv1a", old[3][1])]
+                          + [(digest, end - start) for _, start, end in old[4:]]
+                          + [("sha256", end - start) for _, start, end in new[4:]]
+                          + [("fnv1a", new[3][1])])
 
     @pytest.mark.parametrize("region", range(14))
-    def test_flipped_byte_in_each_region(self, v2_blob, region, tmp_path):
-        name, start, end = v2_regions(v2_blob)[region]
+    def test_flipped_byte_in_each_region(self, ckpt_blob, region, tmp_path):
+        name, start, end = ckpt_regions(ckpt_blob)[region]
         expected = VersionMismatch if name == "magic" else ChecksumMismatch
         path = tmp_path / "run.rscfckp"
         for pos in sorted({start, (start + end) // 2, end - 1}):
-            blob = bytearray(v2_blob)
+            blob = bytearray(ckpt_blob)
             blob[pos] ^= 0xFF
             path.write_bytes(bytes(blob))
             with pytest.raises(expected):
                 load_checkpoint(path)
 
-    def test_truncated_at_each_boundary(self, v2_blob, tmp_path):
+    def test_truncated_at_each_boundary(self, ckpt_blob, tmp_path):
         path = tmp_path / "run.rscfckp"
-        cuts = {0, len(v2_blob) - 1}
-        for _, start, end in v2_regions(v2_blob):
+        cuts = {0, len(ckpt_blob) - 1}
+        for _, start, end in ckpt_regions(ckpt_blob):
             cuts |= {start, (start + end) // 2}
         for cut in sorted(cuts):
-            path.write_bytes(v2_blob[:cut])
+            path.write_bytes(ckpt_blob[:cut])
             with pytest.raises(ChecksumMismatch):
                 load_checkpoint(path)
-        path.write_bytes(v2_blob + b"\0")
+        path.write_bytes(ckpt_blob + b"\0")
         with pytest.raises(ChecksumMismatch):
             load_checkpoint(path)
 
-    def test_metadata_length_past_eof_allocates_nothing(self, v2_blob, tmp_path,
+    def test_metadata_length_past_eof_allocates_nothing(self, ckpt_blob, tmp_path,
                                                         allocations):
         path = tmp_path / "run.rscfckp"
-        for meta_len in (len(v2_blob) - 23, 2**63):
-            path.write_bytes(v2_blob[:8] + struct.pack("<Q", meta_len) + v2_blob[16:])
+        for meta_len in (len(ckpt_blob) - 23, 2**63):
+            path.write_bytes(ckpt_blob[:8] + struct.pack("<Q", meta_len) + ckpt_blob[16:])
             with pytest.raises(ChecksumMismatch):
                 load_checkpoint(path)
         assert allocations == []
 
-    @pytest.mark.parametrize("rows", [9, 10**12, -1])
-    def test_manifest_past_eof_allocates_nothing(self, v2_blob, rows, tmp_path,
+    @pytest.mark.parametrize("rows", ["one more", 10**12, -1])
+    def test_manifest_past_eof_allocates_nothing(self, ckpt_blob, rows, tmp_path,
                                                  allocations):
-        (meta_len,) = struct.unpack_from("<Q", v2_blob, 8)
-        meta = json.loads(v2_blob[16 : 16 + meta_len])
+        meta, _ = read_meta(ckpt_blob)
         entity = next(e for e in meta["tables"] if e["name"] == "entity")
-        assert entity["rows"] == 8
-        entity["rows"] = rows
-        meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-        header = b"RSCFCKP2" + struct.pack("<Q", len(meta_bytes)) + meta_bytes
+        entity["rows"] = entity["rows"] + 1 if rows == "one more" else rows
         path = tmp_path / "run.rscfckp"
-        path.write_bytes(header + struct.pack("<Q", fnv1a(header))
-                         + v2_blob[24 + meta_len :])
+        path.write_bytes(with_meta(ckpt_blob, meta))
         with pytest.raises(ChecksumMismatch):
             load_checkpoint(path)
         assert allocations == []
+
+    @pytest.mark.parametrize("fault", [
+        "rows", "cols", "dtype", "trainable", "name", "digest", "duplicate",
+        "orphan acc", "acc of acc", "no store_meta", "tables not a list", "not an object",
+        "not JSON"])
+    def test_malformed_manifest_raises_checksum_mismatch(self, ckpt_blob, fault, tmp_path):
+        """Metadata whose header check passes but that no save writes."""
+        meta, _ = read_meta(ckpt_blob)
+        digest = "blake2b" if ckpt_blob[:8] == b"RSCFCKP2" else "sha256"
+        tables = {e["name"]: e for e in meta["tables"]}
+        if fault in ("rows", "cols", "dtype", "trainable", "name"):
+            del tables["a2"][fault]
+        elif fault == "digest":
+            del tables["a2"][digest]
+        elif fault == "duplicate":  # a2 has a1's shape, so the byte total still fits
+            tables["a2"]["name"], tables["acc:a2"]["name"] = "a1", "acc:a1"
+        elif fault == "orphan acc":
+            tables["acc:a2"]["name"] = "acc:zz"
+        elif fault == "acc of acc":
+            tables["acc:a2"]["name"] = "acc:acc:a1"
+        elif fault == "no store_meta":
+            del meta["store_meta"]
+        elif fault == "tables not a list":
+            meta["tables"] = tables
+        elif fault == "not an object":
+            meta = [meta]
+        else:
+            meta = b"\xff" + json.dumps(meta).encode()
+        path = tmp_path / "bad.rscfckp"
+        path.write_bytes(with_meta(ckpt_blob, meta))
+        with pytest.raises(ChecksumMismatch):
+            load_checkpoint(path)
+
+    def test_malformed_manifest_exits_2(self, ckpt_blob, tmp_path):
+        meta, _ = read_meta(ckpt_blob)
+        del meta["tables"][0]["rows"]
+        path = tmp_path / "bad.rscfckp"
+        path.write_bytes(with_meta(ckpt_blob, meta))
+        cfg = v1_run_config(tmp_path)
+        assert cli_main(["evaluate", "--config", str(cfg), "--checkpoint", str(path),
+                         "--out", str(tmp_path / "eval")]) == 2
+
+    def test_version_must_match_magic(self, ckpt_blob, tmp_path):
+        meta, _ = read_meta(ckpt_blob)
+        meta["version"] = 5 - meta["version"]
+        path = tmp_path / "run.rscfckp"
+        path.write_bytes(with_meta(ckpt_blob, meta))
+        with pytest.raises(VersionMismatch, match="version"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_byte_stable(self, precision, tmp_path):
@@ -433,21 +527,17 @@ class TestCheckpointV2:
     ("filter", "zero_change_epsilon", 1e-9, False),
     ("filter", "zero_change_epsilon", 1e-12, True),
 ])
-def test_retired_setting_in_checkpoint_metadata(v2_blob, section, key, value, loads,
+def test_retired_setting_in_checkpoint_metadata(ckpt_blob, section, key, value, loads,
                                                 tmp_path):
     """Checkpoints written before loss.task, loss.margin and
     filter.zero_change_epsilon were removed record them; only the values the
     code now uses load."""
-    (meta_len,) = struct.unpack_from("<Q", v2_blob, 8)
-    meta = json.loads(v2_blob[16 : 16 + meta_len])
+    meta, _ = read_meta(ckpt_blob)
     meta["config"][section][key] = value
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    header = b"RSCFCKP2" + struct.pack("<Q", len(meta_bytes)) + meta_bytes
     path = tmp_path / "old.rscfckp"
-    path.write_bytes(header + struct.pack("<Q", fnv1a(header))
-                     + v2_blob[24 + meta_len :])
+    path.write_bytes(with_meta(ckpt_blob, meta))
     fresh = tmp_path / "fresh.rscfckp"
-    fresh.write_bytes(v2_blob)
+    fresh.write_bytes(ckpt_blob)
     if loads:
         assert load_checkpoint(path).config == load_checkpoint(fresh).config
         return
@@ -458,7 +548,6 @@ def test_retired_setting_in_checkpoint_metadata(v2_blob, section, key, value, lo
                      "--out", str(tmp_path / "eval")]) == 2
 
 
-DATA = Path(__file__).parent / "data"
 V1_CONFIG = """
 data.train = {d}/train.txt
 data.valid = {d}/valid.txt
@@ -518,36 +607,56 @@ class TestCheckpointV1:
             with pytest.raises(ChecksumMismatch):
                 load_checkpoint(path)
 
-    def test_resume_matches_resume_from_v2_resave(self, tmp_path):
+    @pytest.mark.parametrize("fixture", ["v2", "v3"])
+    def test_resume_matches_resume_from_later_formats(self, fixture, tmp_path):
+        """The v2 and v3 fixtures hold the v1 checkpoint; resuming from any of
+        them writes the same v3 file."""
         cfg = v1_run_config(tmp_path, epochs=3)
-        resaved = tmp_path / "v2.rscfckp"
-        save_checkpoint(resaved, load_checkpoint(DATA / "v1_checkpoint.rscfckp"))
         outs = []
-        for name, start in (("from_v1", DATA / "v1_checkpoint.rscfckp"),
-                            ("from_v2", resaved)):
+        for name in ("v1", fixture):
             out = tmp_path / name
             assert cli_main(["train", "--config", str(cfg), "--out", str(out),
-                             "--resume", str(start), "--deterministic"]) == 0
+                             "--resume", str(DATA / f"{name}_checkpoint.rscfckp"),
+                             "--deterministic"]) == 0
             outs.append(out / "checkpoint.rscfckp")
         a, b = (load_checkpoint(p) for p in outs)
-        assert a.version == b.version == 2 and a.epoch == b.epoch == 3
+        assert a.version == b.version == 3 and a.epoch == b.epoch == 3
         for name in a.store.tables:
             assert a.store[name].tobytes() == b.store[name].tobytes()
             assert a.store.acc[name].tobytes() == b.store.acc[name].tobytes()
+        assert outs[0].read_bytes()[:8] == b"RSCFCKP3"
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def assert_v1_tables(loaded):
+    with np.load(DATA / "v1_tables.npz") as saved:
+        for key in saved.files:
+            got = (loaded.store.acc[key[4:]] if key.startswith("acc:")
+                   else loaded.store[key])
+            assert got.tobytes() == saved[key].tobytes()
+
+
 class TestCheckpointV2Fixture:
-    def test_loads_and_resaves_to_identical_bytes(self, tmp_path):
+    def test_loads_and_resaves_to_the_v3_fixture(self, tmp_path):
         blob = (DATA / "v2_checkpoint.rscfckp").read_bytes()
         (meta_len,) = struct.unpack_from("<Q", blob, 8)
         assert blob[:8] == b"RSCFCKP2" and 16 + meta_len >= FNV_LOOP_BELOW
         loaded = load_checkpoint(DATA / "v2_checkpoint.rscfckp")
         assert loaded.version == 2 and loaded.epoch == 2
-        with np.load(DATA / "v1_tables.npz") as saved:
-            for key in saved.files:
-                got = (loaded.store.acc[key[4:]] if key.startswith("acc:")
-                       else loaded.store[key])
-                assert got.tobytes() == saved[key].tobytes()
+        assert_v1_tables(loaded)
+        save_checkpoint(tmp_path / "again.rscfckp", loaded)
+        assert ((tmp_path / "again.rscfckp").read_bytes()
+                == (DATA / "v3_checkpoint.rscfckp").read_bytes())
+
+
+class TestCheckpointV3Fixture:
+    def test_loads_and_resaves_to_identical_bytes(self, tmp_path):
+        blob = (DATA / "v3_checkpoint.rscfckp").read_bytes()
+        _, meta_end = read_meta(blob)
+        assert blob[:8] == b"RSCFCKP3"
+        assert blob[meta_end : meta_end + 8] == header_check(blob[:meta_end])
+        loaded = load_checkpoint(DATA / "v3_checkpoint.rscfckp")
+        assert loaded.version == 3 and loaded.epoch == 2
+        assert_v1_tables(loaded)
         save_checkpoint(tmp_path / "again.rscfckp", loaded)
         assert (tmp_path / "again.rscfckp").read_bytes() == blob
