@@ -140,12 +140,14 @@ class CandidateScorer:
         one (Q, d) @ (d, N) product into the workspace's "eval.scores"
         buffer. Distance models score it into a new array, in groups of as
         many queries as one (queries, N, d) array fits SCORE_BLOCK_BYTES:
-        each group builds its filter and fixed-side rt once, then scores
-        chunks of candidates whose (group, C, d) arrays fit
-        models.WORKSPACE_BYTES straight into its rows and columns of the
-        block. The chunking changes no score, and a group scores as a block
-        of its queries alone would; larger groups would round their batched
-        fixed-side products differently."""
+        each group builds its filter and fixed-side rt once and copies them
+        into (group, C, .) tiles, then scores chunks of candidates whose
+        (group, C, d) arrays fit models.WORKSPACE_BYTES straight into its
+        rows and columns of the block, through the no-tape distance kernels
+        (the filtered candidates in one workspace buffer, the rest of the
+        distance in place in another). The chunking changes no score, and a
+        group scores as a block of its queries alone would; larger groups
+        would round their batched fixed-side products differently."""
         store, model, filt = self.store, self.model, self.filt
         ent = store["entity"]
         if model.is_tdm:
@@ -167,14 +169,45 @@ class CandidateScorer:
             fixed_rel = rel
             if filt.rt_enabled:
                 fixed_rel = T.rt_factor(store, fixed_which, fixed, filt.p).factor * rel
-            for chunk in M.row_blocks(ent.shape[0], len(fixed) * model.dim * ent.itemsize,
-                                      M.WORKSPACE_BYTES):
+            chunks = M.row_blocks(ent.shape[0], len(fixed) * model.dim * ent.itemsize,
+                                  M.WORKSPACE_BYTES)
+            # Operands that a chunk's ufuncs read whole are tiled. The rotate
+            # head is read in halves and linear2 blocks in quarters, strided
+            # either way; rotate's relation without rt keeps its (Q, 1, d_r)
+            # rows, whose trig would otherwise be taken for every candidate.
+            width = chunks[0].stop
+            rotate = model.kind == "rotate"
+            fixed_f = self._tile("tile.fixed", fixed_f, width, not (rotate and fixed_is_head))
+            fixed_rel = self._tile("tile.rel", fixed_rel, width, filt.rt_enabled or not rotate)
+            if cand_on:
+                op = T.EtOp(op.kind, self._tile("tile.mult", op.mult, width),
+                            self._tile("tile.bias", op.bias, width),
+                            self._tile("tile.blocks", op.blocks, width, False))
+            # each chunk width's views of them, bound once per group
+            bound = {n: (fixed_f[:, :n], fixed_rel[:, :n],
+                         op.rows(np.s_[:, :n]) if cand_on else None)
+                     for n in {width, chunks[-1].stop - chunks[-1].start}}
+            for chunk in chunks:
+                fixed_c, rel_c, op_c = bound[chunk.stop - chunk.start]
                 cand = ent[None, chunk]
-                cand_f = T.et_apply(op, cand, ws=self._ws) if cand_on else cand
+                cand_f = T.et_apply(op_c, cand, ws=self._ws) if cand_on else cand
                 cand_factor = None if cand_rt is None else cand_rt[:, chunk]
-                T.dbm_direction_scores(model, fixed_is_head, fixed_f, fixed_rel, cand_f,
-                                       cand_factor, ws=self._ws, out=scores[group, chunk])
+                T.dbm_direction_scores(model, fixed_is_head, fixed_c, rel_c, cand_f,
+                                       cand_factor, ws=self._ws, out=scores[group, chunk],
+                                       tape=False)
         return scores
+
+    def _tile(self, name: str, rows, width: int, whole: bool = True):
+        """The (Q, k) rows copied across `width` candidates into the
+        workspace's (Q, width, k) `name` buffer, so that a chunk's ufuncs read
+        contiguous operands instead of broadcasting a (Q, 1, k) row; that row
+        view when not whole, and None for None. A tile is not written again
+        until the next group builds it."""
+        if rows is None or not whole:
+            return None if rows is None else rows[:, None, :]
+        out = self._ws(name, (rows.shape[0], width, rows.shape[-1]), rows.dtype)
+        np.copyto(out, rows[:, None, :])
+        return out
 
     @property
     def block_rows(self) -> int:

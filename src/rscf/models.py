@@ -52,7 +52,9 @@ class Workspace(dict):
     "scores", the score block of one objective term; and "phase.0" to
     "phase.3", the arrays that live within one phase of the tensor objective
     (DURA, the backward pass, relation prediction), each phase reusing them
-    once the one before is done."""
+    once the one before is done. A DBM_REL_BUFFER name also holds the rel
+    argument that transforms.dbm_direction_scores hands dbm_scores(tape=False),
+    which overwrites it."""
 
     def __call__(self, name: str, shape: tuple, dtype) -> np.ndarray:
         size = math.prod(shape)
@@ -68,6 +70,12 @@ class _Fresh(Workspace):
 
 
 FRESH = _Fresh()
+
+
+def lead_shape(*arrays: np.ndarray) -> tuple:
+    """The broadcast shape of the arrays without their last axes, as
+    np.broadcast_shapes gives it, in a third to a half of its time."""
+    return np.broadcast(*[a[..., 0] for a in arrays]).shape
 
 
 def gather(ws: Workspace, name: str, table: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -232,52 +240,87 @@ def tdm_query_t_vjp(kind: str, rhs, rel, dq, *, out=(None, None), ws=FRESH):
 # the default, they are new arrays.
 
 
-def _complex_rotate(h: np.ndarray, phases: np.ndarray, trig=None, ws=FRESH):
-    """h rotated by the phases, as complex numbers [re, im]; trig is the
-    phases' (cos, sin) when the caller has them."""
+# The buffer where a caller of dbm_scores(tape=False) may form the rel argument
+# at the scores' broadcast shape: the kernel overwrites it in place, transe
+# with the prediction and rotate with the cosine of the phases.
+DBM_REL_BUFFER = {"transe": "dbm.pred", "rotate": "dbm.cos"}
+
+
+def _complex_rotate(h: np.ndarray, phases: np.ndarray, trig=None, ws=FRESH, out=None,
+                    spend_trig=False):
+    """h rotated by the phases, as complex numbers [re, im], written to out
+    when given; trig is the phases' (cos, sin) when the caller has them.
+    With spend_trig, trig arrays of the halves' shape take the products in
+    place of a "dbm.tmp" buffer."""
     c, s = (np.cos(phases), np.sin(phases)) if trig is None else trig
-    shape = np.broadcast_shapes(h.shape[:-1], phases.shape[:-1]) + h.shape[-1:]
     dtype = np.result_type(h, c)
-    out = ws("dbm.pred", shape, dtype)
+    if out is None:
+        out = ws("dbm.pred", lead_shape(h, phases) + h.shape[-1:], dtype)
     a, b = _halves(h)
     re, im = _halves(out)
+    # re = a c - b s, im = a s + b c
+    if spend_trig and c.shape == re.shape:
+        np.multiply(a, s, out=im)
+        np.multiply(a, c, out=re)
+        re -= np.multiply(b, s, out=s)
+        im += np.multiply(b, c, out=c)
+        return out
     tmp = ws("dbm.tmp", re.shape, dtype)
-    np.multiply(a, c, out=re)  # re = a c - b s, im = a s + b c
+    np.multiply(a, c, out=re)
     re -= np.multiply(b, s, out=tmp)
     np.multiply(a, s, out=im)
     im += np.multiply(b, c, out=tmp)
     return out
 
 
-def _dbm_predict(kind: str, h: np.ndarray, rel: np.ndarray, trig=None, ws=FRESH):
+def _dbm_predict(kind: str, h: np.ndarray, rel: np.ndarray, trig=None, ws=FRESH, out=None,
+                 spend_trig=False):
     if kind == "transe":
-        shape = np.broadcast_shapes(h.shape, rel.shape)
-        return np.add(h, rel, out=ws("dbm.pred", shape, np.result_type(h, rel)))
+        if out is None:
+            out = ws("dbm.pred", lead_shape(h, rel) + h.shape[-1:], np.result_type(h, rel))
+        return np.add(h, rel, out=out)
     if kind == "rotate":
-        return _complex_rotate(h, rel, trig, ws)
+        return _complex_rotate(h, rel, trig, ws, out, spend_trig)
     raise ValueError(f"not a distance kind: {kind}")
 
 
-def dbm_scores(kind: str, h, rel, t, p: int, *, ws=FRESH, out=None):
+def dbm_scores(kind: str, h, rel, t, p: int, *, ws=FRESH, out=None, tape=True):
     """score = -||predict(h, rel) - t||_p along the last axis, written to out
-    when given. Returns (scores, cache)."""
+    when given. Returns (scores, cache), the cache holding what
+    dbm_scores_vjp reads: the difference, the norms and, for rotate, the
+    prediction and the phases' trig.
+
+    tape=False is for callers that run no VJP. The cache is None, and the
+    prediction, the difference and its |.| or squared terms are formed in
+    place in one (..., d) array, the workspace's "dbm.pred" buffer, at the
+    broadcast shape of all three arguments; rotate's products overwrite
+    its trig arrays when they have that shape. rel may be formed in the
+    DBM_REL_BUFFER of the kind at that shape; no other argument is written."""
+    if p not in (1, 2):
+        raise ValueError("p must be 1 or 2")
     trig = None
-    if kind == "rotate":
-        trig = (np.cos(rel, out=ws("dbm.cos", rel.shape, rel.dtype)),
-                np.sin(rel, out=ws("dbm.sin", rel.shape, rel.dtype)))
-    pred = _dbm_predict(kind, h, rel, trig, ws)
-    shape = np.broadcast_shapes(pred.shape, t.shape)
-    diff = np.subtract(pred, t, out=ws("dbm.diff", shape, pred.dtype))
-    terms = ws("dbm.terms", shape, pred.dtype)
-    norms = ws("dbm.norms", shape[:-1], pred.dtype)
+    if kind == "rotate":  # sin first: cos may be taken in place
+        sin = np.sin(rel, out=ws("dbm.sin", rel.shape, rel.dtype))
+        trig = (np.cos(rel, out=ws("dbm.cos", rel.shape, rel.dtype)), sin)
+    rows = lead_shape(h, rel) if tape else lead_shape(h, rel, t)
+    pred = _dbm_predict(kind, h, rel, trig, ws,
+                        ws("dbm.pred", rows + h.shape[-1:], np.result_type(h, rel)),
+                        spend_trig=not tape)
+    if tape:
+        shape = lead_shape(pred, t) + pred.shape[-1:]
+        diff = np.subtract(pred, t, out=ws("dbm.diff", shape, pred.dtype))
+        terms = ws("dbm.terms", shape, pred.dtype)
+    else:
+        diff = terms = np.subtract(pred, t, out=pred)
+    norms = ws("dbm.norms", diff.shape[:-1], pred.dtype)
     if p == 2:
         np.add.reduce(np.multiply(diff, diff, out=terms), axis=-1, out=norms)
         np.sqrt(norms, out=norms)
-    elif p == 1:
-        np.add.reduce(np.abs(diff, out=terms), axis=-1, out=norms)
     else:
-        raise ValueError("p must be 1 or 2")
+        np.add.reduce(np.abs(diff, out=terms), axis=-1, out=norms)
     scores = np.negative(norms, out=out)
+    if not tape:
+        return scores, None
     return scores, {"pred": pred, "diff": diff, "norms": norms, "trig": trig}
 
 

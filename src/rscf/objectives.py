@@ -61,12 +61,17 @@ def scatter_rows(out: np.ndarray, rows: np.ndarray, vals: np.ndarray, *, ws=M.FR
     does and with the same result bit for bit, through 1-D flat indices, which
     the ufunc handles several times faster. out is a C-contiguous (n, d) array;
     vals holds one length-d row per entry of rows, in any shape. The flat
-    indices of each chunk go to the workspace's "scatter.idx" buffer."""
+    indices of each chunk go to the workspace's "scatter.idx" buffer.
+    Nonnegative rows in strictly increasing order name each row once, so one
+    fancy-indexed add gives the same bits without np.add.at."""
     if not out.flags.c_contiguous:
         raise ValueError("scatter_rows needs a C-contiguous output array")
     d = out.shape[1]
-    flat = out.reshape(-1)
     vals = vals.reshape(rows.shape[0], d)
+    if rows.size and rows[0] >= 0 and (rows[1:] > rows[:-1]).all():
+        out[rows] += vals
+        return
+    flat = out.reshape(-1)
     cols = np.arange(d, dtype=np.intp)
     for sl in M.row_blocks(rows.shape[0], d, SCATTER_CHUNK_ELEMENTS):
         chunk = rows[sl].astype(np.intp)
@@ -390,7 +395,6 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
     rel = store["relation"][r_ids]
     op = T.et_build(eff, store, rel, r_ids, model.dim)
 
-    value = 0.0
     d_rel = np.zeros_like(rel)
     d_op = d_op_bias = None
     if op is not None:
@@ -403,9 +407,10 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
         if d_bias is not None:
             d_op_bias[sl] += d_bias
 
-    directions = ((True, batch[:, 0], batch[:, 2], neg_tails),
-                  (False, batch[:, 2], batch[:, 0], neg_heads))
-    for fixed_is_head, fixed_ids, gold_ids, negs in directions:
+    def direction(fixed_is_head, fixed_ids, gold_ids, negs) -> float:
+        """One direction's loss; its gradients go to buf and the shared
+        accumulators. Its per-batch tables die when it returns, before the
+        next direction builds its own."""
         fixed_side_on, cand_side_on, fixed_which, cand_which = T.dbm_direction(
             eff, fixed_is_head)
         cand_ids = np.concatenate([gold_ids[:, None], negs], axis=1)
@@ -471,10 +476,10 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
             else:
                 d_cand = d_cand_f
             scatter_rows(d_cand_u, inv_sl, d_cand, ws=ws)
-        value += float(np.sum(terms[0]) + np.sum(terms[1]))
+        value = float(np.sum(terms[0]) + np.sum(terms[1]))
 
         if buf is None:
-            continue
+            return value
         if fixed_side_on:
             d_fixed, d_mult, d_bias = T.et_apply_vjp(op, fixed, d_fixed_f)
             _accumulate_op(slice(None), d_mult, d_bias)
@@ -485,7 +490,10 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
             d_cand_u += T.rt_factor_vjp(cand_rt, d_cand_factor_u, buf, eff.p)
         buf.add_rows("entity", fixed_ids, d_fixed)
         buf.add_rows("entity", uniq, d_cand_u)
+        return value
 
+    value = (direction(True, batch[:, 0], batch[:, 2], neg_tails)
+             + direction(False, batch[:, 2], batch[:, 0], neg_heads))
     if buf is None:
         return value
     if op is not None:

@@ -202,6 +202,7 @@ def train_epoch(state: TrainState) -> EpochRecord:
         if not np.isfinite(value):
             raise DivergedLoss(state.epoch)
         optimizer_step(state.store, buf, cfg.optimizer, cfg.lr)
+        del buf  # its dense tables, freed before the next batch builds its own
         total += value
     record = EpochRecord(epoch=state.epoch, loss=total)
     state.epoch += 1

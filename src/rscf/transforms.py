@@ -146,9 +146,11 @@ class EtOp:
             return self.blocks
         raise ValueError("identity filter has no factor vector")
 
-    def rows(self, sl: slice) -> "EtOp":
-        """The operator of a slice of its queries, for et_apply/et_apply_vjp
-        (parameter VJPs use the full operator and its cache)."""
+    def rows(self, sl) -> "EtOp":
+        """The operator of a slice of its queries (or any index of its
+        vectors, such as a column slice of tiled ones), for
+        et_apply/et_apply_vjp (parameter VJPs use the full operator and its
+        cache)."""
         def take(arr):
             return None if arr is None else arr[sl]
         return EtOp(self.kind, take(self.mult), take(self.bias), take(self.blocks))
@@ -214,8 +216,7 @@ def et_apply(op: EtOp | None, ent: np.ndarray, *, ws=M.FRESH) -> np.ndarray:
     if op is None:
         return ent
     w = _expand(op.factor_vectors(), ent.ndim)
-    shape = np.broadcast_shapes(w.shape[:-1], ent.shape[:-1]) + ent.shape[-1:]
-    out = ws("et", shape, np.result_type(w, ent))
+    out = ws("et", M.lead_shape(w, ent) + ent.shape[-1:], np.result_type(w, ent))
     if op.blocks is not None:
         half = ent.shape[-1] // 2
         w1, w2, w3, w4 = np.split(w, 4, axis=-1)
@@ -418,25 +419,27 @@ def dbm_direction(spec: FilterSpec, fixed_is_head: bool):
 
 def dbm_direction_scores(model, fixed_is_head: bool, fixed_f: np.ndarray,
                          fixed_rel: np.ndarray, cand_f: np.ndarray, cand_factor, *,
-                         ws=M.FRESH, out=None):
+                         ws=M.FRESH, out=None, tape=True):
     """Distance scores (Q, K) of Q fixed entities against K candidates each.
 
     fixed_f (Q, d) and cand_f (Q, K, d) are the (possibly filtered) entities;
     fixed_rel (Q, d_r) is the relation times the fixed side's rt factor (the
     bare relation without rt); cand_factor (Q, K, d_r) holds the candidates' rt
     factors, or None without rt. The candidate arrays may instead have a
-    leading axis of 1, one candidate table broadcast against every query.
+    leading axis of 1, one candidate table broadcast against every query,
+    and the fixed arrays may be (Q, K, .) tiles of their rows.
     Returns models.dbm_scores' (scores, cache), with the head in its first
-    argument slot; ws and out pass through to it.
+    argument slot; ws, out and tape pass through to it. With tape=False the
+    rt x relation product is made in the kind's models.DBM_REL_BUFFER, which
+    dbm_scores then overwrites in place.
     """
-    rel_t = fixed_rel[:, None, :]
+    rel_t = _expand(fixed_rel, cand_f.ndim)
     if cand_factor is not None:
-        shape = np.broadcast_shapes(rel_t.shape, cand_factor.shape)
+        shape = M.lead_shape(rel_t, cand_factor) + rel_t.shape[-1:]
         rel_t = np.multiply(rel_t, cand_factor,
-                            out=ws("rel_t", shape, np.result_type(rel_t, cand_factor)))
-    fixed_f = fixed_f[:, None, :]
-    if fixed_is_head:
-        return M.dbm_scores(model.kind, fixed_f, rel_t, cand_f, model.distance_p,
-                            ws=ws, out=out)
-    return M.dbm_scores(model.kind, cand_f, rel_t, fixed_f, model.distance_p,
-                        ws=ws, out=out)
+                            out=ws("rel_t" if tape else M.DBM_REL_BUFFER[model.kind], shape,
+                                   np.result_type(rel_t, cand_factor)))
+    fixed_f = _expand(fixed_f, cand_f.ndim)
+    head, tail = (fixed_f, cand_f) if fixed_is_head else (cand_f, fixed_f)
+    return M.dbm_scores(model.kind, head, rel_t, tail, model.distance_p,
+                        ws=ws, out=out, tape=tape)

@@ -781,6 +781,92 @@ class TestDistanceBlockInvariance:
         assert sum(shape[1] for shape in seen) == 11
 
 
+class TestScoreBlockInPlace:
+    """Distance blocks form their arithmetic in place, in chunk buffers and
+    per-group tiles the scorer owns; nothing else is written."""
+
+    @pytest.mark.parametrize("kind", ["transe", "rotate"])
+    def test_store_and_fixed_side_inputs_unchanged(self, kind, monkeypatch):
+        """Every array handed to a chunk's kernels (the fixed-side tiles or
+        rows, the filter's tiles, the candidate rows, the filtered candidates
+        and their rt factors) keeps its bytes through the call; after both
+        directions so do the store's tables, the query ids and the scorer's
+        candidate rt tables."""
+        calls = []
+
+        def arrays(args):
+            for a in args:
+                if isinstance(a, T.EtOp):
+                    yield from (v for v in (a.mult, a.bias, a.blocks) if v is not None)
+                elif isinstance(a, np.ndarray):
+                    yield a
+
+        def unchanged(fn):
+            def checked(*args, **kwargs):
+                held = list(arrays(args))
+                before = [a.tobytes() for a in held]
+                result = fn(*args, **kwargs)
+                assert [a.tobytes() for a in held] == before, fn.__name__
+                calls.append(fn.__name__)
+                return result
+            return checked
+
+        monkeypatch.setattr(T, "et_apply", unchanged(T.et_apply))
+        monkeypatch.setattr(T, "dbm_direction_scores", unchanged(T.dbm_direction_scores))
+        monkeypatch.setattr(M, "WORKSPACE_BYTES", 2 * 3 * 4 * 8)
+        for filter_kind, rt, p, apply_to in itertools.product(
+                FILTER_KINDS, (False, True), (1, 2), ("head_and_tail", "head_only")):
+            model = ModelSpec(kind, 4, distance_p=p, gamma=1.0)
+            filt = FilterSpec(filter_kind, p=p, rt_enabled=rt, apply_to=apply_to)
+            rng = Rng(5)
+            store = build_store(model, filt, 11, 3, rng, init_scale=0.4)
+            for name, table in store.tables.items():
+                table += rng.derive(f"jitter:{name}").generator().normal(0.0, 0.05,
+                                                                         table.shape)
+            tables = {name: table.tobytes() for name, table in store.tables.items()}
+            fixed, rels = np.array([0, 3, 3, 10, 7]), np.array([2, 0, 2, 1, 1])
+            scorer = CandidateScorer(store, model, filt)
+            monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES",
+                                _block_bytes(store, model, 3))
+            calls.clear()
+            for direction in ("tail", "head"):
+                scorer.score_block(direction, fixed, rels)
+            # groups of 3 and 2 queries take 6 chunks of up to 2 candidates
+            # and 4 of up to 3, in each direction
+            assert calls.count("dbm_direction_scores") == 2 * (6 + 4)
+            assert {name: t.tobytes() for name, t in store.tables.items()} == tables
+            assert fixed.tolist() == [0, 3, 3, 10, 7] and rels.tolist() == [2, 0, 2, 1, 1]
+            for which, table in scorer._cand_rt.items():
+                fresh = T.rt_factor(store, which, store["entity"][None], filt.p).factor
+                assert table.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("kind", ["transe", "rotate"])
+    def test_groups_of_forty_queries(self, kind):
+        """At N 200, f64, d 64 a group holds 40 queries, so each tile holds 40
+        rows. Every query's row matches the per-query scorer: bit for bit
+        where the group makes no batched product (no rt, no rscf filter),
+        else up to the rounding of those products."""
+        gen = np.random.default_rng(83)
+        fixed, rels = gen.integers(0, 200, 90), gen.integers(0, 4, 90)
+        model = ModelSpec(kind, 64, gamma=1.0)
+        for filter_kind, rt, apply_to in itertools.product(
+                FILTER_KINDS, (False, True), ("head_and_tail", "head_only")):
+            filt = FilterSpec(filter_kind, rt_enabled=rt, apply_to=apply_to)
+            store = build_store(model, filt, 200, 4, Rng(9), init_scale=0.3)
+            scorer = CandidateScorer(store, model, filt)
+            assert M.rows_per_block(store["entity"].nbytes, evaluation.SCORE_BLOCK_BYTES) == 40
+            exact = not rt and filter_kind not in ("rscf", "rscf_linear2")
+            for direction in ("tail", "head"):
+                got = scorer.score_block(direction, fixed, rels)
+                oracle = np.stack([_per_query_scores(store, model, filt, direction, f, r)
+                                   for f, r in zip(fixed.tolist(), rels.tolist())])
+                key = (filter_kind, rt, apply_to, direction)
+                if exact:
+                    assert got.tobytes() == oracle.tobytes(), key
+                else:
+                    assert all(_row_close(g, w) for g, w in zip(got, oracle)), key
+
+
 class TestScoreBlockMemory:
     @pytest.mark.parametrize("kind", ["transe", "rotate"])
     @pytest.mark.parametrize("filter_kind,rt", [("none", False), ("rscf", True),

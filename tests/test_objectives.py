@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -551,6 +552,30 @@ class TestDistinctCandidateObjective:
         _assert_objectives_close(sliced, whole)
 
 
+class TestDirectionTablesReleased:
+    @pytest.mark.parametrize("kind", ["transe", "rotate"])
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_first_direction_rt_tables_are_freed(self, kind, grad, monkeypatch):
+        """The head-candidate direction builds its rt factors after the
+        tail-candidate direction's are freed: the fixed and per-id factors,
+        the rows they were built from and their unit changes."""
+        model, filt, loss, store, batch, negs = _duplicate_heavy_setup(kind, "rscf", True, 2)
+        raw_rt_factor = T.rt_factor
+        made = []  # per call: weak references to the factor and its tables
+
+        def tracking_rt_factor(*args, **kwargs):
+            if len(made) == 2:  # the second direction's first factor
+                assert all(ref() is None for refs in made for ref in refs)
+            rt = raw_rt_factor(*args, **kwargs)
+            made.append([weakref.ref(a) for a in (rt, rt.factor, rt.cache["x"],
+                                                  rt.cache["c"])])
+            return rt
+
+        monkeypatch.setattr(T, "rt_factor", tracking_rt_factor)
+        total_objective(batch, store, model, filt, loss, negatives=negs, grad=grad)
+        assert len(made) == 4
+
+
 class TestSliceBudget:
     """The distance objective's triple slices fit models.WORKSPACE_BYTES; each
     direction sums its per-row self-adversarial terms once, the relation
@@ -751,6 +776,25 @@ class TestAddRows:
         np.add.at(want, rows, grads)
         assert buf.dense_grads()["w"].tobytes() == want.tobytes()
         assert np.array_equal(buf.touched("w"), np.isin(np.arange(6), rows))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows,fast", [
+        ([0, 1, 2, 3, 4, 5], True), ([1, 4, 5], True), ([3], True), ([], True),
+        ([1, 1, 4], False), ([4, 1, 2], False), ([-1, 5], False), ([-2, 0, 3], False)])
+    def test_increasing_rows_take_one_fancy_add(self, dtype, rows, fast):
+        """Nonnegative, strictly increasing rows name each row once and skip
+        np.add.at and its flat indices; the bits are np.add.at's either way
+        (-1 and 5 name the same row of 6)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        gen = np.random.default_rng(rows.size)
+        out = gen.normal(size=(6, 5)).astype(dtype)
+        vals = gen.normal(size=(rows.size, 5)).astype(dtype)
+        want = out.copy()
+        np.add.at(want, rows, vals)
+        ws = M.Workspace()
+        objectives.scatter_rows(out, rows, vals, ws=ws)
+        assert out.tobytes() == want.tobytes()
+        assert ("scatter.idx" not in ws) == fast
 
     def test_wrong_gradient_shape_raises(self):
         store = ParameterStore()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -108,6 +109,28 @@ class TestTrainLoop:
         assert record.loss == value
         for name in manual.tables:
             assert np.array_equal(store[name], manual[name])
+
+    @pytest.mark.parametrize("kind", ["transe", "complex"])
+    def test_previous_gradient_buffer_is_freed(self, kind, monkeypatch):
+        """Each batch's objective runs after the last batch's gradient
+        buffer, with its dense tables, is freed."""
+        ds = toy_dataset()
+        cfg = toy_config(kind=kind, epochs=1, batch_size=8)
+        store = build_store(cfg.model, cfg.filter, ds.vocabulary.num_entities,
+                            ds.vocabulary.num_relations, Rng(cfg.seed),
+                            cfg.init_scheme, cfg.init_scale, cfg.dtype)
+        raw_objective = trainer_module.total_objective
+        bufs = []
+
+        def tracking_objective(*args, **kwargs):
+            assert all(ref() is None for ref in bufs)
+            value, buf = raw_objective(*args, **kwargs)
+            bufs.append(weakref.ref(buf))
+            return value, buf
+
+        monkeypatch.setattr(trainer_module, "total_objective", tracking_objective)
+        train_epoch(TrainState(store, ds, cfg, 0, ds.split_array("train")))
+        assert len(bufs) == 4
 
     def test_loss_telemetry_replay_oracle(self):
         ds = toy_dataset()
