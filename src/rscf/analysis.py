@@ -158,24 +158,24 @@ def scale_trace(store, model: M.ModelSpec, filt: T.FilterSpec,
     heads = M.gather(ws, "trace.heads", store["entity"], triples[:, 0])
     rel_rows = triples[:, 1]
     rel = M.gather(ws, "trace.rel", store["relation"], rel_rows)
+    op = T.et_build(filt, store, rel, rel_rows, model.dim, ws=ws)
+    # the tail queries' side: their fixed rows are the heads
+    side = T.query_side(filt, store, True, heads, rel, op, ws=ws)
     transformation = None
-    emb_vectors = heads
-    if filt.kind != "none":
-        op = T.et_build(filt, store, rel, rel_rows, model.dim, ws=ws)
+    if op is not None:
         factors = op.factor_vectors()
         transformation = float(
             np.mean(M.p_norm(factors, filt.p, ws=ws)) / _reference_norm(filt, model.dim))
-        emb_vectors = T.et_apply(op, heads, ws=ws)
     rt = None
     if filt.rt_enabled:
-        combined = T.rt_factor(store, "a2", heads, filt.p, ws=ws).factor
+        combined = side.rt.factor
         if model.is_dbm:
             tails = store["entity"][triples[:, 2]]
-            combined = combined * T.rt_factor(store, "a3", tails, filt.p).factor
+            combined = combined * T.rt_factor(store, side.cand_which, tails, filt.p).factor
         rt = float(np.mean(M.p_norm(combined, filt.p, ws=ws))
                    / M.p_norm(np.ones(model.relation_dim), filt.p))
     return ScaleRecord(transformation, rt,
-                       float(np.mean(M.p_norm(emb_vectors, filt.p, ws=ws))))
+                       float(np.mean(M.p_norm(side.fixed_f, filt.p, ws=ws))))
 
 
 # ---------------------------------------------------------------------------

@@ -115,14 +115,19 @@ class CandidateScorer:
 
     def _candidate_rt(self, which: str) -> np.ndarray:
         """(1, N, d_r) rt factor of every candidate entity, built on first use in
-        row blocks of at most SCORE_BLOCK_BYTES, so its temporaries are a few
-        blocks instead of a few tables. Each row's factor depends on that row
-        alone."""
+        row blocks of about SCORE_BLOCK_BYTES, so its temporaries are a few
+        blocks instead of a few tables. A block of two or more rows gives each
+        row the bits that a build of the whole table gives it; a one-row
+        product takes NumPy's matrix-vector path and may round otherwise, so a
+        one-row last block joins the block before it."""
         if which not in self._cand_rt:
             ent, a = self.store["entity"], self.store[which]
             table = np.empty((1, ent.shape[0], a.shape[1]), np.result_type(ent, a))
-            for sl in M.row_blocks(ent.shape[0], a.shape[1] * table.itemsize,
-                                   SCORE_BLOCK_BYTES):
+            blocks = M.row_blocks(ent.shape[0], a.shape[1] * table.itemsize,
+                                  SCORE_BLOCK_BYTES)
+            if len(blocks) > 1 and blocks[-1].stop - blocks[-1].start == 1:
+                blocks[-2:] = [slice(blocks[-2].start, blocks[-1].stop)]
+            for sl in blocks:
                 T.rt_factor(self.store, which, ent[None, sl], self.filt.p, out=table[:, sl])
             self._cand_rt[which] = table
         return self._cand_rt[which]
@@ -140,8 +145,8 @@ class CandidateScorer:
         one (Q, d) @ (d, N) product into the workspace's "eval.scores"
         buffer. Distance models score it into a new array, in groups of as
         many queries as one (queries, N, d) array fits SCORE_BLOCK_BYTES:
-        each group builds its filter and fixed-side rt once and copies them
-        into (group, C, .) tiles, then scores chunks of candidates whose
+        each group builds its filter and its transforms.query_side once and
+        copies them into (group, C, .) tiles, then scores chunks of candidates whose
         (group, C, d) arrays fit models.WORKSPACE_BYTES straight into its
         rows and columns of the block, through the no-tape distance kernels
         (the filtered candidates in one workspace buffer, the rest of the
@@ -158,18 +163,13 @@ class CandidateScorer:
                                                     np.result_type(q, ent)))
         scores = np.empty((len(fixed_ids), ent.shape[0]), dtype=ent.dtype)
         fixed_is_head = direction == "tail"
-        fixed_on, cand_on, fixed_which, cand_which = T.dbm_direction(filt, fixed_is_head)
-        cand_rt = self._candidate_rt(cand_which) if filt.rt_enabled else None
         for group in M.row_blocks(len(fixed_ids), ent.nbytes, SCORE_BLOCK_BYTES):
             rel_rows = rel_ids[group]
             rel = store["relation"][rel_rows]
-            op = T.et_build(filt, store, rel, rel_rows, model.dim)
-            fixed = ent[fixed_ids[group]]
-            fixed_f = T.et_apply(op, fixed) if fixed_on else fixed
-            fixed_rel = rel
-            if filt.rt_enabled:
-                fixed_rel = T.rt_factor(store, fixed_which, fixed, filt.p).factor * rel
-            chunks = M.row_blocks(ent.shape[0], len(fixed) * model.dim * ent.itemsize,
+            side = T.query_side(filt, store, fixed_is_head, ent[fixed_ids[group]], rel,
+                                T.et_build(filt, store, rel, rel_rows, model.dim))
+            cand_rt = self._candidate_rt(side.cand_which) if filt.rt_enabled else None
+            chunks = M.row_blocks(ent.shape[0], len(rel) * model.dim * ent.itemsize,
                                   M.WORKSPACE_BYTES)
             # Operands that a chunk's ufuncs read whole are tiled. The rotate
             # head is read in halves and linear2 blocks in quarters, strided
@@ -177,24 +177,24 @@ class CandidateScorer:
             # rows, whose trig would otherwise be taken for every candidate.
             width = chunks[0].stop
             rotate = model.kind == "rotate"
-            fixed_f = self._tile("tile.fixed", fixed_f, width, not (rotate and fixed_is_head))
-            fixed_rel = self._tile("tile.rel", fixed_rel, width, filt.rt_enabled or not rotate)
-            if cand_on:
+            fixed_f = self._tile("tile.fixed", side.fixed_f, width,
+                                 not (rotate and fixed_is_head))
+            fixed_rel = self._tile("tile.rel", side.rel_t, width, filt.rt_enabled or not rotate)
+            op = side.cand_op
+            if op is not None:
                 op = T.EtOp(op.kind, self._tile("tile.mult", op.mult, width),
                             self._tile("tile.bias", op.bias, width),
                             self._tile("tile.blocks", op.blocks, width, False))
             # each chunk width's views of them, bound once per group
             bound = {n: (fixed_f[:, :n], fixed_rel[:, :n],
-                         op.rows(np.s_[:, :n]) if cand_on else None)
+                         None if op is None else op.rows(np.s_[:, :n]))
                      for n in {width, chunks[-1].stop - chunks[-1].start}}
             for chunk in chunks:
                 fixed_c, rel_c, op_c = bound[chunk.stop - chunk.start]
-                cand = ent[None, chunk]
-                cand_f = T.et_apply(op_c, cand, ws=self._ws) if cand_on else cand
                 cand_factor = None if cand_rt is None else cand_rt[:, chunk]
-                T.dbm_direction_scores(model, fixed_is_head, fixed_c, rel_c, cand_f,
-                                       cand_factor, ws=self._ws, out=scores[group, chunk],
-                                       tape=False)
+                T.dbm_direction_scores(model, fixed_is_head, fixed_c, rel_c, op_c,
+                                       ent[None, chunk], cand_factor, ws=self._ws,
+                                       out=scores[group, chunk], tape=False)
         return scores
 
     def _tile(self, name: str, rows, width: int, whole: bool = True):

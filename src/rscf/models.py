@@ -46,15 +46,17 @@ class Workspace(dict):
     back two arrays that are live at once. FRESH, the kernels' default, keeps
     nothing and returns a new array for every request.
 
-    Names are the kernels' own ("et", "a1.c", "dbm.diff", ...), except three
-    kinds that several kernels share because their arrays never overlap:
-    "tmp", a leaf temporary that dies inside the kernel that asks for it;
-    "scores", the score block of one objective term; and "phase.0" to
+    Names are the kernels' own ("et", "a1.c", "side.rel_t", "dbm.diff", ...),
+    except three kinds that several kernels share because their arrays never
+    overlap: "tmp", a leaf temporary that dies inside the kernel that asks
+    for it; "scores", the score block of one objective term; and "phase.0" to
     "phase.3", the arrays that live within one phase of the tensor objective
     (DURA, the backward pass, relation prediction), each phase reusing them
     once the one before is done. A DBM_REL_BUFFER name also holds the rel
     argument that transforms.dbm_direction_scores hands dbm_scores(tape=False),
-    which overwrites it."""
+    which overwrites it. Distance callers build transforms.query_side with
+    fresh arrays: their chunk kernels overwrite the "et" buffer, which the
+    side's filtered fixed rows would otherwise occupy."""
 
     def __call__(self, name: str, shape: tuple, dtype) -> np.ndarray:
         size = math.prod(shape)

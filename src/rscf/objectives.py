@@ -317,7 +317,7 @@ def _tdm_objective(batch, store, model, eff, loss, buf, ws) -> float:
     rel_rows = np.concatenate([batch[:, 1], batch[:, 1] + num_rel])
     tgt_ids = np.concatenate([batch[:, 2], batch[:, 0]])
 
-    q, tape = T.tdm_forward(eff, store, model, lhs_ids, rel_rows, ws=ws)
+    q, side = T.tdm_forward(eff, store, model, lhs_ids, rel_rows, ws=ws)
     value = 0.0
     slices = M.row_blocks(q.shape[0], ent.shape[0] * ent.itemsize, OBJECTIVE_BLOCK_BYTES)
     dtype = np.result_type(q, ent)
@@ -333,10 +333,10 @@ def _tdm_objective(batch, store, model, eff, loss, buf, ws) -> float:
             np.matmul(d_scores, ent, out=q_blk)  # d_q of these rows
     d_q = q
 
-    d_lhs_f, d_rel = None, ws("tdm.d_rel", tape.rel.shape, tape.rel.dtype)
+    d_lhs_f, d_rel = None, ws("tdm.d_rel", side.rel.shape, side.rel.dtype)
     if loss.dura_weight > 0:
         w = loss.dura_weight
-        lhs_f, rel = tape.lhs_f, tape.rel
+        lhs_f, rel = side.fixed_f, side.rel
 
         def phase(k, like):
             return ws(f"phase.{k}", like.shape, like.dtype)
@@ -367,7 +367,7 @@ def _tdm_objective(batch, store, model, eff, loss, buf, ws) -> float:
     if buf is None:
         return value
 
-    d_lhs, d_rel = T.tdm_backward(eff, model, tape, d_q, d_lhs_f, d_rel, buf, ws=ws)
+    d_lhs, d_rel = T.tdm_backward(eff, model, side, d_q, d_lhs_f, d_rel, buf, ws=ws)
     buf.add_rows("entity", lhs_ids, d_lhs)
     buf.add_rows("relation", rel_rows, d_rel)
     return value
@@ -403,7 +403,8 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
             d_op_bias = np.zeros_like(op.bias)
 
     def _accumulate_op(sl, d_mult, d_bias):
-        d_op[sl] += d_mult
+        if d_mult is not None:  # None: that side is not filtered
+            d_op[sl] += d_mult
         if d_bias is not None:
             d_op_bias[sl] += d_bias
 
@@ -411,25 +412,20 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
         """One direction's loss; its gradients go to buf and the shared
         accumulators. Its per-batch tables die when it returns, before the
         next direction builds its own."""
-        fixed_side_on, cand_side_on, fixed_which, cand_which = T.dbm_direction(
-            eff, fixed_is_head)
         cand_ids = np.concatenate([gold_ids[:, None], negs], axis=1)
         uniq, inv = np.unique(cand_ids, return_inverse=True)
         inv = inv.reshape(cand_ids.shape)
         if uniq[0] < 0 or uniq[-1] >= ent.shape[0]:
             raise IndexError(f"candidate ids outside [0, {ent.shape[0]})")
 
-        fixed = ent[fixed_ids]
-        fixed_f = T.et_apply(op, fixed) if fixed_side_on else fixed
-        d_fixed_f = np.zeros_like(fixed)
+        side = T.query_side(eff, store, fixed_is_head, ent[fixed_ids], rel, op)
+        d_fixed_f = np.zeros_like(side.fixed)
         d_cand_u = ws("d_cand_u", (uniq.size, model.dim), ent.dtype)
         d_cand_u.fill(0)
-        fixed_rel, cand_factor = rel, None
+        cand_factor = None
         if rt:
-            fixed_rt = T.rt_factor(store, fixed_which, fixed, eff.p)
-            cand_rt = T.rt_factor(store, cand_which, ent[uniq], eff.p)
-            fixed_rel = fixed_rt.factor * rel
-            d_fixed_factor = np.zeros_like(fixed_rel)
+            cand_rt = T.rt_factor(store, side.cand_which, ent[uniq], eff.p)
+            d_fixed_factor = np.zeros_like(side.rel_t)
             d_cand_factor_u = ws("d_cand_factor_u", cand_rt.factor.shape,
                                  cand_rt.factor.dtype)
             d_cand_factor_u.fill(0)
@@ -438,16 +434,15 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
         terms = np.empty((2, b), dtype=ent.dtype)
         for sl in M.row_blocks(b, k * model.dim * ent.itemsize, M.WORKSPACE_BYTES):
             n = sl.stop - sl.start
-            op_sl = op.rows(sl) if cand_side_on else None
+            op_sl = None if side.cand_op is None else side.cand_op.rows(sl)
             cand = np.take(ent, cand_ids[sl], axis=0, mode="clip",
                            out=ws("cand", (n, k, model.dim), ent.dtype))
-            cand_f = T.et_apply(op_sl, cand, ws=ws) if cand_side_on else cand
             if rt:
                 cand_factor = np.take(cand_rt.factor, inv[sl], axis=0, mode="clip",
                                       out=ws("cand_factor", (n, k, rel.shape[1]),
                                              rel.dtype))
-            sc, sc_cache = T.dbm_direction_scores(model, fixed_is_head, fixed_f[sl],
-                                                  fixed_rel[sl], cand_f, cand_factor,
+            sc, sc_cache = T.dbm_direction_scores(model, fixed_is_head, side.fixed_f[sl],
+                                                  side.rel_t[sl], op_sl, cand, cand_factor,
                                                   ws=ws)
             _, d_sc = self_adversarial(sc, model.gamma, loss.adv_temperature,
                                        terms=terms[:, sl])
@@ -461,32 +456,26 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
             inv_sl = inv[sl].reshape(-1)
             if rt:
                 d_fixed_rel = np.einsum("bkd,bkd->bd", d_r3, cand_factor)
-                d_rel[sl] += d_fixed_rel * fixed_rt.factor[sl]
+                d_rel[sl] += d_fixed_rel * side.rt.factor[sl]
                 d_fixed_factor[sl] = d_fixed_rel * rel[sl]
                 scatter_rows(d_cand_factor_u, inv_sl,
-                             np.multiply(d_r3, fixed_rel[sl, None, :],
+                             np.multiply(d_r3, side.rel_t[sl, None, :],
                                          out=ws("d_cand_factor", d_r3.shape, d_r3.dtype)),
                              ws=ws)
             else:
                 d_rel[sl] += d_r3.sum(axis=1)
 
-            if cand_side_on:
-                d_cand, d_mult, d_bias = T.et_apply_vjp(op_sl, cand, d_cand_f, ws=ws)
-                _accumulate_op(sl, d_mult, d_bias)
-            else:
-                d_cand = d_cand_f
+            d_cand, d_mult, d_bias = T.et_apply_vjp(op_sl, cand, d_cand_f, ws=ws)
+            _accumulate_op(sl, d_mult, d_bias)
             scatter_rows(d_cand_u, inv_sl, d_cand, ws=ws)
         value = float(np.sum(terms[0]) + np.sum(terms[1]))
 
         if buf is None:
             return value
-        if fixed_side_on:
-            d_fixed, d_mult, d_bias = T.et_apply_vjp(op, fixed, d_fixed_f)
-            _accumulate_op(slice(None), d_mult, d_bias)
-        else:
-            d_fixed = d_fixed_f
+        d_fixed, d_mult, d_bias = T.et_apply_vjp(side.fixed_op, side.fixed, d_fixed_f)
+        _accumulate_op(slice(None), d_mult, d_bias)
         if rt:
-            d_fixed = d_fixed + T.rt_factor_vjp(fixed_rt, d_fixed_factor, buf, eff.p)
+            d_fixed = d_fixed + T.rt_factor_vjp(side.rt, d_fixed_factor, buf, eff.p)
             d_cand_u += T.rt_factor_vjp(cand_rt, d_cand_factor_u, buf, eff.p)
         buf.add_rows("entity", fixed_ids, d_fixed)
         buf.add_rows("entity", uniq, d_cand_u)

@@ -333,106 +333,108 @@ def rt_factor_vjp(rt: RtFactor, d_factor: np.ndarray, buf, p: int, *, out=None,
 
 
 @dataclass
-class TdmTape:
-    """What tdm_backward needs from tdm_forward."""
+class QuerySide:
+    """The fixed side of Q queries: what every model's scoring reads of it,
+    and what its VJPs need."""
 
-    lhs: np.ndarray
-    rel: np.ndarray
-    lhs_f: np.ndarray
-    rel_t: np.ndarray
-    op: EtOp | None
-    head_factor: RtFactor | None
+    fixed: np.ndarray  # (Q, d) base entity rows
+    rel: np.ndarray  # (Q, d_r) base relation rows
+    fixed_f: np.ndarray  # the filtered fixed rows; fixed itself when unfiltered
+    rel_t: np.ndarray  # rel times the fixed rt factor; rel itself without rt
+    fixed_op: EtOp | None  # the filter on the fixed side
+    cand_op: EtOp | None  # the filter on the candidates
+    rt: RtFactor | None  # the fixed rows' rt factor
+    cand_which: str  # the rt matrix of the candidates' factors
+
+
+def query_side(spec: FilterSpec, store, fixed_is_head: bool, fixed: np.ndarray,
+               rel: np.ndarray, op: EtOp | None, *, ws=M.FRESH) -> QuerySide:
+    """The fixed side of Q queries under the filter op built for their
+    relation rows. The head side is filtered by any filter and conditions the
+    relation through A2; the tail side is filtered only under head_and_tail
+    and conditions it through A3. The filtered rows are et_apply's "et"
+    buffer and rel_t the "side.rel_t" buffer of ws."""
+    tail_op = op if spec.apply_to == "head_and_tail" else None
+    fixed_op, cand_op = (op, tail_op) if fixed_is_head else (tail_op, op)
+    fixed_which, cand_which = ("a2", "a3") if fixed_is_head else ("a3", "a2")
+    fixed_f = et_apply(fixed_op, fixed, ws=ws)
+    rt, rel_t = None, rel
+    if spec.rt_enabled:
+        rt = rt_factor(store, fixed_which, fixed, spec.p, ws=ws)
+        rel_t = np.multiply(rt.factor, rel, out=ws("side.rel_t", rel.shape, rel.dtype))
+    return QuerySide(fixed, rel, fixed_f, rel_t, fixed_op, cand_op, rt, cand_which)
 
 
 def tdm_forward(spec: FilterSpec, store, model, lhs_ids: np.ndarray,
                 rel_rows: np.ndarray, *, ws=M.FRESH):
     """Tensor-model query vectors q (Q, d), score(candidate e) = q . e: the
-    entity filter acts on the lhs entity, the head rt factor on the relation
-    row. Returns (q, tape); q and the tape's arrays are views of the
-    workspace's buffers, valid until the next call."""
+    lhs entity is the head side of query_side. Returns (q, side); q and the
+    side's arrays are views of the workspace's buffers, valid until the next
+    call."""
     lhs = M.gather(ws, "tdm.lhs", store["entity"], lhs_ids)
     rel = M.gather(ws, "tdm.rel", store["relation"], rel_rows)
-    op = et_build(spec, store, rel, rel_rows, model.dim, ws=ws)
-    lhs_f = et_apply(op, lhs, ws=ws)
-    head_factor = None
-    rel_t = rel
-    if spec.rt_enabled:
-        head_factor = rt_factor(store, "a2", lhs, spec.p, ws=ws)
-        rel_t = np.multiply(head_factor.factor, rel,
-                            out=ws("tdm.rel_t", rel.shape, rel.dtype))
-    q = M.tdm_query(model.kind, lhs_f, rel_t, ws=ws,
-                    out=ws("tdm.q", lhs_f.shape, np.result_type(lhs_f, rel_t)))
-    return q, TdmTape(lhs, rel, lhs_f, rel_t, op, head_factor)
+    side = query_side(spec, store, True, lhs, rel,
+                      et_build(spec, store, rel, rel_rows, model.dim, ws=ws), ws=ws)
+    q = M.tdm_query(model.kind, side.fixed_f, side.rel_t, ws=ws,
+                    out=ws("tdm.q", lhs.shape, np.result_type(side.fixed_f, side.rel_t)))
+    return q, side
 
 
-def tdm_backward(spec: FilterSpec, model, tape: TdmTape, d_q: np.ndarray,
-                 d_lhs_f, d_rel: np.ndarray, buf, *, ws=M.FRESH):
-    """VJP of tdm_forward. d_lhs_f is a further cotangent of the filtered lhs
-    (or None); d_rel, the cotangent of the base relation rows so far, is
+def tdm_backward(spec: FilterSpec, model, side: QuerySide, d_q: np.ndarray,
+                 d_fixed_f, d_rel: np.ndarray, buf, *, ws=M.FRESH):
+    """VJP of tdm_forward. d_fixed_f is a further cotangent of the side's
+    fixed_f (or None); d_rel, the cotangent of its base rel rows so far, is
     accumulated in place. Accumulates the filter and rt parameter gradients
-    into buf; returns (d_lhs, d_rel) for the caller to scatter. Its own
-    arrays are the workspace's phase buffers: phase.0 holds the filtered-lhs
-    cotangent and then the filter's relation cotangent, phase.1 the rt'd
-    relation cotangent and then d_lhs, phase.2 a product and then the rt
-    factor's lhs cotangent, phase.3 the filter-factor cotangent."""
+    into buf; returns (d_fixed, d_rel) for the caller to scatter. Its own
+    arrays are the workspace's phase buffers: phase.0 holds the fixed_f
+    cotangent and then the filter's relation cotangent, phase.1 the rel_t
+    cotangent and then d_fixed, phase.2 a product and then the rt factor's
+    fixed cotangent, phase.3 the filter-factor cotangent."""
     def phase(k, like):
         return ws(f"phase.{k}", like.shape, like.dtype)
 
-    d_lhs_fq, d_rel_t = M.tdm_query_vjp(model.kind, tape.lhs_f, tape.rel_t, d_q, ws=ws,
-                                        out=(phase(0, tape.lhs_f), phase(1, tape.rel_t)))
-    if d_lhs_f is not None:
-        d_lhs_fq += d_lhs_f
-    d_lhs_rt = None
-    if tape.head_factor is not None:
-        d_rel += np.multiply(d_rel_t, tape.head_factor.factor, out=phase(2, d_rel_t))
-        d_lhs_rt = rt_factor_vjp(tape.head_factor,
-                                 np.multiply(d_rel_t, tape.rel, out=d_rel_t), buf, spec.p,
-                                 out=phase(2, tape.lhs), ws=ws)
+    op = side.fixed_op
+    d_fixed_fq, d_rel_t = M.tdm_query_vjp(model.kind, side.fixed_f, side.rel_t, d_q, ws=ws,
+                                          out=(phase(0, side.fixed_f), phase(1, side.rel_t)))
+    if d_fixed_f is not None:
+        d_fixed_fq += d_fixed_f
+    d_fixed_rt = None
+    if side.rt is not None:
+        d_rel += np.multiply(d_rel_t, side.rt.factor, out=phase(2, d_rel_t))
+        d_fixed_rt = rt_factor_vjp(side.rt, np.multiply(d_rel_t, side.rel, out=d_rel_t), buf,
+                                   spec.p, out=phase(2, side.fixed), ws=ws)
     else:
         d_rel += d_rel_t
-    d_lhs, d_mult, d_bias = et_apply_vjp(
-        tape.op, tape.lhs, d_lhs_fq, ws=ws,
-        out=None if tape.op is None else (phase(1, d_lhs_fq),
-                                          phase(3, tape.op.factor_vectors())))
-    if tape.op is not None:
-        d_rel_et = et_param_vjp(spec, tape.op, d_mult, d_bias, buf, ws=ws,
-                                out=phase(0, tape.rel))
+    d_fixed, d_mult, d_bias = et_apply_vjp(
+        op, side.fixed, d_fixed_fq, ws=ws,
+        out=None if op is None else (phase(1, d_fixed_fq), phase(3, op.factor_vectors())))
+    if op is not None:
+        d_rel_et = et_param_vjp(spec, op, d_mult, d_bias, buf, ws=ws, out=phase(0, side.rel))
         if d_rel_et is not None:
             d_rel += d_rel_et
-    if d_lhs_rt is not None:
-        d_lhs += d_lhs_rt
-    return d_lhs, d_rel
-
-
-def dbm_direction(spec: FilterSpec, fixed_is_head: bool):
-    """One direction of a distance-model query: (fixed side filtered?,
-    candidate side filtered?, fixed side's rt matrix, candidate side's rt
-    matrix). The head side is filtered by any filter and conditions the
-    relation through A2; the tail side is filtered only under head_and_tail
-    and conditions it through A3."""
-    head_on = spec.kind != "none"
-    tail_on = head_on and spec.apply_to == "head_and_tail"
-    if fixed_is_head:
-        return head_on, tail_on, "a2", "a3"
-    return tail_on, head_on, "a3", "a2"
+    if d_fixed_rt is not None:
+        d_fixed += d_fixed_rt
+    return d_fixed, d_rel
 
 
 def dbm_direction_scores(model, fixed_is_head: bool, fixed_f: np.ndarray,
-                         fixed_rel: np.ndarray, cand_f: np.ndarray, cand_factor, *,
-                         ws=M.FRESH, out=None, tape=True):
+                         fixed_rel: np.ndarray, cand_op: EtOp | None, cand: np.ndarray,
+                         cand_factor, *, ws=M.FRESH, out=None, tape=True):
     """Distance scores (Q, K) of Q fixed entities against K candidates each.
 
-    fixed_f (Q, d) and cand_f (Q, K, d) are the (possibly filtered) entities;
-    fixed_rel (Q, d_r) is the relation times the fixed side's rt factor (the
-    bare relation without rt); cand_factor (Q, K, d_r) holds the candidates' rt
-    factors, or None without rt. The candidate arrays may instead have a
-    leading axis of 1, one candidate table broadcast against every query,
-    and the fixed arrays may be (Q, K, .) tiles of their rows.
+    fixed_f (Q, d) is a side's fixed_f and fixed_rel (Q, d_r) its rel_t;
+    cand (Q, K, d) holds the candidates' base rows, which cand_op, the side's
+    cand_op or its rows, filters into the workspace's "et" buffer;
+    cand_factor (Q, K, d_r) holds their rt factors, or None without rt. The
+    candidate arrays may instead have a leading axis of 1, one candidate
+    table broadcast against every query, and the fixed arrays may be
+    (Q, K, .) tiles of their rows.
     Returns models.dbm_scores' (scores, cache), with the head in its first
     argument slot; ws, out and tape pass through to it. With tape=False the
     rt x relation product is made in the kind's models.DBM_REL_BUFFER, which
     dbm_scores then overwrites in place.
     """
+    cand_f = et_apply(cand_op, cand, ws=ws)
     rel_t = _expand(fixed_rel, cand_f.ndim)
     if cand_factor is not None:
         shape = M.lead_shape(rel_t, cand_factor) + rel_t.shape[-1:]

@@ -56,17 +56,19 @@ def _per_query_scores(store, model, filt, direction, fixed_id, rel_id):
     rel_rows = np.asarray([rel_id])
     rel = store["relation"][rel_rows]
     op = T.et_build(filt, store, rel, rel_rows, model.dim)
-    fixed_on, cand_on, fixed_which, cand_which = T.dbm_direction(filt, fixed_is_head)
+    # the head side takes any filter and A2; the tail side a filter only
+    # under head_and_tail, and A3
+    tail_op = op if filt.apply_to == "head_and_tail" else None
+    fixed_op, cand_op = (op, tail_op) if fixed_is_head else (tail_op, op)
+    fixed_which, cand_which = ("a2", "a3") if fixed_is_head else ("a3", "a2")
     fixed = ent[np.asarray([fixed_id])]
     cand = ent[None, :, :]
-    fixed_f = T.et_apply(op, fixed) if fixed_on else fixed
-    cand_f = T.et_apply(op, cand) if cand_on else cand
     fixed_rel, cand_factor = rel, None
     if filt.rt_enabled:
         fixed_rel = T.rt_factor(store, fixed_which, fixed, filt.p).factor * rel
         cand_factor = T.rt_factor(store, cand_which, cand, filt.p).factor
-    sc, _ = T.dbm_direction_scores(model, fixed_is_head, fixed_f, fixed_rel,
-                                   cand_f, cand_factor)
+    sc, _ = T.dbm_direction_scores(model, fixed_is_head, T.et_apply(fixed_op, fixed),
+                                   fixed_rel, cand_op, cand, cand_factor)
     return sc[0]
 
 
@@ -883,7 +885,7 @@ class TestScoreBlockMemory:
         for direction in ("tail", "head"):
             scorer = CandidateScorer(store, model, filt)
             if rt:  # the scorer's one (N, d_r) rt table per direction, built once
-                scorer._candidate_rt(T.dbm_direction(filt, direction == "tail")[3])
+                scorer._candidate_rt("a3" if direction == "tail" else "a2")
             tracemalloc.start()
             try:
                 scores = scorer.score_block(direction, np.array([7]), np.array([1]))
@@ -896,12 +898,14 @@ class TestScoreBlockMemory:
     def test_candidate_rt_table_is_built_in_row_blocks(self, kind, monkeypatch):
         """At N = 20,000 the (1, N, d_r) rt table takes 40 or 20 blocks of
         64 KiB; building it holds the table and a few blocks, where the whole
-        table at once holds about two more tables, and the bits are the same."""
+        table at once holds about two more tables, and the bits are the same.
+        At N = 20,481 the last block would hold one row, whose one-row
+        product may round otherwise."""
         monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 1 << 16)
         model = ModelSpec(kind, 16)
         filt = FilterSpec("rscf", rt_enabled=True)
-        store = build_store(model, filt, 20_000, 3, Rng(5), init_scale=0.3)
-        for which in ("a2", "a3"):
+        for num_entities, which in itertools.product((20_000, 20_481), ("a2", "a3")):
+            store = build_store(model, filt, num_entities, 3, Rng(5), init_scale=0.3)
             scorer = CandidateScorer(store, model, filt)
             tracemalloc.start()
             try:

@@ -513,9 +513,9 @@ class TestDistinctCandidateObjective:
         rt_rows = []
         raw_rt_factor = T.rt_factor
 
-        def counting_rt_factor(store_, which, x, p_):
+        def counting_rt_factor(store_, which, x, p_, **kwargs):
             rt_rows.append(x.shape[0])
-            return raw_rt_factor(store_, which, x, p_)
+            return raw_rt_factor(store_, which, x, p_, **kwargs)
 
         monkeypatch.setattr(T, "rt_factor", counting_rt_factor)
         got = total_objective(batch, store, model, filt, loss, negatives=negs)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rscf.errors import ShapeMismatch
-from rscf.models import p_norm
+from rscf.models import ModelSpec, p_norm
+from rscf.objectives import build_store
 from rscf.reference import (
     ZERO_CHANGE,
     OddDimension,
@@ -15,15 +18,20 @@ from rscf.reference import (
     p_normalize,
     rscf_entity_transform,
     rscf_relation_transform,
+    score,
     sfbr_transform,
 )
-from rscf.tensor import ParameterStore
+from rscf.tensor import ParameterStore, Rng
 from rscf.transforms import (
+    FILTER_KINDS,
     FilterSpec,
     et_apply,
     et_build,
     normalize_rows,
     normalize_rows_vjp,
+    query_side,
+    rt_factor,
+    tdm_forward,
 )
 
 
@@ -309,3 +317,94 @@ class TestLinear2AddOneModes:
         out = et_apply(op, ents)
         # all-ones blocks: out halves are e1 + e2
         assert np.allclose(out, [[11.0, 22.0, 11.0, 22.0]])
+
+
+def _reference_filter(spec, store, e, rel_row, rel_id):
+    """The single-vector filter of one entity row under one relation."""
+    if spec.kind == "none":
+        return e
+    if spec.kind == "rscf":
+        return rscf_entity_transform(e, rel_row, store["a1"], p=spec.p)
+    if spec.kind == "rscf_linear2":  # the "diag" mode: ones on w1 and w4
+        blocks = p_normalize(rel_row @ store["a1"], spec.p)
+        blocks = np.zeros(2 * e.size) if blocks is ZERO_CHANGE else blocks.copy()
+        quarter = e.size // 2
+        blocks[:quarter] += 1.0
+        blocks[3 * quarter:] += 1.0
+        return build_linear2_matrix(blocks).apply(e)
+    variant = spec.kind.removeprefix("sfbr_")
+    bias = store["sfbr_b"] if variant == "diag" else None
+    return sfbr_transform(e, rel_id, SfbrParams(variant, store["sfbr_w"], bias), p=spec.p)
+
+
+class TestQuerySide:
+    """query_side is the one place that knows a query's direction: the head
+    side is filtered by any filter and conditions the relation through A2,
+    the tail side is filtered only under head_and_tail and conditions it
+    through A3. Checked against the single-vector reference transforms."""
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_matches_single_vector_reference(self, kind):
+        model = ModelSpec("transe", 4)
+        checked = 0
+        for fixed_is_head, apply_to, rt, p in itertools.product(
+                (True, False), ("head_and_tail", "head_only"), (False, True), (1, 2)):
+            spec = FilterSpec(kind, p=p, apply_to=apply_to, rt_enabled=rt)
+            rng = Rng(checked)
+            store = build_store(model, spec, 6, 3, rng, init_scale=0.4)
+            for name, table in store.tables.items():
+                table += rng.derive(f"jitter:{name}").generator().normal(0.0, 0.3,
+                                                                         table.shape)
+            ent, rel_ids = store["entity"], np.array([2, 0, 1, 2])
+            fixed, cand = ent[[0, 3, 5, 1]], ent[[4, 4, 2, 0]]
+            rel = store["relation"][rel_ids]
+            op = et_build(spec, store, rel, rel_ids, model.dim)
+            side = query_side(spec, store, fixed_is_head, fixed, rel, op)
+            cand_f = et_apply(side.cand_op, cand)
+            cand_rt = rt_factor(store, side.cand_which, cand, p).factor if rt else 1.0
+            head_on = kind != "none"
+            tail_on = head_on and apply_to == "head_and_tail"
+            fixed_on, cand_on = (head_on, tail_on) if fixed_is_head else (tail_on, head_on)
+            key = (fixed_is_head, apply_to, rt, p)
+            assert side.fixed is fixed and side.rel is rel, key
+            assert (side.rt is None) == (not rt), key
+            if not rt:
+                assert side.rel_t is rel, key
+            for i, rel_id in enumerate(rel_ids.tolist()):
+                want_fixed = _reference_filter(spec, store, fixed[i], rel[i], rel_id)
+                want_cand = _reference_filter(spec, store, cand[i], rel[i], rel_id)
+                assert np.allclose(side.fixed_f[i], want_fixed if fixed_on else fixed[i],
+                                   rtol=0, atol=1e-12), key
+                assert np.allclose(cand_f[i], want_cand if cand_on else cand[i],
+                                   rtol=0, atol=1e-12), key
+                if rt:
+                    head, tail = (fixed[i], cand[i]) if fixed_is_head else (cand[i], fixed[i])
+                    want = rscf_relation_transform(rel[i], head, tail, store["a2"],
+                                                   store["a3"], p=p)
+                    assert np.allclose(side.rel_t[i] * cand_rt[i], want,
+                                       rtol=0, atol=1e-12), key
+                    # the fixed side's own factor: A2 on a head, A3 on a tail
+                    alone = rscf_relation_transform(
+                        rel[i], fixed[i], None, store["a2" if fixed_is_head else "a3"],
+                        p=p, head_only=True)
+                    assert np.allclose(side.rel_t[i], alone, rtol=0, atol=1e-12), key
+            checked += 1
+        assert checked == 2 * 2 * 2 * 2
+
+    @pytest.mark.parametrize("kind", ["cp", "complex", "rescal"])
+    def test_tensor_query_is_the_head_side(self, kind):
+        """A tensor model's query scores a candidate as the reference scores
+        the filtered head, the relation conditioned through A2, and the
+        candidate."""
+        model = ModelSpec(kind, 4)
+        spec = FilterSpec("rscf", apply_to="head_only", rt_enabled=True)
+        store = build_store(model, spec, 6, 3, Rng(3), init_scale=0.4)
+        ent, lhs_ids, rel_rows = store["entity"], np.array([0, 3, 5]), np.array([2, 0, 1])
+        q, _ = tdm_forward(spec, store, model, lhs_ids, rel_rows)
+        for i, (h, r) in enumerate(zip(lhs_ids, rel_rows)):
+            rel = store["relation"][r]
+            h_f = rscf_entity_transform(ent[h], rel, store["a1"], p=spec.p)
+            rel_t = rscf_relation_transform(rel, ent[h], None, store["a2"], p=spec.p,
+                                            head_only=True)
+            want = [score(model, h_f, rel_t, e) for e in ent]
+            assert np.allclose(ent @ q[i], want, rtol=0, atol=1e-12), (kind, i)
