@@ -17,6 +17,7 @@ import numpy as np
 
 from . import models as M
 from . import transforms as T
+from .data import run_starts
 from .errors import (
     NonFiniteGradient,
     ShapeMismatch,
@@ -78,6 +79,46 @@ def scatter_rows(out: np.ndarray, rows: np.ndarray, vals: np.ndarray, *, ws=M.FR
         flat_idx = np.add((chunk * d)[:, None], cols,
                           out=ws("scatter.idx", (chunk.shape[0], d), np.intp))
         np.add.at(flat, flat_idx.reshape(-1), vals[sl].reshape(-1))
+
+
+def slice_scatter_plan(ids: np.ndarray, slices: list[slice]) -> list:
+    """How each row slice of ids, a (rows, K) array of nonnegative ids, adds
+    its (n, K) values to a per-id table with the bits of np.add.at: per slice
+    (first_pos, first_ids, repeat_pos, repeat_ids), positions into the
+    slice's flattened values, in input order. first names the first
+    occurrence of each id in the slice, so one fancy-indexed add is exact;
+    repeat names the rest, for scatter_rows after it. Every id thus receives
+    its values in input order. One sort of id * ids.size + position, a
+    stable sort by id, finds the firsts."""
+    sizes = [(sl.stop - sl.start) * ids.shape[1] for sl in slices]
+    slice_of = np.repeat(np.arange(len(slices)), sizes)
+    starts = np.cumsum([0] + sizes[:-1])
+    flat = ids.reshape(-1)
+    key = flat * flat.size
+    key += np.arange(flat.size)
+    key.sort()
+    group, pos = np.divmod(key, flat.size)
+    group *= len(slices)
+    group += slice_of[pos]  # one group per (id, slice)
+    first = np.zeros(flat.size, dtype=bool)
+    first[pos[run_starts(group)]] = True
+    parts = []
+    for part in (np.flatnonzero(first), np.flatnonzero(~first)):
+        cuts = np.searchsorted(part, starts[1:])
+        parts.append(zip(np.split(part - starts[slice_of[part]], cuts),
+                         np.split(flat[part], cuts)))
+    return [(*f, *r) for f, r in zip(*parts)]
+
+
+def scatter_slice(out: np.ndarray, plan, vals: np.ndarray, *, ws=M.FRESH) -> None:
+    """np.add.at(out, ids, vals) for the ids of one slice of a
+    slice_scatter_plan, bit for bit: the firsts in one fancy-indexed add, the
+    repeats through scatter_rows."""
+    first_pos, first_ids, repeat_pos, repeat_ids = plan
+    vals = vals.reshape(-1, out.shape[1])
+    out[first_ids] += vals[first_pos]
+    if repeat_ids.size:
+        scatter_rows(out, repeat_ids, vals[repeat_pos], ws=ws)
 
 
 class GradientBuffer:
@@ -285,6 +326,9 @@ def total_objective(batch, store: ParameterStore, model: M.ModelSpec,
     buf = GradientBuffer(store, ws) if grad else None
     if batch.shape[0] == 0:
         return 0.0, buf
+    num_rel = store.meta["num_relations"]
+    if batch[:, 1].min() < 0 or batch[:, 1].max() >= num_rel:
+        raise IndexError(f"relation ids outside [0, {num_rel})")
     eff = filt if filter_active else T.INERT_FILTER
     if model.is_tdm:
         value = _tdm_objective(batch, store, model, eff, loss, buf, ws)
@@ -381,8 +425,10 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
     cotangents per distinct id, and makes one rt VJP and one entity scatter.
     The (b, K, d) candidate work runs in triple slices that fit the
     workspace's models.WORKSPACE_BYTES and reuse its buffers; the per-id tables
-    span the whole batch. Each direction keeps its per-row loss terms and sums
-    them once, so the value does not depend on the slicing.
+    span the whole batch. A slice adds its candidate cotangents to them by one
+    slice_scatter_plan per direction, shared by the entity and rt-factor
+    tables. Each direction keeps its per-row loss terms and sums them once, so
+    the value does not depend on the slicing.
     """
     rt = eff.rt_enabled
     ent = store["entity"]
@@ -432,7 +478,9 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
 
         k = cand_ids.shape[1]
         terms = np.empty((2, b), dtype=ent.dtype)
-        for sl in M.row_blocks(b, k * model.dim * ent.itemsize, M.WORKSPACE_BYTES):
+        slices = M.row_blocks(b, k * model.dim * ent.itemsize, M.WORKSPACE_BYTES)
+        plans = None if buf is None else slice_scatter_plan(inv, slices)
+        for i, sl in enumerate(slices):
             n = sl.stop - sl.start
             op_sl = None if side.cand_op is None else side.cand_op.rows(sl)
             cand = np.take(ent, cand_ids[sl], axis=0, mode="clip",
@@ -453,21 +501,20 @@ def _dbm_objective(batch, store, model, eff, loss, negatives, buf, ws) -> float:
                                                model.distance_p, ws=ws)
             d_fixed_fk, d_cand_f = (d_a, d_b) if fixed_is_head else (d_b, d_a)
             d_fixed_f[sl] = d_fixed_fk.sum(axis=1)
-            inv_sl = inv[sl].reshape(-1)
             if rt:
                 d_fixed_rel = np.einsum("bkd,bkd->bd", d_r3, cand_factor)
                 d_rel[sl] += d_fixed_rel * side.rt.factor[sl]
                 d_fixed_factor[sl] = d_fixed_rel * rel[sl]
-                scatter_rows(d_cand_factor_u, inv_sl,
-                             np.multiply(d_r3, side.rel_t[sl, None, :],
-                                         out=ws("d_cand_factor", d_r3.shape, d_r3.dtype)),
-                             ws=ws)
+                scatter_slice(d_cand_factor_u, plans[i],
+                              np.multiply(d_r3, side.rel_t[sl, None, :],
+                                          out=ws("d_cand_factor", d_r3.shape, d_r3.dtype)),
+                              ws=ws)
             else:
                 d_rel[sl] += d_r3.sum(axis=1)
 
             d_cand, d_mult, d_bias = T.et_apply_vjp(op_sl, cand, d_cand_f, ws=ws)
             _accumulate_op(sl, d_mult, d_bias)
-            scatter_rows(d_cand_u, inv_sl, d_cand, ws=ws)
+            scatter_slice(d_cand_u, plans[i], d_cand, ws=ws)
         value = float(np.sum(terms[0]) + np.sum(terms[1]))
 
         if buf is None:

@@ -199,3 +199,30 @@ def test_kernels_default_to_the_fresh_workspace():
     offenders = {(name, fn) for name, tree in _trees().items()
                  for fn in _ws_none_defaults(tree)}
     assert offenders == {("objectives", "total_objective")}
+
+
+def _add_at_sites(tree: ast.Module) -> set[str]:
+    """Qualified names of the functions that read `<x>.add.at`, "<module>"
+    for a read outside any function."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "at"
+                    and isinstance(child.value, ast.Attribute) and child.value.attr == "add"):
+                out.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def test_add_at_runs_only_in_scatter_rows():
+    """np.add.at, the one per-row scatter that keeps repeated rows in input
+    order, is called from objectives.scatter_rows alone; every other scatter
+    goes through it."""
+    sites = {(name, site) for name, tree in _trees().items() for site in _add_at_sites(tree)}
+    assert sites == {("objectives", "scatter_rows")}

@@ -211,9 +211,10 @@ class TestTotalObjective:
             total_objective(batch, store, model, filt, loss, negatives=negs)
 
     def test_entity_ids_outside_the_table_raise(self):
-        """A tensor head id of N and distance negatives of N or -1 raise
-        IndexError. grad=False, so no gradient scatter can raise in place of
-        the objective's own range checks."""
+        """A tensor head id of N, distance negatives of N or -1, and relation
+        ids of -1 or R for both model families raise IndexError. grad=False,
+        so no gradient scatter can raise in place of the objective's own
+        range checks."""
         model, filt, loss, store, batch, _ = _toy_setup(kind="complex", filter_kind="rscf")
         batch[0, 0] = store["entity"].shape[0]
         with pytest.raises(IndexError):
@@ -225,6 +226,14 @@ class TestTotalObjective:
                 bad_negs[side][0, 0] = bad
                 with pytest.raises(IndexError):
                     total_objective(batch, store, model, filt, loss, negatives=bad_negs,
+                                    grad=False)
+        for kind in ("complex", "transe"):
+            model, filt, loss, store, batch, negs = _toy_setup(kind=kind, filter_kind="rscf")
+            for bad in (-1, store.meta["num_relations"]):
+                bad_batch = batch.copy()
+                bad_batch[-1, 1] = bad
+                with pytest.raises(IndexError):
+                    total_objective(bad_batch, store, model, filt, loss, negatives=negs,
                                     grad=False)
 
     def test_inert_filter_matches_none(self):
@@ -802,6 +811,91 @@ class TestAddRows:
         buf = GradientBuffer(store)
         with pytest.raises(ValueError):
             buf.add_rows("w", [0, 1], np.ones((2, 2)))
+
+
+def _in_slice_repeats(ids):
+    """Positions of the entries of ids (flattened) whose id occurs earlier
+    in ids, in input order."""
+    seen, out = set(), []
+    for pos, i in enumerate(ids.reshape(-1).tolist()):
+        if i in seen:
+            out.append(pos)
+        seen.add(i)
+    return np.asarray(out, dtype=np.intp)
+
+
+class TestSliceScatterPlan:
+    """Each slice adds the first occurrence of each of its ids in one fancy
+    add and sends only its in-slice repeats, in input order, through
+    scatter_rows: every id gets its additions in np.add.at's order."""
+
+    # slices of 2, 2 and 1 rows: each repeats an id, the second is one id
+    # throughout, and ids 0, 1 and 3 recur in the third
+    IDS = np.array([[3, 1, 3, 0, 1, 3], [2, 3, 2, 5, 0, 0],
+                    [4, 4, 4, 4, 4, 4], [4, 4, 4, 4, 4, 4],
+                    [3, 0, 3, 2, 2, 1]])
+    SLICES = [slice(0, 2), slice(2, 4), slice(4, 5)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_repeats_reach_scatter_rows_in_order_and_bits_match_add_at(self, dtype,
+                                                                       monkeypatch):
+        gen = np.random.default_rng(3)
+        out = gen.normal(size=(6, 3)).astype(dtype)
+        out[5] = -0.0
+        want = out.copy()
+        calls = []
+        raw_scatter_rows = objectives.scatter_rows
+
+        def recording(table, rows, vals, **kwargs):
+            calls.append((rows.copy(), vals.copy()))
+            raw_scatter_rows(table, rows, vals, **kwargs)
+
+        monkeypatch.setattr(objectives, "scatter_rows", recording)
+        plans = objectives.slice_scatter_plan(self.IDS, self.SLICES)
+        assert len(plans) == len(self.SLICES)
+        for sl, plan in zip(self.SLICES, plans):
+            ids = self.IDS[sl]
+            vals = gen.normal(size=ids.shape + (3,)).astype(dtype)
+            vals[gen.random(ids.shape) < 0.3] = -0.0
+            calls.clear()
+            objectives.scatter_slice(out, plan, vals)
+            repeats = _in_slice_repeats(ids)
+            assert len(calls) == 1
+            rows, got_vals = calls[0]
+            assert rows.tolist() == ids.reshape(-1)[repeats].tolist()
+            assert got_vals.tobytes() == vals.reshape(-1, 3)[repeats].tobytes()
+            np.add.at(want, ids.reshape(-1), vals.reshape(-1, 3))
+            assert out.tobytes() == want.tobytes()
+
+    def test_objective_sends_each_slice_its_in_slice_repeats(self, monkeypatch):
+        """Both per-id tables of a direction, the rt-factor table first, get
+        each two-triple slice's repeats and nothing else through scatter_rows."""
+        model, filt, loss, store, batch, negs = _duplicate_heavy_setup("transe", "rscf", True, 2)
+        k = loss.negatives + 1
+        monkeypatch.setattr(M, "WORKSPACE_BYTES", 2 * k * model.dim * store["entity"].itemsize)
+        ws = M.Workspace()
+        calls = []
+        raw_scatter_rows = objectives.scatter_rows
+
+        def recording(table, rows, vals, **kwargs):
+            name = next((n for n in ("d_cand_factor_u", "d_cand_u")
+                         if n in ws and np.shares_memory(table, ws[n])), None)
+            if name is not None:
+                calls.append((name, rows.tolist()))
+            raw_scatter_rows(table, rows, vals, **kwargs)
+
+        monkeypatch.setattr(objectives, "scatter_rows", recording)
+        total_objective(batch, store, model, filt, loss, negatives=negs, ws=ws)
+        want = []
+        for gold, direction_negs in ((batch[:, 2], negs[0]), (batch[:, 0], negs[1])):
+            cand_ids = np.concatenate([gold[:, None], direction_negs], axis=1)
+            inv = np.unique(cand_ids, return_inverse=True)[1].reshape(cand_ids.shape)
+            for lo in range(0, batch.shape[0], 2):
+                ids = inv[lo:lo + 2].reshape(-1)
+                repeats = ids[_in_slice_repeats(ids)].tolist()
+                assert repeats
+                want += [("d_cand_factor_u", repeats), ("d_cand_u", repeats)]
+        assert calls == want
 
 
 class _UnsharedWorkspace(M.Workspace):
